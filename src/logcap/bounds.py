@@ -2,17 +2,23 @@
 
 Lower bounds: the classical measure bound, Schiefermayr's two-interval
 bound, Solynin's tailored-partition bound, the general partition bound,
-and the gap-division bound with free division points (optimized by a
-deterministic grid search).  Upper bounds: the trivial 1/2, polarization,
+and the gap-division bound.  Upper bounds: the trivial 1/2, polarization,
 Gillis, Schiefermayr's elliptic-integral bound, and the circle-projection
 bound.  Products of powers are evaluated in the log domain; a vanishing
 factor short-circuits to 0.
+
+The Solynin and gap-division bounds have free division points.  Both are
+chains: each factor depends only on its two neighbouring points, so
+their maximizers solve each candidate grid exactly with one max-sum
+pass, then refine the grid around the optimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .sets import (
@@ -29,11 +35,10 @@ UPPER = "upper"
 
 _LOG_FLOOR = 1e-300
 
-# deterministic grid-search schedule
+# candidate grid schedule of the optimized bounds
 _GRID_CANDIDATES = 33
 _REFINE_ROUNDS = 3
 _REFINE_FACTOR = 10.0
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -173,23 +178,6 @@ def partition_lower(e: IntervalUnion, p: Partition) -> float:
     return 0.5 * math.exp(log_total)
 
 
-def _gap_division_log(theta_a, theta_b, deltas_theta) -> float:
-    """Log of the gap-division product; deltas_theta = [pi, th(d_1), ..., th(d_{n-1}), 0]."""
-    total = 0.0
-    n = len(theta_a)
-    for k in range(n):
-        d_prev, d_k = deltas_theta[k], deltas_theta[k + 1]
-        span = d_prev - d_k
-        factor = 0.5 * (
-            math.cos(math.pi * (theta_b[k] - d_k) / span)
-            - math.cos(math.pi * (theta_a[k] - d_k) / span)
-        )
-        if factor <= 0.0:
-            return -math.inf
-        total += (span * span / math.pi ** 2) * math.log(factor)
-    return total
-
-
 def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     """Lower bound from one division point per gap (hull must be [-1, 1]).
 
@@ -200,81 +188,89 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     if e.n < 2:
         raise DomainError("bound needs at least two intervals")
     d.validate_for(e)
-    theta_a = [math.acos(a) for a, _ in e.intervals]
-    theta_b = [math.acos(b) for _, b in e.intervals]
     dt = [math.pi] + [math.acos(x) for x in d.deltas] + [0.0]
-    log_val = _gap_division_log(theta_a, theta_b, dt)
-    if log_val == -math.inf:
-        return 0.0
-    return 0.5 * math.exp(log_val)
+    log_total = 0.0
+    for (a, b), d_prev, d_k in zip(e.intervals, dt, dt[1:]):
+        span = d_prev - d_k
+        factor = 0.5 * (
+            math.cos(math.pi * (math.acos(b) - d_k) / span)
+            - math.cos(math.pi * (math.acos(a) - d_k) / span)
+        )
+        if factor <= 0.0:
+            return 0.0
+        log_total += (span * span / math.pi ** 2) * math.log(factor)
+    return 0.5 * math.exp(log_total)
 
 
-def _coordinate_grid_max(f, boxes):
-    """Deterministic coordinate maximization over open boxes.
+def _chain_argmax(pair_log, pts) -> list[int]:
+    """Exact max-sum over chain points with candidate arrays ``pts``.
 
-    Starts from 33 equispaced interior candidates per coordinate, sweeps
-    coordinates to a fixed point, then refines the grid by 10x around the
-    incumbent for 3 rounds.  Ties keep the lowest-index candidate.
+    ``pair_log(k, lo, hi)`` returns the log-contribution of link k, between
+    chain points k and k+1, for a column of candidates ``lo`` of point k
+    against a row ``hi`` of point k+1, as an array broadcast to
+    (len(lo), len(hi)); -inf marks an infeasible pair.  A forward pass keeps
+    argmax back-pointers, so ties keep the lowest index.  Returns the chosen
+    index of every point.
     """
-    ndim = len(boxes)
-    base_step = [(hi - lo) / (_GRID_CANDIDATES + 1) for lo, hi in boxes]
-    cand = [
-        [lo + (j + 1) * base_step[i] for j in range(_GRID_CANDIDATES)]
-        for i, (lo, hi) in enumerate(boxes)
-    ]
-    x = [c[_GRID_CANDIDATES // 2] for c in cand]
-    best = f(x)
+    score = np.zeros(len(pts[0]))
+    back = []
+    for k in range(len(pts) - 1):
+        table = score[:, None] + pair_log(k, pts[k][:, None], pts[k + 1][None, :])
+        back.append(table.argmax(axis=0))
+        score = table.max(axis=0)
+    idx = [int(score.argmax())]
+    for best in reversed(back):
+        idx.append(int(best[idx[-1]]))
+    return idx[::-1]
 
-    def sweep(candidates, x, best):
-        for _ in range(_MAX_SWEEPS):
-            moved = False
-            for i in range(ndim):
-                trial = list(x)
-                best_i, best_v = x[i], best
-                for c in candidates[i]:
-                    if c == x[i]:
-                        continue
-                    trial[i] = c
-                    v = f(trial)
-                    if v > best_v:
-                        best_v, best_i = v, c
-                trial[i] = best_i
-                if best_i != x[i]:
-                    x = list(trial)
-                    best = best_v
-                    moved = True
-            if not moved:
-                return x, best
-        return x, best
 
-    x, best = sweep(cand, x, best)
-    step = list(base_step)
-    for _ in range(_REFINE_ROUNDS):
-        step = [s / _REFINE_FACTOR for s in step]
-        half = _GRID_CANDIDATES // 2
-        cand = []
-        for i, (lo, hi) in enumerate(boxes):
-            pts = [x[i] + (j - half) * step[i] for j in range(_GRID_CANDIDATES)]
-            cand.append([p for p in pts if lo < p < hi])
-        x, best = sweep(cand, x, best)
-    return best, x
+def _chain_grid_max(pair_log, boxes) -> list[float]:
+    """Maximize a chain sum over -1 = t_0 < t_1 < ... < t_m < t_{m+1} = 1.
+
+    Coordinate t_i ranges over the open box ``boxes[i - 1]``.  ``pair_log``
+    is as in :func:`_chain_argmax` but receives the arccos of the
+    candidates, so t_0 and t_{m+1} enter as pi and 0.  Each coordinate
+    starts with 33 equispaced interior candidates, then the grid is refined
+    by 10x around the optimum for 3 rounds, clipped to the box.  Every grid
+    is solved exactly.  Returns t_1 ... t_m at the optimum of the last grid.
+    """
+    lo, hi = np.array(boxes, dtype=float).T
+    step = (hi - lo) / (_GRID_CANDIDATES + 1)
+    grids = list(lo[:, None] + np.arange(1, _GRID_CANDIDATES + 1) * step[:, None])
+    offsets = np.arange(_GRID_CANDIDATES) - _GRID_CANDIDATES // 2
+    ends = np.array([math.pi]), np.array([0.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for round_ in range(_REFINE_ROUNDS + 1):
+            if round_:
+                step = step / _REFINE_FACTOR
+                grids = [g[(g > lo_i) & (g < hi_i)]
+                         for g, lo_i, hi_i in zip(x[:, None] + offsets * step[:, None], lo, hi)]
+            idx = _chain_argmax(pair_log, [ends[0], *map(np.arccos, grids), ends[1]])
+            x = np.array([g[j] for g, j in zip(grids, idx[1:-1])])
+    return x.tolist()
 
 
 def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
-    """Maximize the gap-division bound over the division points."""
+    """Maximize the gap-division bound over the division points.
+
+    Factor k depends only on the division points on either side of
+    component k, so the grid optimum is found exactly by a chain pass.
+    """
     _require_unit_hull(e)
     if e.n < 2:
         raise DomainError("bound needs at least two intervals")
     theta_a = [math.acos(a) for a, _ in e.intervals]
     theta_b = [math.acos(b) for _, b in e.intervals]
 
-    def objective(deltas):
-        dt = [math.pi] + [math.acos(x) for x in deltas] + [0.0]
-        return _gap_division_log(theta_a, theta_b, dt)
+    def pair_log(k, th_lo, th_hi):
+        span = th_lo - th_hi
+        factor = 0.5 * (np.cos(math.pi * (theta_b[k] - th_hi) / span)
+                        - np.cos(math.pi * (theta_a[k] - th_hi) / span))
+        # fmax sends factor <= 0, and nan, to log(0) = -inf
+        return (span * span / math.pi ** 2) * np.log(np.fmax(factor, 0.0))
 
-    best_log, best_x = _coordinate_grid_max(objective, e.gaps())
-    value = 0.0 if best_log == -math.inf else 0.5 * math.exp(best_log)
-    return value, GapPoints(tuple(best_x))
+    d = GapPoints(tuple(_chain_grid_max(pair_log, e.gaps())))
+    return gap_division_lower(e, d), d
 
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
@@ -310,23 +306,37 @@ def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
 
 
 def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
-    """Maximize the tailored-partition bound over gap and interior split points."""
+    """Maximize the tailored-partition bound over gap and interior split points.
+
+    The cells [t_k, t_{k+1}] of the chain -1, d_1, g_1, d_2, ..., d_{n-1}, 1
+    each meet component (k+1)//2 at one known end, so the measure of the
+    intersection is a closed form in one endpoint and the grid optimum is
+    found exactly by a chain pass.
+    """
     _require_unit_hull(e)
     if e.n < 2:
         raise DomainError("bound needs at least two intervals")
-    boxes = e.gaps() + list(e.intervals[1:-1])
-    ngaps = e.n - 1
+    gaps = e.gaps()
+    boxes = [gaps[0]]
+    for comp, gap in zip(e.intervals[1:-1], gaps[1:]):
+        boxes += [comp, gap]
+    theta_a = [math.acos(a) for a, _ in e.intervals]
+    theta_b = [math.acos(b) for _, b in e.intervals]
 
-    def objective(x):
-        d = GapPoints(tuple(x[:ngaps]))
-        pts = _solynin_points(e, d, x[ngaps:])
-        v = partition_lower(e, pts)
-        return -math.inf if v <= 0.0 else math.log(v)
+    def pair_log(k, th_lo, th_hi):
+        comp = (k + 1) // 2
+        # an even cell meets its component from the cell's left end to b_comp,
+        # an odd one from a_comp to the cell's right end
+        inter_mu = th_lo - theta_b[comp] if k % 2 == 0 else theta_a[comp] - th_hi
+        cell_mu = th_lo - th_hi
+        s = np.maximum(np.sin((0.5 * math.pi) * inter_mu / cell_mu), _LOG_FLOOR)
+        term = (2.0 / math.pi ** 2) * cell_mu * cell_mu * np.log(s)
+        return np.where(inter_mu > 0.0, term, -np.inf)
 
-    best_log, best_x = _coordinate_grid_max(objective, boxes)
-    value = 0.0 if best_log == -math.inf else math.exp(best_log)
-    pts = _solynin_points(e, GapPoints(tuple(best_x[:ngaps])), best_x[ngaps:])
-    return value, pts
+    x = _chain_grid_max(pair_log, boxes)
+    d = GapPoints(tuple(x[0::2]))
+    interior = x[1::2]
+    return solynin_lower(e, d, interior), _solynin_points(e, d, interior)
 
 
 def projection_upper(e: IntervalUnion) -> float:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from logcap import (
@@ -31,7 +32,13 @@ from logcap import (
     uniform_measure_partition,
     widom_capacity,
 )
-from logcap.verify import equality_gap_points, random_unit_interval_union
+from logcap.bounds import _GRID_CANDIDATES, _chain_argmax
+from logcap.verify import (
+    DOMINANCE_SLACK,
+    EQUALITY_TOL,
+    equality_gap_points,
+    random_unit_interval_union,
+)
 
 SYM = 0.4330127018922193  # capacity of [-1,-1/2] u [1/2,1]
 
@@ -306,6 +313,92 @@ def test_solynin_validates_interior_points():
         solynin_lower(e, GapPoints((-0.4, 0.4)), [0.9])  # outside middle component
     with pytest.raises(DomainError):
         solynin_lower(e, GapPoints((-0.4, 0.4)), [])  # missing interior point
+
+
+def _brute_force_chain(tables):
+    """Optimum and argmax of a chain sum by enumerating the whole product grid.
+
+    Ties go to the lowest last index, then the lowest index before it, and
+    so on, which is the order a forward pass with back-pointers produces.
+    """
+    m = len(tables) - 1
+    i = np.indices(tuple(t.shape[1] for t in tables[:-1]))
+    total = tables[0][0, i[0]]
+    for k in range(1, m):
+        total = total + tables[k][i[k - 1], i[k]]
+    total = total + tables[m][i[m - 1], 0]
+    flat = total.transpose().ravel()  # last coordinate most significant
+    best = int(np.argmax(flat))
+    idx = np.unravel_index(best, total.shape[::-1])[::-1]
+    return flat[best], [int(j) for j in idx]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["continuous", "ties", "infeasible", "all_infeasible"])
+def test_chain_argmax_matches_exhaustive_enumeration(m, kind):
+    g = _GRID_CANDIDATES
+    rng = np.random.default_rng(100 * m + len(kind))
+    for _ in range(4):
+        sizes = [1] + [g] * m + [1]
+        if kind == "continuous":
+            tables = [rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])]
+        else:  # small integers sum exactly, so ties are exact
+            tables = [rng.integers(0, 3, size=(a, b)).astype(float)
+                      for a, b in zip(sizes, sizes[1:])]
+        if kind == "infeasible":
+            for t in tables:
+                t[rng.random(t.shape) < 0.3] = -np.inf
+        if kind == "all_infeasible":
+            for t in tables:
+                t[:] = -np.inf
+        pts = [np.arange(s, dtype=float) for s in sizes]
+
+        def pair_log(k, lo, hi):
+            return tables[k][lo.astype(int), hi.astype(int)]
+
+        idx = _chain_argmax(pair_log, pts)
+        want_val, want_idx = _brute_force_chain(tables)
+        got_val = sum(t[i, j] for t, i, j in zip(tables, idx, idx[1:]))
+        assert idx[0] == idx[-1] == 0
+        assert idx[1:-1] == want_idx
+        assert got_val == want_val
+
+
+@pytest.mark.parametrize("l", [math.pi / 2.0, math.pi, 1.5 * math.pi])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gap_division_max_reaches_equality_on_canonical_sets(l, n):
+    e = canonical_set(l, 2 * (n - 1))
+    assert e.n == n
+    val, _ = gap_division_lower_max(e)
+    assert abs(val - 0.5 * math.sin(l / 4.0) ** (1.0 / (n - 1))) <= EQUALITY_TOL
+
+
+def test_gap_division_max_dominates_solynin_max():
+    rng = random.Random(89)
+    for n in range(2, 7):
+        for _ in range(4):
+            e = random_unit_interval_union(rng, n)
+            assert gap_division_lower_max(e)[0] >= solynin_lower_max(e)[0] - DOMINANCE_SLACK
+
+
+def test_optimized_values_match_public_bounds_at_their_points():
+    rng = random.Random(97)
+    for n in range(2, 7):
+        e = random_unit_interval_union(rng, n)
+        val, d = gap_division_lower_max(e)
+        assert val == gap_division_lower(e, d)
+        val, p = solynin_lower_max(e)
+        free = p.points[1:-1]
+        assert len(free) == 2 * n - 3
+        assert val == solynin_lower(e, GapPoints(free[0::2]), free[1::2])
+
+
+@pytest.mark.parametrize("optimizer", [solynin_lower_max, gap_division_lower_max])
+def test_optimizers_reject_single_interval_and_non_unit_hull(optimizer):
+    with pytest.raises(DomainError):
+        optimizer(make_interval_union([(-1.0, 1.0)]))
+    with pytest.raises(DomainError):
+        optimizer(make_interval_union([(-0.9, -0.2), (0.1, 1.0)]))
 
 
 def test_projection_upper_values():
