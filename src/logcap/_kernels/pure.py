@@ -2,13 +2,26 @@
 
 These mirror the compiled versions in ``_native.pyx`` and are selected at
 import time when the extension is unavailable (or when LOGCAP_PURE_PYTHON
-is set).  Everything here is vectorized; no Python-level inner loops over
-quadrature nodes.
+is set).  Everything here is vectorized over the quadrature nodes, and the
+cost of a call is mostly the fixed cost of each numpy call, so the kernels
+keep that number small: ``gap_moment_sums`` takes a fixed handful of array
+operations whatever the number of intervals and moments, with the
+Chebyshev nodes cached per node count.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+@functools.lru_cache(maxsize=16)
+def _chebyshev_nodes(m: int) -> np.ndarray:
+    """The m Chebyshev-Gauss nodes cos((2r - 1) pi / 2m), r = 1..m (shared, read-only)."""
+    nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
+    nodes.flags.writeable = False
+    return nodes
 
 
 def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int) -> np.ndarray:
@@ -21,23 +34,23 @@ def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int) -> np.nd
 
     where q(t) is the product of (t - e) over all endpoints.  The two
     singular factors at lo and hi are absorbed into the Chebyshev weight;
-    the m-node rule sums the remaining smooth part.
+    the m-node rule sums the remaining smooth part.  Row j of a
+    (jmax + 1, m) table holds t^j / sqrt(w) at the nodes, built by one
+    cumulative product down the rows and summed along each row.
     """
     endpoints = np.asarray(endpoints, dtype=float)
     lo_i, hi_i = 2 * gap + 1, 2 * gap + 2
     lo, hi = endpoints[lo_i], endpoints[hi_i]
-    nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
-    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    mask = np.ones(endpoints.shape[0], dtype=bool)
-    mask[lo_i] = mask[hi_i] = False
-    # q(t) restricted to the non-singular factors is negative on the gap
-    w = -np.prod(t[:, None] - endpoints[mask], axis=1)
-    inv = 1.0 / np.sqrt(w)
-    out = np.empty(jmax + 1)
-    acc = inv.copy()
-    for j in range(jmax + 1):
-        out[j] = acc.sum()
-        acc *= t
+    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _chebyshev_nodes(m)
+    others = np.concatenate((endpoints[:lo_i], endpoints[hi_i + 1:]))
+    # q(t) restricted to the non-singular factors is negative on the gap;
+    # the factors multiply in endpoint order, node by node
+    w = -np.multiply.reduce(t - others[:, None], axis=0)
+    table = np.empty((jmax + 1, m))
+    table[0] = 1.0 / np.sqrt(w)
+    table[1:] = t
+    np.multiply.accumulate(table, axis=0, out=table)
+    out = np.add.reduce(table, axis=1)
     out *= np.pi / m
     return out
 

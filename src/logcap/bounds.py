@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .exact import _check_two_interval
 from .sets import (
     CircleArcSet,
     GapPoints,
@@ -47,13 +48,6 @@ class BoundReport:
     kind: str  # "lower" or "upper"
     value: float
     params: Partition | GapPoints | None = None
-
-
-def _check_two_interval(alpha: float, beta: float) -> None:
-    if not (-1.0 < alpha < beta < 1.0):
-        raise DomainError(
-            f"need -1 < alpha < beta < 1 for [-1,alpha] u [beta,1], got ({alpha}, {beta})"
-        )
 
 
 def _require_unit_subset(e: IntervalUnion) -> None:

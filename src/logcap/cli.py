@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="capacity and bounds along a parameter sweep (CSV)")
     p_sweep.add_argument(
         "--family",
-        choices=["moving_gap", "spreading_gap", "moving_two_gaps"],
+        choices=FAMILIES,
         required=True,
     )
     p_sweep.add_argument("--grid", required=True, help="start:stop:count")

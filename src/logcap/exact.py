@@ -23,7 +23,6 @@ from .special import (
     EllipticParams,
     QuadratureResult,
     _adaptive_gl,
-    _Budget,
     complete_K,
     incomplete_F,
     solve_dense,
@@ -229,15 +228,13 @@ def _edge_integral(ep: np.ndarray, p_hi: np.ndarray, skip: int, base: float,
     """
     span = abs(x - base)
     direction = 1.0 if x > base else -1.0
-    budget = _Budget(200000)
 
-    def f(u):
-        t = base + direction * u * u
-        sp = _kernels.skip_product(ep, skip, np.ascontiguousarray(t))
-        pv = np.polyval(p_hi, t)
-        return 2.0 * pv / np.sqrt(np.abs(sp))
+    def f(t):
+        sp = _kernels.skip_product(ep, skip, t)
+        return 2.0 * np.polyval(p_hi, t) / np.sqrt(np.abs(sp))
 
-    val, _ = _adaptive_gl(f, 0.0, math.sqrt(span), tol, budget)
+    piece = (0.0, math.sqrt(span), tol, lambda u: base + direction * u * u, lambda u, fu: fu)
+    ((val, _),), _ = _adaptive_gl(f, (piece,), 200000, "Green function quadrature")
     return val
 
 
@@ -245,7 +242,10 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     """Green function of the complement (pole at infinity) at a real point x.
 
     x must lie outside the open intervals of the set; on the set's boundary
-    the value reflects the achieved gap residuals and is ~0.
+    the value reflects the achieved gap residuals and is ~0.  Raises
+    ConvergenceError when the quadrature from the nearest endpoint does not
+    reach ``tol`` within 200000 evaluations; its ``partial`` is that
+    integral so far.
     """
     e = model.E
     n = e.n

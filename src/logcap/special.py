@@ -9,6 +9,7 @@ scheme for the half-line tail.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,70 +181,99 @@ def chebyshev_gauss(g, a: float, b: float, m: int) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-class _Budget:
-    __slots__ = ("used", "limit")
+def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float, float]], int]:
+    """Adaptive 15-point Gauss-Legendre by bisection, on several pieces at once.
 
-    def __init__(self, limit: int):
-        self.used = 0
-        self.limit = limit
+    Each piece ``(a, b, tol, to_t, weigh)`` stands for the integral over
+    [a, b] of ``weigh(x, h(to_t(x)))``.  Starting from the whole of [a, b],
+    a panel is split in two and accepted when the defect |left + right -
+    panel| is at most ``tol * width / (b - a)`` (or ``1e-16 |left + right|``),
+    or when the panel is no wider than ``1e-14 (b - a)``; otherwise both
+    halves are refined in turn.  The open panels of one bisection level, over
+    all pieces, are evaluated together with one call of ``h``.  Each panel is
+    decided on its own, so the panel tree is the one depth-first refinement
+    builds, and the accepted panels are summed in depth-first order (right to
+    left), so the sums agree with it bit for bit.
 
-    def spend(self, n: int) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise _BudgetExhausted()
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _BudgetExceeded(Exception):
-    """Internal: budget ran out; ``partial`` holds the best value so far."""
-
-    def __init__(self, partial: float):
-        super().__init__("node budget exhausted")
-        self.partial = partial
-
-
-def _adaptive_gl(f, a: float, b: float, tol: float, budget: _Budget) -> tuple[float, float]:
-    """Adaptive 15-point Gauss-Legendre on [a, b] by bisection.
-
-    Returns (value, error_estimate); the estimate is the sum of the
-    bisection defects of the accepted panels.
+    Returns ``([(value, error_estimate), ...] per piece, evaluations)``; the
+    estimate is the sum of the bisection defects of the accepted panels.
+    Raises ConvergenceError, naming ``what``, when the next level would take
+    the evaluations past ``max_evals``.  Its ``partial`` sums the accepted
+    panels and the unrefined values of the open ones, leaving out non-finite
+    panel values (an evaluation that rounds onto a singular endpoint), and
+    its ``nodes_used`` counts the evaluations made plus those of the refused
+    level.
     """
+    hv = _vectorized(h)
+    used = 0
+    accepted: list[list[tuple[float, float, float]]] = [[] for _ in pieces]
 
-    def panel(lo: float, hi: float) -> float:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        budget.spend(_GL_NODES.size)
-        return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+    def spend(spans, pending) -> None:
+        nonlocal used
+        used += _GL_NODES.size * len(spans)
+        if used > max_evals:
+            values = [c for *_, c in pending] + [f for acc in accepted for _, f, _ in acc]
+            partial = sum(v for v in values if math.isfinite(v))
+            raise ConvergenceError(f"{what} used more than {max_evals} evaluations",
+                                   partial=QuadratureResult(partial, math.inf, used))
 
-    total_width = b - a
-    value = 0.0
-    err = 0.0
-    stack: list[tuple[float, float, float]] = []
-    pending = 0.0  # coarse value of the panel being refined right now
-    try:
-        stack.append((a, b, panel(a, b)))
-        while stack:
-            lo, hi, coarse = stack.pop()
-            pending = coarse
-            mid = 0.5 * (lo + hi)
-            left, right = panel(lo, mid), panel(mid, hi)
-            pending = 0.0
-            fine = left + right
-            delta = abs(fine - coarse)
-            local_tol = tol * (hi - lo) / total_width
-            if delta <= max(local_tol, 1e-16 * abs(fine)) or (hi - lo) <= 1e-14 * total_width:
-                value += fine
-                err += delta
-            else:
-                stack.append((lo, mid, left))
-                stack.append((mid, hi, right))
-    except _BudgetExhausted:
-        # settle the unfinished panels at their coarse estimates
-        partial = value + pending + sum(c for _, _, c in stack)
-        raise _BudgetExceeded(partial) from None
-    return value, err
+    def evaluate(spans) -> list[float]:
+        # values of the panels (piece, lo, hi); spans come grouped by piece
+        mid = np.array([0.5 * (lo + hi) for _, lo, hi in spans])
+        half = np.array([0.5 * (hi - lo) for _, lo, hi in spans])
+        x = mid[:, None] + half[:, None] * _GL_NODES
+        groups, start = [], 0
+        for k, run in itertools.groupby(s[0] for s in spans):
+            stop = start + sum(1 for _ in run)
+            groups.append((pieces[k], x[start:stop]))
+            start = stop
+        ts = [to_t(xk).ravel() for (_, _, _, to_t, _), xk in groups]
+        hx = hv(ts[0] if len(ts) == 1 else np.concatenate(ts))
+        fx, start = [], 0
+        for (*_, weigh), xk in groups:
+            fx.append(weigh(xk, hx[start:start + xk.size].reshape(xk.shape)))
+            start += xk.size
+        f = fx[0] if len(fx) == 1 else np.concatenate(fx)
+        # vecdot runs numpy's dot kernel row by row, as np.dot does on one
+        # panel; a matrix-vector product may add in another order
+        return (half * np.vecdot(f, _GL_WEIGHTS)).tolist()
+
+    # a node that rounds onto a singular endpoint gives an inf or nan value;
+    # it reaches the returned sum or the run ends in ConvergenceError, so
+    # numpy's warnings about it add nothing
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        roots = [(k, p[0], p[1]) for k, p in enumerate(pieces)]
+        spend(roots, ())
+        panels = [(k, lo, hi, v) for (k, lo, hi), v in zip(roots, evaluate(roots))]
+        while panels:
+            children = []
+            for k, lo, hi, _ in panels:
+                mid = 0.5 * (lo + hi)
+                children += ((k, lo, mid), (k, mid, hi))
+            spend(children, panels)
+            vals = evaluate(children)
+            refine = []
+            for i, (k, lo, hi, coarse) in enumerate(panels):
+                a, b, tol = pieces[k][:3]
+                total_width = b - a
+                left, right = vals[2 * i], vals[2 * i + 1]
+                fine = left + right
+                delta = abs(fine - coarse)
+                local_tol = tol * (hi - lo) / total_width
+                if delta <= max(local_tol, 1e-16 * abs(fine)) or (hi - lo) <= 1e-14 * total_width:
+                    accepted[k].append((lo, fine, delta))
+                else:
+                    mid = children[2 * i][2]
+                    refine += ((k, lo, mid, left), (k, mid, hi, right))
+            panels = refine
+    sums = []
+    for acc in accepted:
+        value = err = 0.0
+        for _, fine, delta in sorted(acc, reverse=True):
+            value += fine
+            err += delta
+        sums.append((value, err))
+    return sums, used
 
 
 def tail_integral(h, b: float, tol: float, width: float = 2.0,
@@ -259,26 +289,15 @@ def tail_integral(h, b: float, tol: float, width: float = 2.0,
     if width <= 0.0:
         raise DomainError("split width must be positive")
     T = max(b + width, 0.5 * width)
-    hv = _vectorized(h)
-    budget = _Budget(max_evals)
-
-    def near_f(u: np.ndarray) -> np.ndarray:
-        t = b + (T - b) * u * u
-        return 2.0 * (T - b) * u * hv(t)
-
-    def far_f(s: np.ndarray) -> np.ndarray:
-        return hv(1.0 / s) / (s * s)
-
-    near_val = 0.0
-    try:
-        near_val, near_err = _adaptive_gl(near_f, 0.0, 1.0, 0.5 * tol, budget)
-        far_val, far_err = _adaptive_gl(far_f, 0.0, 1.0 / T, 0.5 * tol, budget)
-    except _BudgetExceeded as exc:
-        partial = QuadratureResult(near_val + exc.partial, math.inf, budget.used)
-        raise ConvergenceError(
-            f"tail integral used more than {max_evals} evaluations", partial=partial
-        ) from None
-    return QuadratureResult(near_val + far_val, near_err + far_err, budget.used)
+    near = (0.0, 1.0, 0.5 * tol,
+            lambda u: b + (T - b) * u * u,
+            lambda u, hu: 2.0 * (T - b) * u * hu)
+    far = (0.0, 1.0 / T, 0.5 * tol,
+           lambda s: 1.0 / s,
+           lambda s, hs: hs / (s * s))
+    ((near_val, near_err), (far_val, far_err)), used = _adaptive_gl(
+        h, (near, far), max_evals, "tail integral")
+    return QuadratureResult(near_val + far_val, near_err + far_err, used)
 
 
 def solve_dense(mat, rhs) -> np.ndarray:

@@ -3,9 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from logcap import (
+    ConvergenceError,
     DomainError,
     NarrowGapWarning,
     akhiezer_capacity,
@@ -18,6 +20,7 @@ from logcap import (
     widom_capacity,
     widom_polynomial,
 )
+from logcap._kernels import gap_moment_sums
 from logcap.verify import random_unit_interval_union
 
 
@@ -246,3 +249,43 @@ def test_est_error_brackets_truth_on_known_cases():
         res = widom_capacity(sym_pair(g))
         truth = 0.5 * math.sqrt(1 - g * g)
         assert abs(res.value - truth) <= max(res.est_error, 1e-10)
+
+
+def test_green_value_budget_exhaustion_raises_convergence_error():
+    model = widom_polynomial(canonical_set(0.3, 4))
+    with pytest.raises(ConvergenceError) as exc_info:
+        green_value(model, -4.0, tol=1e-13)
+    partial = exc_info.value.partial
+    assert partial.nodes_used > 200000
+    assert math.isfinite(partial.value)
+
+
+def loop_gap_moment_sums(endpoints, gap, m, jmax):
+    """Gap moment sums one power at a time, as the numpy kernel did before its table form."""
+    lo_i, hi_i = 2 * gap + 1, 2 * gap + 2
+    lo, hi = endpoints[lo_i], endpoints[hi_i]
+    nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
+    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    mask = np.ones(endpoints.shape[0], dtype=bool)
+    mask[lo_i] = mask[hi_i] = False
+    w = -np.prod(t[:, None] - endpoints[mask], axis=1)
+    acc = 1.0 / np.sqrt(w)
+    out = np.empty(jmax + 1)
+    for j in range(jmax + 1):
+        out[j] = acc.sum()
+        acc *= t
+    out *= np.pi / m
+    return out
+
+
+def test_gap_moment_sums_match_power_loop_bit_for_bit():
+    rng = random.Random(8)
+    for n in (2, 5, 11, 20):
+        for _ in range(2):
+            ep = np.asarray(random_unit_interval_union(rng, n).endpoints(), dtype=float)
+            ep = 3.0 * ep + 0.7  # off the unit hull as well
+            for gap in range(n - 1):
+                for m in (64, 128, 256):
+                    got = gap_moment_sums(ep, gap, m, n - 1)
+                    want = loop_gap_moment_sums(ep, gap, m, n - 1)
+                    assert got.tobytes() == want.tobytes()

@@ -6,6 +6,7 @@ the defining integrals independently of the AGM/Carlson implementations.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from logcap import (
     theta3,
     theta4,
 )
-from logcap.special import EllipticParams
+from logcap import exact as exact_module
+from logcap import canonical_set, green_value, make_interval_union, widom_polynomial
+from logcap._kernels import skip_product
+from logcap.exact import _tail_integrand
+from logcap.special import EllipticParams, _vectorized
+from logcap.verify import random_unit_interval_union
 
 
 def k_integral_oracle(k, phi=math.pi / 2):
@@ -192,6 +198,156 @@ def test_tail_integral_budget_error_carries_partial():
     assert partial is not None
     assert partial.nodes_used >= 300
     assert math.isfinite(partial.value)
+
+
+# Depth-first adaptive Gauss-Legendre and the tail and edge integrals built on
+# it, as the library computed them one panel at a time.  The level-synchronous
+# quadrature must build the same panel tree and return the same bits.
+
+class _DfsBudgetExceeded(Exception):
+    pass
+
+
+def _dfs_adaptive_gl(f, a, b, tol, budget):
+    """Adaptive 15-point Gauss-Legendre on [a, b], depth first (right half first)."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def panel(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        budget[0] += nodes.size
+        if budget[0] > budget[1]:
+            raise _DfsBudgetExceeded()
+        return half * float(np.dot(weights, f(mid + half * nodes)))
+
+    total_width = b - a
+    value = 0.0
+    err = 0.0
+    stack = [(a, b, panel(a, b))]
+    while stack:
+        lo, hi, coarse = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        fine = left + right
+        delta = abs(fine - coarse)
+        local_tol = tol * (hi - lo) / total_width
+        if delta <= max(local_tol, 1e-16 * abs(fine)) or (hi - lo) <= 1e-14 * total_width:
+            value += fine
+            err += delta
+        else:
+            stack.append((lo, mid, left))
+            stack.append((mid, hi, right))
+    return value, err
+
+
+def dfs_tail_integral(h, b, tol, width=2.0, max_evals=100000):
+    """(value, est_error, nodes_used) of the depth-first tail quadrature."""
+    T = max(b + width, 0.5 * width)
+    hv = _vectorized(h)
+    budget = [0, max_evals]
+
+    def near_f(u):
+        t = b + (T - b) * u * u
+        return 2.0 * (T - b) * u * hv(t)
+
+    def far_f(s):
+        return hv(1.0 / s) / (s * s)
+
+    near_val, near_err = _dfs_adaptive_gl(near_f, 0.0, 1.0, 0.5 * tol, budget)
+    far_val, far_err = _dfs_adaptive_gl(far_f, 0.0, 1.0 / T, 0.5 * tol, budget)
+    return near_val + far_val, near_err + far_err, budget[0]
+
+
+def dfs_edge_integral(ep, p_hi, skip, base, x, tol):
+    """Drop-in for ``logcap.exact._edge_integral`` on the depth-first quadrature."""
+    span = abs(x - base)
+    direction = 1.0 if x > base else -1.0
+
+    def f(u):
+        t = base + direction * u * u
+        sp = skip_product(ep, skip, np.ascontiguousarray(t))
+        pv = np.polyval(p_hi, t)
+        return 2.0 * pv / np.sqrt(np.abs(sp))
+
+    val, _ = _dfs_adaptive_gl(f, 0.0, math.sqrt(span), tol, [0, 200000])
+    return val
+
+
+def assert_same_tail(h, b, tol, **kw):
+    """Same bits as the depth-first quadrature, or a ConvergenceError where it runs out."""
+    try:
+        want = dfs_tail_integral(h, b, tol, **kw)
+    except _DfsBudgetExceeded:
+        with pytest.raises(ConvergenceError) as exc_info:
+            tail_integral(h, b, tol, **kw)
+        assert math.isfinite(exc_info.value.partial.value)
+        return None
+    got = tail_integral(h, b, tol, **kw)
+    assert (got.value, got.est_error, got.nodes_used) == want
+    assert type(got.value) is float and type(got.est_error) is float
+    assert type(got.nodes_used) is int
+    return got
+
+
+def test_tail_integral_matches_depth_first_on_widom_models():
+    rng = random.Random(20)
+    for n in range(3, 21):
+        for _ in range(2):
+            model = widom_polynomial(random_unit_interval_union(rng, n))
+            a1, bn = model.E.hull
+            h = _tail_integrand(model)
+            for tol in (1e-10, 1e-8):
+                assert_same_tail(h, bn, tol, width=bn - a1)
+
+
+def test_tail_integral_matches_depth_first_on_smooth_and_oscillatory_integrands():
+    cases = [
+        (lambda t: 1.0 / (1.0 + t * t), -5.0, 1.0),
+        (lambda t: np.exp(-t) / (1.0 + t), 0.5, 2.0),
+        (lambda t: 1.0 / (t * t * np.sqrt(t - 1.0)), 1.0, 2.0),
+        (lambda t: np.cos(7.0 * t) * np.exp(-t), 0.0, 3.0),
+        (lambda t: np.sin(3.0 * t) ** 2 * np.exp(-0.5 * t) / (1.0 + t), 2.0, 0.5),
+        (lambda t: math.exp(-t) * math.cos(5.0 * t), 0.0, 2.0),  # scalar-only callable
+        (lambda t: np.where(t < 2.3, 1.0, 2.0) / (1.0 + t * t), 0.0, 2.0),  # jump: width floor
+    ]
+    for h, b, width in cases:
+        for tol in (1e-6, 1e-10, 1e-12):
+            assert_same_tail(h, b, tol, width=width)
+
+
+def test_tail_integral_budget_boundary_matches_depth_first():
+    def h(t):
+        return np.cos(5.0 * t) * np.exp(-t) / np.sqrt(t - 1.0)
+
+    r = assert_same_tail(h, 1.0, 1e-10)
+    assert tail_integral(h, 1.0, 1e-10, max_evals=r.nodes_used) == r
+    for short in (r.nodes_used - 1, 300):
+        assert_same_tail(h, 1.0, 1e-10, max_evals=short)
+    # an integrand that oscillates ever faster near s = 1/t = 0 never converges
+    assert_same_tail(lambda t: np.cos(20.0 * t) / (1.0 + t * t), 0.0, 1e-10, max_evals=3000)
+
+
+def test_tail_integral_partial_stays_finite_when_a_node_lands_on_the_endpoint():
+    # the near-piece refinement reaches nodes where t rounds onto b and the
+    # integrand is infinite; the partial leaves such panels out
+    model = widom_polynomial(canonical_set(math.pi, 20))
+    a1, bn = model.E.hull
+    with pytest.raises(ConvergenceError) as exc_info:
+        tail_integral(_tail_integrand(model), bn, 1e-10, width=bn - a1)
+    partial = exc_info.value.partial
+    assert partial.nodes_used > 100000
+    assert math.isfinite(partial.value)
+
+
+def test_green_value_matches_depth_first(monkeypatch):
+    e = make_interval_union([(-1.0, -0.55), (-0.3, 0.1), (0.25, 0.4), (0.7, 1.0)])
+    model = widom_polynomial(e)
+    points = [-7.0, -1.3, -1.0 - 1e-9, -0.5, -0.42, -0.31, 0.15, 0.2, 0.24,
+              0.45, 0.6, 1.0 + 1e-9, 2.5, 40.0]
+    got = [green_value(model, x) for x in points]
+    monkeypatch.setattr(exact_module, "_edge_integral", dfs_edge_integral)
+    want = [green_value(model, x) for x in points]
+    assert got == want
+    assert all(type(g) is float for g in got)
 
 
 def test_solve_dense_identity_and_diagonal():
