@@ -1,12 +1,15 @@
-"""Pure numpy implementations of the hot numerical kernels.
+"""The numpy kernels of the Schwarz-Christoffel route's innermost loops.
 
-These mirror the compiled versions in ``_native.pyx`` and are selected at
-import time when the extension is unavailable (or when LOGCAP_PURE_PYTHON
-is set).  Everything here is vectorized over the quadrature nodes, and the
-cost of a call is mostly the fixed cost of each numpy call, so the kernels
-keep that number small: ``gap_moment_sums`` takes a fixed handful of array
-operations whatever the number of intervals and moments, with the
-Chebyshev nodes cached per node count.
+``gap_moment_sums`` (the gap moment integrals) and ``skip_product`` (the
+endpoint product of the Green-function edge integrand) live in their own
+module so that callers reach them through the module attribute
+(``_kernels.gap_moment_sums``): that attribute is where the benchmark's
+tracer hooks in to count calls and nodes per gap.  Everything here is
+vectorized over the quadrature nodes, and the cost of a call is mostly the
+fixed cost of each numpy call, so the kernels keep that number small:
+``gap_moment_sums`` takes a fixed handful of array operations whatever the
+number of intervals and moments, with the Chebyshev nodes cached per node
+count.
 """
 
 from __future__ import annotations
@@ -53,22 +56,6 @@ def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int) -> np.nd
     out = np.add.reduce(table, axis=1)
     out *= np.pi / m
     return out
-
-
-def poly_over_sqrt_q(endpoints: np.ndarray, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate p(t)/sqrt(q(t)) elementwise for t where q > 0.
-
-    ``coeffs`` holds the low-order coefficients c_0..c_{n-2} of the monic
-    polynomial p(t) = t^{n-1} + c_{n-2} t^{n-2} + ... + c_0.
-    """
-    endpoints = np.asarray(endpoints, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
-    t = np.asarray(t, dtype=float)
-    q = np.prod(t[..., None] - endpoints, axis=-1)
-    p = np.ones_like(t)
-    for c in coeffs[::-1]:
-        p = p * t + c
-    return p / np.sqrt(q)
 
 
 def skip_product(endpoints: np.ndarray, skip: int, t: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .sets import (
     GapPoints,
     IntervalUnion,
     Partition,
+    _require_unit_subset,
     measure_within,
 )
 from .special import complete_E, complete_K
@@ -50,15 +51,11 @@ class BoundReport:
     params: Partition | GapPoints | None = None
 
 
-def _require_unit_subset(e: IntervalUnion) -> None:
-    a1, bn = e.hull
-    if a1 < -1.0 or bn > 1.0:
-        raise DomainError(f"set must lie inside [-1, 1], hull is [{a1}, {bn}]")
-
-
 def _require_unit_hull(e: IntervalUnion) -> None:
     if not e.is_unit_hull():
         raise DomainError("bound requires a_1 = -1 and b_n = 1 exactly")
+    if e.n < 2:
+        raise DomainError("bound needs at least two intervals")
 
 
 def classical_bounds(e: IntervalUnion) -> tuple[float, float]:
@@ -179,8 +176,6 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     squared relative arccos span of its enclosing division cell.
     """
     _require_unit_hull(e)
-    if e.n < 2:
-        raise DomainError("bound needs at least two intervals")
     d.validate_for(e)
     dt = [math.pi] + [math.acos(x) for x in d.deltas] + [0.0]
     log_total = 0.0
@@ -251,8 +246,6 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
     component k, so the grid optimum is found exactly by a chain pass.
     """
     _require_unit_hull(e)
-    if e.n < 2:
-        raise DomainError("bound needs at least two intervals")
     theta_a = [math.acos(a) for a, _ in e.intervals]
     theta_b = [math.acos(b) for _, b in e.intervals]
 
@@ -293,8 +286,6 @@ def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
     (none are needed for two intervals).
     """
     _require_unit_hull(e)
-    if e.n < 2:
-        raise DomainError("bound needs at least two intervals")
     d.validate_for(e)
     return partition_lower(e, _solynin_points(e, d, interior))
 
@@ -308,8 +299,6 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     found exactly by a chain pass.
     """
     _require_unit_hull(e)
-    if e.n < 2:
-        raise DomainError("bound needs at least two intervals")
     gaps = e.gaps()
     boxes = [gaps[0]]
     for comp, gap in zip(e.intervals[1:-1], gaps[1:]):
@@ -341,8 +330,6 @@ def projection_upper(e: IntervalUnion) -> float:
     """
     _require_unit_hull(e)
     n = e.n
-    if n < 2:
-        raise DomainError("bound needs at least two intervals")
     s = sum(
         math.acos(e.intervals[k + 1][0]) - math.acos(e.intervals[k][1])
         for k in range(n - 1)

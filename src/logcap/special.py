@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _chebyshev_nodes
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
 _AGM_MAX_ITERS = 40
@@ -172,8 +173,7 @@ def chebyshev_gauss(g, a: float, b: float, m: int) -> float:
         raise DomainError(f"node count must be positive, got {m}")
     if not a < b:
         raise DomainError(f"need a < b, got ({a}, {b})")
-    nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
-    t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    t = 0.5 * (a + b) + 0.5 * (b - a) * _chebyshev_nodes(m)
     vals = _vectorized(g)(t)
     return float(vals.sum()) * math.pi / m
 
@@ -188,12 +188,13 @@ def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float
     [a, b] of ``weigh(x, h(to_t(x)))``.  Starting from the whole of [a, b],
     a panel is split in two and accepted when the defect |left + right -
     panel| is at most ``tol * width / (b - a)`` (or ``1e-16 |left + right|``),
-    or when the panel is no wider than ``1e-14 (b - a)``; otherwise both
-    halves are refined in turn.  The open panels of one bisection level, over
-    all pieces, are evaluated together with one call of ``h``.  Each panel is
-    decided on its own, so the panel tree is the one depth-first refinement
-    builds, and the accepted panels are summed in depth-first order (right to
-    left), so the sums agree with it bit for bit.
+    or when the panel is no wider than ``1e-14 (b - a)``, provided left +
+    right is finite; otherwise both halves are refined in turn.  The open
+    panels of one bisection level, over all pieces, are evaluated together
+    with one call of ``h``.  Each panel is decided on its own, so the panel
+    tree is the one depth-first refinement builds, and the accepted panels
+    are summed in depth-first order (right to left), so the sums agree with
+    it bit for bit.
 
     Returns ``([(value, error_estimate), ...] per piece, evaluations)``; the
     estimate is the sum of the bisection defects of the accepted panels.
@@ -239,8 +240,9 @@ def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float
         return (half * np.vecdot(f, _GL_WEIGHTS)).tolist()
 
     # a node that rounds onto a singular endpoint gives an inf or nan value;
-    # it reaches the returned sum or the run ends in ConvergenceError, so
-    # numpy's warnings about it add nothing
+    # a panel holding one is never accepted, only split until its nodes
+    # move off the endpoint or the budget runs out, so numpy's warnings
+    # about it add nothing
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         roots = [(k, p[0], p[1]) for k, p in enumerate(pieces)]
         spend(roots, ())
@@ -260,7 +262,9 @@ def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float
                 fine = left + right
                 delta = abs(fine - coarse)
                 local_tol = tol * (hi - lo) / total_width
-                if delta <= max(local_tol, 1e-16 * abs(fine)) or (hi - lo) <= 1e-14 * total_width:
+                # an infinite fine would pass the defect test as inf <= inf
+                if math.isfinite(fine) and (delta <= max(local_tol, 1e-16 * abs(fine))
+                                            or (hi - lo) <= 1e-14 * total_width):
                     accepted[k].append((lo, fine, delta))
                 else:
                     mid = children[2 * i][2]

@@ -14,6 +14,7 @@ from logcap import (
     akhiezer_params,
     capacity,
     canonical_set,
+    chebyshev_gauss,
     green_value,
     make_interval_union,
     robin_constant,
@@ -289,3 +290,28 @@ def test_gap_moment_sums_match_power_loop_bit_for_bit():
                     got = gap_moment_sums(ep, gap, m, n - 1)
                     want = loop_gap_moment_sums(ep, gap, m, n - 1)
                     assert got.tobytes() == want.tobytes()
+
+
+def test_gap_moments_against_generic_rule():
+    # the specialized kernel agrees with the generic Chebyshev-Gauss rule
+    rng = np.random.default_rng(17)
+    ep = np.sort(rng.uniform(-1, 1, size=6))
+    while np.min(np.diff(ep)) < 1e-3:
+        ep = np.sort(rng.uniform(-1, 1, size=6))
+    gap = 1
+    lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
+    mask = np.ones(6, dtype=bool)
+    mask[[2 * gap + 1, 2 * gap + 2]] = False
+
+    def smooth(j):
+        def g(t):
+            w = -np.prod(t[:, None] - ep[mask], axis=1)
+            return t ** j / np.sqrt(w)
+
+        return g
+
+    m = 128
+    sums = gap_moment_sums(ep, gap, m, 2)
+    for j in range(3):
+        want = chebyshev_gauss(smooth(j), lo, hi, m)
+        assert sums[j] == pytest.approx(want, rel=1e-13)

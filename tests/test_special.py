@@ -29,7 +29,7 @@ from logcap import exact as exact_module
 from logcap import canonical_set, green_value, make_interval_union, widom_polynomial
 from logcap._kernels import skip_product
 from logcap.exact import _tail_integrand
-from logcap.special import EllipticParams, _vectorized
+from logcap.special import EllipticParams, _adaptive_gl, _vectorized
 from logcap.verify import random_unit_interval_union
 
 
@@ -336,6 +336,25 @@ def test_tail_integral_partial_stays_finite_when_a_node_lands_on_the_endpoint():
     partial = exc_info.value.partial
     assert partial.nodes_used > 100000
     assert math.isfinite(partial.value)
+
+
+def test_adaptive_gl_refuses_an_infinite_panel():
+    # inf <= inf must pass neither the defect test nor the width floor: the
+    # panels holding infinite values keep splitting until the budget runs out
+    def step(t):
+        return np.where(t < 0.004, np.inf, 1.0)
+
+    def sliver(t):
+        # infinite only on nodes closer to 0 than the floor-width panel reaches
+        return np.where(t < 1e-16, np.inf, 1.0 / np.sqrt(t))
+
+    piece = (0.0, 1.0, 1e-10, lambda x: x, lambda x, hx: hx)
+    for h, max_evals, lo, hi in ((step, 100000, 0.99, 1.0), (sliver, 20000, 1.99, 2.0)):
+        with pytest.raises(ConvergenceError) as exc_info:
+            _adaptive_gl(h, (piece,), max_evals, "test integral")
+        partial = exc_info.value.partial
+        assert partial.nodes_used > max_evals
+        assert lo < partial.value <= hi
 
 
 def test_green_value_matches_depth_first(monkeypatch):
