@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NarrowGapWarning
+from .errors import ConvergenceError, DomainError, NarrowGapWarning
 from .sets import IntervalUnion, normalize_to_unit
 from .special import (
     EllipticParams,
@@ -37,7 +37,9 @@ CLOSED_FORM = "closed_form"
 
 NARROW_GAP = 1e-6
 
-_MOMENT_START = 64
+# the gap moment ladder: Chebyshev-Lobatto rules of m = 128, 256, ..., 4096
+# intervals, each level accepted when it agrees with its nested m/2 rule
+_MOMENT_FIRST = 128
 _MOMENT_CAP = 4096
 _MOMENT_TOL = 1e-12
 
@@ -57,8 +59,9 @@ class WidomModel:
     polynomial p(t) = t^{n-1} + ... chosen so that the integral of
     p/sqrt(q) over every gap vanishes; q is monic with the 2n endpoints
     as roots.  ``gap_residuals`` are the achieved gap integrals (ideally
-    zero) at ``moment_nodes`` quadrature nodes; ``robin`` is filled in by
-    the capacity computation.
+    zero); ``moment_nodes`` is the largest Chebyshev-Lobatto interval count
+    m any gap's moments needed (m + 1 nodes; 0 for a single interval);
+    ``robin`` is filled in by the capacity computation.
     """
 
     E: IntervalUnion
@@ -120,22 +123,30 @@ def akhiezer_capacity(alpha: float, beta: float) -> CapacityResult:
 
 
 def _moment_vectors(e: IntervalUnion) -> tuple[list[np.ndarray], int]:
-    """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, per gap."""
+    """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, per gap.
+
+    Also returns the largest Lobatto interval count m any gap needed.
+    Raises ConvergenceError when a gap's m-interval and m/2-interval rules
+    still disagree at the cap.
+    """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
     out = []
-    worst = _MOMENT_START
+    worst = _MOMENT_FIRST
     for gap in range(n - 1):
-        m = _MOMENT_START
-        prev = _kernels.gap_moment_sums(ep, gap, m, n - 1)
-        while m < _MOMENT_CAP:
-            m *= 2
-            cur = _kernels.gap_moment_sums(ep, gap, m, n - 1)
-            done = np.max(np.abs(cur - prev)) < _MOMENT_TOL * max(1.0, float(np.max(np.abs(cur))))
-            prev = cur
-            if done:
+        m = _MOMENT_FIRST
+        while True:
+            fine, coarse = _kernels.gap_moment_sums(ep, gap, m, n - 1)
+            if np.max(np.abs(fine - coarse)) < _MOMENT_TOL * max(1.0, float(np.max(np.abs(fine)))):
                 break
-        out.append(prev)
+            if m >= _MOMENT_CAP:
+                lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
+                raise ConvergenceError(
+                    f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
+                    f"with {m + 1} Lobatto nodes ({m} intervals)"
+                )
+            m *= 2
+        out.append(fine)
         worst = max(worst, m)
     return out, worst
 
@@ -144,7 +155,8 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     """Solve the gap moment system for the monic polynomial p.
 
     For a single interval the polynomial is the constant 1 and the system
-    is vacuous.
+    is vacuous.  Raises ConvergenceError when a gap's moments do not
+    converge within the Lobatto ladder's cap.
     """
     n = e.n
     if n == 1:

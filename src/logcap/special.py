@@ -9,13 +9,13 @@ scheme for the half-line tail.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _chebyshev_nodes
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
 _AGM_MAX_ITERS = 40
@@ -161,6 +161,14 @@ def _vectorized(f):
         return y
 
     return call
+
+
+@functools.lru_cache(maxsize=16)
+def _chebyshev_nodes(m: int) -> np.ndarray:
+    """The m Chebyshev-Gauss nodes cos((2r - 1) pi / 2m), r = 1..m (shared, read-only)."""
+    nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
+    nodes.flags.writeable = False
+    return nodes
 
 
 def chebyshev_gauss(g, a: float, b: float, m: int) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from logcap import (
     widom_polynomial,
 )
 from logcap._kernels import gap_moment_sums
+from logcap.exact import _MOMENT_CAP, _MOMENT_TOL, _moment_vectors
 from logcap.verify import random_unit_interval_union
+
+from gauss_moments import gauss_moment_ladder
 
 
 def sym_pair(g):
@@ -262,20 +266,24 @@ def test_green_value_budget_exhaustion_raises_convergence_error():
 
 
 def loop_gap_moment_sums(endpoints, gap, m, jmax):
-    """Gap moment sums one power at a time, as the numpy kernel did before its table form."""
+    """Gap moment sums one power at a time: the m-interval Lobatto rule and its nested m/2 rule."""
     lo_i, hi_i = 2 * gap + 1, 2 * gap + 2
     lo, hi = endpoints[lo_i], endpoints[hi_i]
-    nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
+    nodes = np.cos(np.arange(m + 1) * np.pi / m)
     t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
     mask = np.ones(endpoints.shape[0], dtype=bool)
     mask[lo_i] = mask[hi_i] = False
     w = -np.prod(t[:, None] - endpoints[mask], axis=1)
     acc = 1.0 / np.sqrt(w)
-    out = np.empty(jmax + 1)
+    acc[0] *= 0.5
+    acc[-1] *= 0.5
+    out = np.empty((2, jmax + 1))
     for j in range(jmax + 1):
-        out[j] = acc.sum()
+        out[0, j] = acc.sum()
+        out[1, j] = acc[::2].sum()
         acc *= t
-    out *= np.pi / m
+    out[0] *= np.pi / m
+    out[1] *= 2.0 * np.pi / m
     return out
 
 
@@ -290,6 +298,32 @@ def test_gap_moment_sums_match_power_loop_bit_for_bit():
                     got = gap_moment_sums(ep, gap, m, n - 1)
                     want = loop_gap_moment_sums(ep, gap, m, n - 1)
                     assert got.tobytes() == want.tobytes()
+
+
+def _chebyshev_weight_integral(c, r, j):
+    """Exact integral of (c + r x)^j / sqrt(1 - x^2) over (-1, 1), over pi, as a Fraction."""
+    return sum(
+        math.comb(j, i) * c ** (j - i) * r ** i * Fraction(math.comb(i, i // 2), 2 ** i)
+        for i in range(0, j + 1, 2)
+    )
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_gap_moment_sums_polynomial_exactness(m):
+    # with the other endpoints at -+2^30 the smooth factor is 2^-30 up to rounding, so
+    # 2^30 S_j is the rule applied to t^j, a polynomial of degree j in the pulled-back x;
+    # one degree past exactness the rule's error is visible (small m keeps it so)
+    big = 2.0 ** 30
+    lo, hi = -0.5, 1.5
+    c, r = Fraction(lo + hi) / 2, Fraction(hi - lo) / 2
+    sums = big * gap_moment_sums(np.array([-big, lo, hi, big]), 0, m, 2 * m)
+    for j in range(2 * m + 1):
+        want = math.pi * float(_chebyshev_weight_integral(c, r, j))
+        for row, degree in ((0, 2 * m - 1), (1, m - 1)):
+            if j <= degree:
+                assert sums[row, j] == pytest.approx(want, rel=1e-14)
+            elif j == degree + 1:
+                assert sums[row, j] != pytest.approx(want, rel=1e-9)
 
 
 def test_gap_moments_against_generic_rule():
@@ -314,4 +348,39 @@ def test_gap_moments_against_generic_rule():
     sums = gap_moment_sums(ep, gap, m, 2)
     for j in range(3):
         want = chebyshev_gauss(smooth(j), lo, hi, m)
-        assert sums[j] == pytest.approx(want, rel=1e-13)
+        assert sums[0, j] == pytest.approx(want, rel=1e-13)
+
+
+def test_lobatto_ladder_agrees_with_gauss_ladder():
+    rng = random.Random(31)
+    sets = [random_unit_interval_union(rng, n) for n in range(2, 21) for _ in range(2)]
+    sets.append(canonical_set(0.3, 2))
+    for e in sets:
+        got, _ = _moment_vectors(e)
+        want, _ = gauss_moment_ladder(e)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= _MOMENT_TOL * max(1.0, float(np.max(np.abs(w))))
+    assert widom_polynomial(sym_pair(0.5)).moment_nodes == 128  # accepted at the first level
+    assert widom_polynomial(canonical_set(0.3, 2)).moment_nodes == 512  # climbs two levels more
+
+
+def test_widom_on_thin_canonical_pair_matches_closed_form():
+    res = widom_capacity(canonical_set(0.3, 2))
+    assert abs(res.value - 0.5 * math.sin(0.3 / 4)) <= res.est_error
+
+
+@pytest.mark.parametrize("width", [1e-7, 1e-9])
+def test_unconverged_gap_moments_raise(width):
+    e = make_interval_union([(-1.0, -0.5), (-0.4, -0.4 + width), (0.1, 1.0)])
+    # a thin interval puts a near-singular factor at the edge of both gaps next to it
+    with pytest.raises(ConvergenceError, match="gap 0 .* 4097 Lobatto nodes"):
+        widom_capacity(e)
+
+
+def test_gap_moments_converging_at_the_cap_still_return():
+    e = make_interval_union([(-1.0, -0.5), (-0.4, -0.4 + 1e-5), (0.1, 1.0)])
+    assert widom_polynomial(e).moment_nodes == _MOMENT_CAP
+    res = widom_capacity(e)
+    # inside the set whose middle interval has width 1e-3, and containing the one without it
+    assert widom_capacity(make_interval_union([(-1.0, -0.5), (0.1, 1.0)])).value < res.value
+    assert res.value < widom_capacity(make_interval_union([(-1.0, -0.5), (-0.4, -0.399), (0.1, 1.0)])).value
