@@ -29,6 +29,7 @@ from .sets import (
     Partition,
     _require_unit_subset,
     measure_within,
+    normalize_to_unit,
 )
 from .special import complete_E, complete_K
 
@@ -329,12 +330,8 @@ def projection_upper(e: IntervalUnion) -> float:
     extremal rotationally symmetric arc family of the same total length.
     """
     _require_unit_hull(e)
-    n = e.n
-    s = sum(
-        math.acos(e.intervals[k + 1][0]) - math.acos(e.intervals[k][1])
-        for k in range(n - 1)
-    )
-    return 0.5 * math.cos(0.5 * s) ** (1.0 / (n - 1))
+    s = sum(math.acos(hi) - math.acos(lo) for lo, hi in e.gaps())
+    return 0.5 * math.cos(0.5 * s) ** (1.0 / (e.n - 1))
 
 
 def uniform_measure_partition(n_cells: int) -> Partition:
@@ -347,34 +344,36 @@ def uniform_measure_partition(n_cells: int) -> Partition:
 
 
 def all_bounds(e: IntervalUnion) -> list[BoundReport]:
-    """Every bound applicable to the set, in a stable order.
+    """Every bound for a set of n intervals, in a stable order.
 
-    Two-interval-only bounds appear only for n = 2 with hull [-1, 1];
-    the gap-division and projection bounds additionally need the unit
-    hull; a single interval gets just the classical pair.
+    The bounds are taken on the affine image of e with hull [-1, 1] and
+    scaled back by the half-width (cap(a e + b) = |a| cap(e)); ``params``
+    stay in normalized coordinates.  The classical pair always appears,
+    the partition, gap-division and projection bounds for n >= 2, and the
+    two-interval bounds for n = 2.
     """
-    _require_unit_subset(e)
-    lo, hi = classical_bounds(e)
-    reports = [BoundReport("classical_lower", LOWER, lo)]
-    unit_hull = e.is_unit_hull()
-    two = e.n == 2 and unit_hull
-    if two:
-        alpha, beta = e.intervals[0][1], e.intervals[1][0]
-        reports.append(BoundReport("schiefermayr_lower", LOWER, schiefermayr_lower(alpha, beta)))
-    if e.n >= 2:
-        if unit_hull:
-            sol_val, sol_pts = solynin_lower_max(e)
-            reports.append(BoundReport("solynin_lower", LOWER, sol_val, sol_pts))
-        upart = uniform_measure_partition(e.n)
-        reports.append(BoundReport("partition_uniform_lower", LOWER, partition_lower(e, upart), upart))
-        if unit_hull:
-            gd_val, gd_pts = gap_division_lower_max(e)
-            reports.append(BoundReport("gap_division_lower", LOWER, gd_val, gd_pts))
-    reports.append(BoundReport("classical_upper", UPPER, hi))
-    if two:
-        reports.append(BoundReport("polarization_upper", UPPER, polarization_upper(alpha, beta)))
-        reports.append(BoundReport("gillis_upper", UPPER, gillis_upper(alpha, beta)))
-        reports.append(BoundReport("schiefermayr_upper", UPPER, schiefermayr_upper(alpha, beta)))
-    if e.n >= 2 and unit_hull:
-        reports.append(BoundReport("projection_upper", UPPER, projection_upper(e)))
+    norm, scale = normalize_to_unit(e)
+    n = norm.n
+    reports = []
+
+    def add(name, kind, value, params=None):
+        reports.append(BoundReport(name, kind, scale * value, params))
+
+    lo, hi = classical_bounds(norm)
+    add("classical_lower", LOWER, lo)
+    if n == 2:
+        alpha, beta = norm.intervals[0][1], norm.intervals[1][0]
+        add("schiefermayr_lower", LOWER, schiefermayr_lower(alpha, beta))
+    if n >= 2:
+        add("solynin_lower", LOWER, *solynin_lower_max(norm))
+        upart = uniform_measure_partition(n)
+        add("partition_uniform_lower", LOWER, partition_lower(norm, upart), upart)
+        add("gap_division_lower", LOWER, *gap_division_lower_max(norm))
+    add("classical_upper", UPPER, hi)
+    if n == 2:
+        add("polarization_upper", UPPER, polarization_upper(alpha, beta))
+        add("gillis_upper", UPPER, gillis_upper(alpha, beta))
+        add("schiefermayr_upper", UPPER, schiefermayr_upper(alpha, beta))
+    if n >= 2:
+        add("projection_upper", UPPER, projection_upper(norm))
     return reports

@@ -23,8 +23,10 @@ from .special import (
     EllipticParams,
     QuadratureResult,
     _adaptive_gl,
-    complete_K,
-    incomplete_F,
+    _carlson_rf,
+    _complete_K_of_kp,
+    complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these two names here
+    incomplete_F,  # noqa: F401
     solve_dense,
     tail_integral,
     theta3,
@@ -78,8 +80,9 @@ def _check_two_interval(alpha: float, beta: float) -> None:
         )
 
 
-def _warn_narrow_gaps(e: IntervalUnion) -> None:
-    for lo, hi in e.gaps():
+def _warn_narrow_gaps(gaps) -> None:
+    # stacklevel 3 names the caller of the public function that calls this
+    for lo, hi in gaps:
         if hi - lo < NARROW_GAP:
             warnings.warn(
                 f"gap ({lo}, {hi}) narrower than {NARROW_GAP}; results lose accuracy",
@@ -89,30 +92,34 @@ def _warn_narrow_gaps(e: IntervalUnion) -> None:
 
 
 def akhiezer_params(alpha: float, beta: float) -> EllipticParams:
-    """Elliptic moduli (k, k', q, omega) of the set [-1,alpha] u [beta,1]."""
+    """Elliptic moduli (k, k', q, omega) of the set [-1,alpha] u [beta,1].
+
+    The smaller of k^2 and k'^2, and the arguments of Carlson's R_F, come
+    from closed forms in alpha and beta, so thin components keep their digits.
+    """
     _check_two_interval(alpha, beta)
-    k2 = 2.0 * (beta - alpha) / ((1.0 - alpha) * (1.0 + beta))
-    if not 0.0 < k2 < 1.0:
-        raise DomainError(f"degenerate configuration, k^2 = {k2}")
+    den = (1.0 - alpha) * (1.0 + beta)
+    k2 = 2.0 * (beta - alpha) / den
+    kp2 = (1.0 + alpha) * (1.0 - beta) / den
+    k2, kp2 = (1.0 - kp2, kp2) if k2 > kp2 else (k2, 1.0 - k2)
+    if not (k2 > 0.0 and kp2 > 0.0):
+        raise DomainError(f"degenerate configuration, k^2 = {k2}, k'^2 = {kp2}")
     k = math.sqrt(k2)
-    kp = math.sqrt(1.0 - k2)
-    big_k = complete_K(k)
-    big_kp = complete_K(kp)
+    kp = math.sqrt(kp2)
+    big_k = _complete_K_of_kp(kp)
+    big_kp = _complete_K_of_kp(k)
     q = math.exp(-math.pi * big_kp / big_k)
+    # F(arcsin(lam), k) with 1 - lam^2 = (1 + alpha)/2, 1 - k^2 lam^2 = (1 + alpha)/(1 + beta)
     lam = math.sqrt((1.0 - alpha) / 2.0)
-    omega = math.pi * incomplete_F(lam, k) / (2.0 * big_k)
+    big_f = lam * _carlson_rf(0.5 * (1.0 + alpha), (1.0 + alpha) / (1.0 + beta), 1.0)
+    omega = math.pi * big_f / (2.0 * big_k)
     return EllipticParams(k, kp, q, omega)
 
 
 def akhiezer_capacity(alpha: float, beta: float) -> CapacityResult:
     """Capacity of [-1,alpha] u [beta,1] via the theta-quotient formula."""
     _check_two_interval(alpha, beta)
-    if beta - alpha < NARROW_GAP:
-        warnings.warn(
-            f"gap ({alpha}, {beta}) narrower than {NARROW_GAP}; results lose accuracy",
-            NarrowGapWarning,
-            stacklevel=2,
-        )
+    _warn_narrow_gaps([(alpha, beta)])
     params = akhiezer_params(alpha, beta)
     q, omega = params.q, params.omega
     num = theta4(0.0, q) * theta3(0.0, q)
@@ -161,7 +168,7 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     n = e.n
     if n == 1:
         return WidomModel(e, (), (), 0)
-    _warn_narrow_gaps(e)
+    _warn_narrow_gaps(e.gaps())
     moments, nodes = _moment_vectors(e)
     mat = np.array([mom[: n - 1] for mom in moments])
     rhs = -np.array([mom[n - 1] for mom in moments])
@@ -217,7 +224,11 @@ def robin_constant(model: WidomModel, tol: float = 1e-10) -> float:
 
 
 def widom_capacity(e: IntervalUnion) -> CapacityResult:
-    """Capacity through the Schwarz-Christoffel route (any number of intervals)."""
+    """Capacity through the Schwarz-Christoffel route (any number of intervals).
+
+    Runs on the affine image of e with hull [-1, 1]; value and error are
+    scaled back by the half-width.
+    """
     if e.n == 1:
         a, b = e.intervals[0]
         return CapacityResult(0.25 * (b - a), CLOSED_FORM, 0.0)
@@ -226,9 +237,8 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     quad = _robin_quad(model)
     cap = math.exp(-quad.value)
     resid = sum(abs(r) for r in model.gap_residuals)
-    value = scale * cap
-    est = value * (quad.est_error + 10.0 * resid) + 1e-15
-    return CapacityResult(value, WIDOM, est)
+    est = cap * (quad.est_error + 10.0 * resid) + 1e-15
+    return CapacityResult(scale * cap, WIDOM, scale * est)
 
 
 def _edge_integral(ep: np.ndarray, p_hi: np.ndarray, skip: int, base: float,
@@ -297,27 +307,21 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
 def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:
     """Logarithmic capacity of an interval union.
 
-    ``method`` selects the route: "auto" uses the closed form for one
-    interval, the theta formula for two and the Schwarz-Christoffel route
-    otherwise; "akhiezer" and "widom" force a route (the theta formula
-    requires exactly two intervals).
+    ``method`` selects the route: "auto" takes the theta formula
+    ("akhiezer") for two intervals and the Schwarz-Christoffel route
+    ("widom") otherwise, which has a closed form for one interval; the
+    theta formula requires exactly two intervals.  The route runs on the
+    affine image of e with hull [-1, 1], and value and error are scaled
+    back by the half-width (cap(a e + b) = |a| cap(e)).
     """
     if method == "auto":
-        if e.n == 2:
-            return _akhiezer_on(e)
-        return widom_capacity(e)
-    if method == AKHIEZER:
-        if e.n != 2:
-            raise DomainError("theta-quotient formula needs exactly two intervals")
-        return _akhiezer_on(e)
+        method = AKHIEZER if e.n == 2 else WIDOM
     if method == WIDOM:
         return widom_capacity(e)
-    raise DomainError(f"unknown method {method!r}")
-
-
-def _akhiezer_on(e: IntervalUnion) -> CapacityResult:
+    if method != AKHIEZER:
+        raise DomainError(f"unknown method {method!r}")
+    if e.n != 2:
+        raise DomainError("theta-quotient formula needs exactly two intervals")
     norm, scale = normalize_to_unit(e)
-    alpha = norm.intervals[0][1]
-    beta = norm.intervals[1][0]
-    res = akhiezer_capacity(alpha, beta)
-    return CapacityResult(res.value * scale, AKHIEZER, res.est_error * scale)
+    res = akhiezer_capacity(norm.intervals[0][1], norm.intervals[1][0])
+    return CapacityResult(scale * res.value, AKHIEZER, scale * res.est_error)

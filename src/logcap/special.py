@@ -50,7 +50,15 @@ def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, by AGM iteration."""
     if not 0.0 <= k < 1.0:
         raise DomainError(f"modulus must lie in [0, 1), got {k}")
-    a, g = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+    return _complete_K_of_kp(math.sqrt((1.0 - k) * (1.0 + k)))
+
+
+def _complete_K_of_kp(kp: float) -> float:
+    """K(k) = pi / (2 AGM(1, k')) from the complementary modulus k' in (0, 1].
+
+    Taking k' directly keeps its digits when k is within rounding of 1.
+    """
+    a, g = 1.0, kp
     for _ in range(_AGM_MAX_ITERS):
         if abs(a - g) < 1e-16 * a:
             break
@@ -107,45 +115,34 @@ def incomplete_F(lam: float, k: float) -> float:
     return lam * _carlson_rf((1.0 - lam) * (1.0 + lam), 1.0 - (k * lam) ** 2, 1.0)
 
 
-def _check_nome(q: float) -> None:
+def _theta(z: float, q: float, sign: float) -> float:
+    # 1 + 2 sum_m sign^m q^(m^2) cos(2 m z); the +-1 factors are exact
     if not 0.0 <= q < 1.0:
         raise DomainError(f"nome must lie in [0, 1), got {q}")
-
-
-def theta3(z: float, q: float) -> float:
-    """Jacobi theta_3(z; q) = 1 + 2 sum_m q^(m^2) cos(2 m z)."""
-    _check_nome(q)
     total = 1.0
     qm = q  # q^(m^2)
     qstep = q * q * q  # q^(2m+1)
     m = 1
+    s = sign
     while 2.0 * qm >= _THETA_TERM_TOL:
-        total += 2.0 * qm * math.cos(2.0 * m * z)
+        total += 2.0 * s * qm * math.cos(2.0 * m * z)
         qm *= qstep
         qstep *= q * q
+        s *= sign
         m += 1
         if m > _THETA_MAX_TERMS:
             raise ConvergenceError(f"theta series did not converge for q={q}")
     return total
+
+
+def theta3(z: float, q: float) -> float:
+    """Jacobi theta_3(z; q) = 1 + 2 sum_m q^(m^2) cos(2 m z)."""
+    return _theta(z, q, 1.0)
 
 
 def theta4(z: float, q: float) -> float:
     """Jacobi theta_4(z; q) = 1 + 2 sum_m (-1)^m q^(m^2) cos(2 m z)."""
-    _check_nome(q)
-    total = 1.0
-    qm = q
-    qstep = q * q * q
-    m = 1
-    sign = -1.0
-    while 2.0 * qm >= _THETA_TERM_TOL:
-        total += 2.0 * sign * qm * math.cos(2.0 * m * z)
-        qm *= qstep
-        qstep *= q * q
-        sign = -sign
-        m += 1
-        if m > _THETA_MAX_TERMS:
-            raise ConvergenceError(f"theta series did not converge for q={q}")
-    return total
+    return _theta(z, q, -1.0)
 
 
 def _vectorized(f):

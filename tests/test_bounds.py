@@ -36,6 +36,7 @@ from logcap.bounds import _GRID_CANDIDATES, _chain_argmax
 from logcap.verify import (
     DOMINANCE_SLACK,
     EQUALITY_TOL,
+    SANDWICH_SLACK,
     equality_gap_points,
     random_unit_interval_union,
 )
@@ -476,6 +477,36 @@ def test_all_bounds_sandwich_randomized():
                 assert rep.value <= exact + 1e-9, rep.name
             else:
                 assert rep.value >= exact - 1e-9, rep.name
+
+
+def affine_image(rng, e):
+    """x -> a x + b with |a| in [0.1, 10] of either sign and b in [-5, 5]; returns (a, image)."""
+    a = 10.0 ** rng.uniform(-1.0, 1.0) * rng.choice((-1.0, 1.0))
+    b = rng.uniform(-5.0, 5.0)
+    return a, make_interval_union([tuple(sorted((a * x + b, a * y + b))) for x, y in e.intervals])
+
+
+def test_all_bounds_sandwich_random_hulls():
+    rng = random.Random(97)
+    for i in range(100):
+        _, e = affine_image(rng, random_unit_interval_union(rng, (2, 3, 4, 6, 8)[i % 5]))
+        exact = capacity(e).value
+        for rep in all_bounds(e):
+            if rep.kind == "lower":
+                assert rep.value <= exact + SANDWICH_SLACK, (rep.name, e.intervals)
+            else:
+                assert rep.value >= exact - SANDWICH_SLACK, (rep.name, e.intervals)
+
+
+def test_all_bounds_affine_covariance():
+    rng = random.Random(101)
+    for i in range(60):
+        e = random_unit_interval_union(rng, (1, 2, 3, 4, 6, 8)[i % 6])
+        a, image = affine_image(rng, e)
+        unit, moved = all_bounds(e), all_bounds(image)
+        assert [r.name for r in moved] == [r.name for r in unit]
+        for u, v in zip(unit, moved):
+            assert v.value == pytest.approx(abs(a) * u.value, rel=1e-12, abs=0.0), u.name
 
 
 def test_uniform_measure_partition():

@@ -7,6 +7,7 @@ import pytest
 from logcap.cli import SweepSpec, format_inline_set, main, parse_inline_set
 from logcap.errors import DomainError, ParseError
 from logcap.sets import make_interval_union
+from logcap.verify import SANDWICH_SLACK
 
 
 def run_cli(capsys, *argv):
@@ -85,8 +86,31 @@ def test_cap_bad_json_exit_2(tmp_path, capsys):
 
 
 def test_bounds_domain_error_exit_1(capsys):
-    code, _, err = run_cli(capsys, "bounds", "-e", "-3:0,1:2")
+    code, _, err = run_cli(capsys, "bounds", "-e", "-1:-0.6,-0.1:0.2,0.5:1", "--method", "akhiezer")
     assert code == 1
+    assert "error" in err
+
+
+TWO_INTERVAL_BOUNDS = [
+    "classical_lower", "schiefermayr_lower", "solynin_lower", "partition_uniform_lower",
+    "gap_division_lower", "classical_upper", "polarization_upper", "gillis_upper",
+    "schiefermayr_upper", "projection_upper",
+]
+
+
+@pytest.mark.parametrize("text", ["-3:0,1:2", "0:1,2:4", "-0.9:-0.2,0.1:0.8"])
+def test_bounds_any_hull_lists_every_two_interval_bound(capsys, text):
+    code, out, _ = run_cli(capsys, "bounds", "-e", text)
+    assert code == 0
+    rows = out.splitlines()[3:]
+    assert [row.split()[0] for row in rows] == TWO_INTERVAL_BOUNDS
+    exact = float(out.splitlines()[1].split()[1])
+    for row in rows:
+        _, kind, value, _ = row.split()
+        if kind == "lower":
+            assert float(value) <= exact + SANDWICH_SLACK
+        else:
+            assert float(value) >= exact - SANDWICH_SLACK
 
 
 def test_bounds_table_and_round_trip(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,6 +40,38 @@ def test_akhiezer_symmetric_closed_form():
         assert res.value == pytest.approx(0.5 * math.sqrt(1 - g * g), abs=1e-12)
     assert akhiezer_capacity(-0.5, 0.5).value == pytest.approx(0.433012701892, abs=1e-11)
     assert akhiezer_capacity(-0.8, 0.8).value == pytest.approx(0.3, abs=1e-12)
+
+
+def akhiezer_oracle(alpha, beta):
+    """The theta-quotient formula at 40 digits, from the float endpoints."""
+    with mpmath.workdps(40):
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+        m = 2 * (beta - alpha) / ((1 - alpha) * (1 + beta))
+        big_k = mpmath.ellipk(m)
+        q = mpmath.exp(-mpmath.pi * mpmath.ellipk(1 - m) / big_k)
+        omega = mpmath.pi * mpmath.ellipf(mpmath.asin(mpmath.sqrt((1 - alpha) / 2)), m) / (2 * big_k)
+        num = mpmath.jtheta(4, 0, q) * mpmath.jtheta(3, 0, q)
+        den = mpmath.jtheta(4, omega, q) * mpmath.jtheta(3, omega, q)
+        return float(0.5 * (num / den) ** 2)
+
+
+@pytest.mark.parametrize("digits", range(1, 10))
+def test_akhiezer_thin_symmetric_components(digits):
+    a = 1.0 - 10.0 ** -digits
+    res = capacity(sym_pair(a))
+    assert res.method == "akhiezer"
+    assert abs(res.value - 0.5 * math.sqrt((1.0 - a) * (1.0 + a))) <= res.est_error
+
+
+def test_akhiezer_thin_asymmetric_components_against_oracle():
+    rng = random.Random(61)
+    for _ in range(32):
+        w1, w2 = (10.0 ** rng.uniform(-9.0, 0.0) for _ in range(2))
+        alpha, beta = -1.0 + w1, 1.0 - w2
+        if beta - alpha < 1e-3:
+            continue
+        res = akhiezer_capacity(alpha, beta)
+        assert abs(res.value - akhiezer_oracle(alpha, beta)) <= res.est_error, (alpha, beta)
 
 
 def test_akhiezer_params_invariants():
