@@ -18,7 +18,7 @@ class ParseError(LogcapError, ValueError):
 
 
 class SingularMatrixError(LogcapError, ArithmeticError):
-    """Pivot collapsed during elimination; the system has no stable solution."""
+    """Matrix (numerically) singular: sigma_min <= 1e-13 sigma_max, or a zero LAPACK pivot."""
 
 
 class ConvergenceError(LogcapError, RuntimeError):

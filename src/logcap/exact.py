@@ -129,8 +129,8 @@ def akhiezer_capacity(alpha: float, beta: float) -> CapacityResult:
     return CapacityResult(value, AKHIEZER, est)
 
 
-def _moment_vectors(e: IntervalUnion) -> tuple[list[np.ndarray], int]:
-    """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, per gap.
+def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
+    """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap.
 
     Also returns the largest Lobatto interval count m any gap needed.
     Raises ConvergenceError when a gap's m-interval and m/2-interval rules
@@ -138,13 +138,13 @@ def _moment_vectors(e: IntervalUnion) -> tuple[list[np.ndarray], int]:
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
-    out = []
+    out = np.empty((n - 1, n))
     worst = _MOMENT_FIRST
     for gap in range(n - 1):
         m = _MOMENT_FIRST
         while True:
             fine, coarse = _kernels.gap_moment_sums(ep, gap, m, n - 1)
-            if np.max(np.abs(fine - coarse)) < _MOMENT_TOL * max(1.0, float(np.max(np.abs(fine)))):
+            if abs(fine - coarse).max() < _MOMENT_TOL * max(1.0, abs(fine).max()):
                 break
             if m >= _MOMENT_CAP:
                 lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
@@ -153,7 +153,7 @@ def _moment_vectors(e: IntervalUnion) -> tuple[list[np.ndarray], int]:
                     f"with {m + 1} Lobatto nodes ({m} intervals)"
                 )
             m *= 2
-        out.append(fine)
+        out[gap] = fine
         worst = max(worst, m)
     return out, worst
 
@@ -170,11 +170,20 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
         return WidomModel(e, (), (), 0)
     _warn_narrow_gaps(e.gaps())
     moments, nodes = _moment_vectors(e)
-    mat = np.array([mom[: n - 1] for mom in moments])
-    rhs = -np.array([mom[n - 1] for mom in moments])
-    c = solve_dense(mat, rhs)
-    residuals = tuple(float(mom[n - 1] + mom[: n - 1] @ c) for mom in moments)
-    return WidomModel(e, tuple(float(x) for x in c), residuals, nodes)
+    mat, last = moments[:, : n - 1], moments[:, n - 1]
+    c = solve_dense(mat, -last)
+    # vecdot runs numpy's dot kernel row by row, as mom[: n - 1] @ c does
+    residuals = last + np.vecdot(mat, c)
+    return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
+
+
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``np.polyval(coeffs, t)`` for finite t, same roundings, updating one array in place."""
+    y = np.full_like(t, coeffs[0], dtype=float)
+    for c in coeffs[1:].tolist():
+        y *= t
+        y += c
+    return y
 
 
 def _tail_integrand(model: WidomModel):
@@ -189,9 +198,9 @@ def _tail_integrand(model: WidomModel):
     bn = ep[-1]
     p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
     tp = np.convolve([1.0, 1.0 - bn], p_hi)
-    q_hi = np.array([1.0])
-    for root in ep:
-        q_hi = np.convolve(q_hi, [1.0, -root])
+    q_hi = np.concatenate(([1.0], np.zeros(ep.size)))
+    for k, root in enumerate(ep):
+        q_hi[1:k + 2] -= root * q_hi[:k + 1]
     big_n = np.convolve(tp, tp) - q_hi
     assert big_n[0] == 0.0
     big_n = big_n[1:]
@@ -200,8 +209,7 @@ def _tail_integrand(model: WidomModel):
         t = np.asarray(t, dtype=float)
         sq = np.sqrt(np.prod(t[..., None] - ep, axis=-1))
         tau = t - bn + 1.0
-        tpv = np.polyval(tp, t)
-        return np.polyval(big_n, t) / (tau * sq * (tpv + sq))
+        return _horner(big_n, t) / (tau * sq * (_horner(tp, t) + sq))
 
     return h
 
@@ -253,7 +261,7 @@ def _edge_integral(ep: np.ndarray, p_hi: np.ndarray, skip: int, base: float,
 
     def f(t):
         sp = _kernels.skip_product(ep, skip, t)
-        return 2.0 * np.polyval(p_hi, t) / np.sqrt(np.abs(sp))
+        return 2.0 * _horner(p_hi, t) / np.sqrt(np.abs(sp))
 
     piece = (0.0, math.sqrt(span), tol, lambda u: base + direction * u * u, lambda u, fu: fu)
     ((val, _),), _ = _adaptive_gl(f, (piece,), 200000, "Green function quadrature")

@@ -4,7 +4,8 @@ Everything is plain float64.  The complete integrals use the
 arithmetic-geometric mean, the incomplete integral of the first kind a
 Carlson symmetric form, and the singular integrals a Chebyshev-Gauss rule
 (inverse-square-root endpoint weight) plus an adaptive Gauss-Legendre
-scheme for the half-line tail.
+scheme for the half-line tail; dense systems go to LAPACK behind a
+singular-value guard (sigma_min > 1e-13 sigma_max, else SingularMatrixError).
 """
 
 from __future__ import annotations
@@ -310,33 +311,23 @@ def tail_integral(h, b: float, tol: float, width: float = 2.0,
 
 
 def solve_dense(mat, rhs) -> np.ndarray:
-    """Solve M x = rhs by Gaussian elimination with partial pivoting.
+    """Solve M x = rhs with LAPACK's partially pivoted LU (``np.linalg.solve``).
 
-    Intended for the small (n-1) x (n-1) systems arising here; raises
-    SingularMatrixError when a pivot falls below 1e-13 * max|M|.
+    Raises SingularMatrixError when sigma_min(M) <= 1e-13 sigma_max(M), a
+    test independent of the scale of M, or when LAPACK meets a zero pivot.
     """
     m = np.array(mat, dtype=float)
     v = np.array(rhs, dtype=float).ravel()
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"matrix must be square, got shape {m.shape}")
-    s = m.shape[0]
-    if v.size != s:
+    if v.size != m.shape[0]:
         raise DomainError("right-hand side length does not match the matrix")
-    if s == 0:
+    if v.size == 0:
         return np.empty(0)
-    scale = np.abs(m).max()
-    pivot_floor = 1e-13 * (scale if scale > 0.0 else 1.0)
-    for col in range(s):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[piv, col]) <= pivot_floor:
-            raise SingularMatrixError(f"pivot {m[piv, col]:.3e} below threshold")
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            v[[col, piv]] = v[[piv, col]]
-        factors = m[col + 1:, col] / m[col, col]
-        m[col + 1:, col:] -= np.outer(factors, m[col, col:])
-        v[col + 1:] -= factors * v[col]
-    x = np.empty(s)
-    for row in range(s - 1, -1, -1):
-        x[row] = (v[row] - m[row, row + 1:] @ x[row + 1:]) / m[row, row]
-    return x
+    try:
+        sigma = np.linalg.svd(m, compute_uv=False)
+        if sigma[-1] > 1e-13 * sigma[0]:
+            return np.linalg.solve(m, v)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LAPACK: {exc}") from exc
+    raise SingularMatrixError(f"singular values {sigma[-1]:.3e} <= 1e-13 x {sigma[0]:.3e}")

@@ -401,6 +401,79 @@ def test_solve_dense_singular():
         solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
 
 
+def test_solve_dense_guard_is_a_singular_value_ratio():
+    for m in ([[1.0, 1.0], [1.0, 1.0 + 1e-14]], np.diag([1.0, 1e-14])):
+        with pytest.raises(SingularMatrixError):
+            solve_dense(m, [1.0, 1.0])
+    # well conditioned at any scale
+    assert np.allclose(solve_dense(1e-20 * np.eye(3), [1e-20, 2e-20, 3e-20]), [1, 2, 3])
+    with pytest.raises(DomainError):
+        solve_dense(np.ones((2, 3)), [1.0, 1.0])
+    with pytest.raises(DomainError):
+        solve_dense(np.eye(3), [1.0, 1.0])
+
+
+def polyval_tail_integrand(model):
+    """The Robin tail integrand as built from np.convolve and evaluated by np.polyval."""
+    ep = np.asarray(model.E.endpoints(), dtype=float)
+    bn = ep[-1]
+    p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
+    tp = np.convolve([1.0, 1.0 - bn], p_hi)
+    q_hi = np.array([1.0])
+    for root in ep:
+        q_hi = np.convolve(q_hi, [1.0, -root])
+    big_n = (np.convolve(tp, tp) - q_hi)[1:]
+
+    def h(t):
+        sq = np.sqrt(np.prod(t[..., None] - ep, axis=-1))
+        tau = t - bn + 1.0
+        return np.polyval(big_n, t) / (tau * sq * (np.polyval(tp, t) + sq))
+
+    return h
+
+
+def test_integrands_match_polyval_bit_for_bit(monkeypatch):
+    rng = random.Random(5)
+    captured = []
+
+    def capture(f, pieces, max_evals, what):
+        captured.append((f, pieces[0]))
+        return [(0.0, 0.0)], 0
+
+    monkeypatch.setattr(exact_module, "_adaptive_gl", capture)
+    for n in (3, 8, 20):
+        model = widom_polynomial(random_unit_interval_union(rng, n))
+        ep = np.asarray(model.E.endpoints(), dtype=float)
+        a1, bn = model.E.hull
+        big_t = bn + (bn - a1)
+        near = bn + (big_t - bn) * np.linspace(0.0, 1.0, 201) ** 2
+        far = np.geomspace(big_t, 1e12, 201)
+        # at n = 20 the far end overflows to inf / inf: nan on both sides
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for t in (near, far):
+                assert np.array_equal(_tail_integrand(model)(t), polyval_tail_integrand(model)(t),
+                                      equal_nan=True)
+        p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
+        for skip, x in ((0, -3.0), (1, 0.5 * (ep[1] + ep[2])), (2 * n - 1, 40.0)):
+            captured.clear()
+            exact_module._edge_integral(ep, p_hi, skip, ep[skip], x, 1e-10)
+            (f, (u_lo, u_hi, _, to_t, _)), = captured
+            t = to_t(np.linspace(u_lo, u_hi, 201))
+            want = 2.0 * np.polyval(p_hi, t) / np.sqrt(np.abs(skip_product(ep, skip, t)))
+            with np.errstate(divide="ignore"):
+                assert np.array_equal(f(t), want, equal_nan=True)
+
+
+def test_gap_residuals_match_the_per_gap_loop():
+    rng = random.Random(6)
+    for n in (3, 8, 20):
+        e = random_unit_interval_union(rng, n)
+        model = widom_polynomial(e)
+        moments, _ = exact_module._moment_vectors(e)
+        c = np.array(model.coeffs)
+        assert model.gap_residuals == tuple(float(mom[n - 1] + mom[: n - 1] @ c) for mom in moments)
+
+
 def test_elliptic_params_invariant():
     with pytest.raises(DomainError):
         EllipticParams(k=0.5, k_prime=0.5, q=0.1, omega=0.0)
