@@ -7,6 +7,9 @@ Gillis, Schiefermayr's elliptic-integral bound, and the circle-projection
 bound.  Products of powers are evaluated in the log domain; a vanishing
 factor short-circuits to 0.
 
+Each factor is written once, as a vectorized function shared by the
+public bound and its optimizer: the partition cell term (used by the
+partition, Solynin and sector-product bounds) and the gap-division factor.
 The Solynin and gap-division bounds have free division points.  Both are
 chains: each factor depends only on its two neighbouring points, so
 their maximizers solve each candidate grid exactly with one max-sum
@@ -28,15 +31,12 @@ from .sets import (
     IntervalUnion,
     Partition,
     _require_unit_subset,
-    measure_within,
     normalize_to_unit,
 )
 from .special import complete_E, complete_K
 
 LOWER = "lower"
 UPPER = "upper"
-
-_LOG_FLOOR = 1e-300
 
 # candidate grid schedule of the optimized bounds
 _GRID_CANDIDATES = 33
@@ -125,31 +125,51 @@ def haliste_arcs_capacity(l: float, n: int) -> float:
     return math.sin(l / 4.0) ** (1.0 / n)
 
 
+def _cell_log(cell_mu, inter_mu):
+    """Log of the partition cell term sin(pi mu / (2 M)) ** (2 M^2 / pi^2), elementwise.
+
+    M = ``cell_mu`` is the arccos measure of the cell and mu = ``inter_mu``
+    that of its intersection with the set; -inf where mu <= 0.  Callers
+    silence numpy's divide and invalid warnings.
+    """
+    s = np.sin((0.5 * math.pi) * inter_mu / cell_mu)
+    term = (2.0 / math.pi ** 2) * cell_mu * cell_mu * np.log(s)
+    return np.where(inter_mu > 0.0, term, -np.inf)
+
+
+def _gap_division_log(th_a, th_b, th_lo, th_hi):
+    """Log of one component's gap-division factor, elementwise; -inf where the factor is <= 0.
+
+    The component has arccos angles th_b < th_a and lies in the division
+    cell of arccos angles th_hi < th_lo.  Callers silence numpy's divide
+    and invalid warnings.
+    """
+    span = th_lo - th_hi
+    factor = 0.5 * (np.cos(math.pi * (th_b - th_hi) / span)
+                    - np.cos(math.pi * (th_a - th_hi) / span))
+    # fmax sends factor <= 0, and nan, to log(0) = -inf
+    return (span * span / math.pi ** 2) * np.log(np.fmax(factor, 0.0))
+
+
 def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     """Lower bound for the capacity of a circle subset from a sector partition.
 
     ``sector_angles`` are increasing angles phi_0 < ... < phi_m with
     phi_m = phi_0 + 2*pi; sector k spans beta_k * pi radians and
-    contributes [sin(mes(sector k intersect F) / (2 beta_k))] ** (beta_k^2 / 2).
+    contributes [sin(mes(sector k intersect F) / (2 beta_k))] ** (beta_k^2 / 2),
+    the partition cell term with M = beta_k * pi / 2 and mu = mes / 2.
     An empty intersection forces the bound to 0.
     """
-    angles = [float(a) for a in sector_angles]
+    angles = np.fromiter(sector_angles, dtype=float)
     if len(angles) < 2:
         raise DomainError("need at least one sector")
-    for lo, hi in zip(angles, angles[1:]):
-        if not lo < hi:
-            raise DomainError("sector angles must strictly increase")
+    if not np.all(angles[:-1] < angles[1:]):
+        raise DomainError("sector angles must strictly increase")
     if abs((angles[-1] - angles[0]) - 2.0 * math.pi) > 1e-9:
         raise DomainError("sector angles must cover exactly one full turn")
-    log_total = 0.0
-    for lo, hi in zip(angles, angles[1:]):
-        beta = (hi - lo) / math.pi
-        mes = f.length_within(lo, hi)
-        if mes <= 0.0:
-            return 0.0
-        s = min(1.0, math.sin(mes / (2.0 * beta)))
-        log_total += 0.5 * beta * beta * math.log(max(s, _LOG_FLOOR))
-    return math.exp(log_total)
+    mes = f.length_within(angles[:-1], angles[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return math.exp(_cell_log(0.5 * np.diff(angles), 0.5 * mes).sum())
 
 
 def partition_lower(e: IntervalUnion, p: Partition) -> float:
@@ -159,15 +179,13 @@ def partition_lower(e: IntervalUnion, p: Partition) -> float:
     with the set; a cell missing the set entirely gives bound 0.
     """
     _require_unit_subset(e)
-    log_total = 0.0
-    for lo, hi in p.cells():
-        cell_mu = math.acos(lo) - math.acos(hi)
-        inter_mu = measure_within(e, lo, hi)
-        if inter_mu <= 0.0:
-            return 0.0
-        s = min(1.0, math.sin(math.pi * inter_mu / (2.0 * cell_mu)))
-        log_total += (2.0 * cell_mu * cell_mu / math.pi ** 2) * math.log(max(s, _LOG_FLOOR))
-    return 0.5 * math.exp(log_total)
+    th = np.arccos(e.endpoints())
+    cut = np.arccos(p.points)
+    lo, hi = cut[:-1, None], cut[1:, None]
+    # component k spans the angles [th_b, th_a], cell j the angles [hi_j, lo_j]
+    inter_mu = np.maximum(np.minimum(th[0::2], lo) - np.maximum(th[1::2], hi), 0.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], inter_mu).sum())
 
 
 def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
@@ -178,18 +196,10 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     """
     _require_unit_hull(e)
     d.validate_for(e)
-    dt = [math.pi] + [math.acos(x) for x in d.deltas] + [0.0]
-    log_total = 0.0
-    for (a, b), d_prev, d_k in zip(e.intervals, dt, dt[1:]):
-        span = d_prev - d_k
-        factor = 0.5 * (
-            math.cos(math.pi * (math.acos(b) - d_k) / span)
-            - math.cos(math.pi * (math.acos(a) - d_k) / span)
-        )
-        if factor <= 0.0:
-            return 0.0
-        log_total += (span * span / math.pi ** 2) * math.log(factor)
-    return 0.5 * math.exp(log_total)
+    th = np.arccos(e.endpoints())
+    cut = np.arccos((-1.0, *d.deltas, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * math.exp(_gap_division_log(th[0::2], th[1::2], cut[:-1], cut[1:]).sum())
 
 
 def _chain_argmax(pair_log, pts) -> list[int]:
@@ -247,15 +257,10 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
     component k, so the grid optimum is found exactly by a chain pass.
     """
     _require_unit_hull(e)
-    theta_a = [math.acos(a) for a, _ in e.intervals]
-    theta_b = [math.acos(b) for _, b in e.intervals]
+    th = np.arccos(e.endpoints())
 
     def pair_log(k, th_lo, th_hi):
-        span = th_lo - th_hi
-        factor = 0.5 * (np.cos(math.pi * (theta_b[k] - th_hi) / span)
-                        - np.cos(math.pi * (theta_a[k] - th_hi) / span))
-        # fmax sends factor <= 0, and nan, to log(0) = -inf
-        return (span * span / math.pi ** 2) * np.log(np.fmax(factor, 0.0))
+        return _gap_division_log(th[2 * k], th[2 * k + 1], th_lo, th_hi)
 
     d = GapPoints(tuple(_chain_grid_max(pair_log, e.gaps())))
     return gap_division_lower(e, d), d
@@ -304,23 +309,18 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     boxes = [gaps[0]]
     for comp, gap in zip(e.intervals[1:-1], gaps[1:]):
         boxes += [comp, gap]
-    theta_a = [math.acos(a) for a, _ in e.intervals]
-    theta_b = [math.acos(b) for _, b in e.intervals]
+    th = np.arccos(e.endpoints())
 
     def pair_log(k, th_lo, th_hi):
         comp = (k + 1) // 2
         # an even cell meets its component from the cell's left end to b_comp,
         # an odd one from a_comp to the cell's right end
-        inter_mu = th_lo - theta_b[comp] if k % 2 == 0 else theta_a[comp] - th_hi
-        cell_mu = th_lo - th_hi
-        s = np.maximum(np.sin((0.5 * math.pi) * inter_mu / cell_mu), _LOG_FLOOR)
-        term = (2.0 / math.pi ** 2) * cell_mu * cell_mu * np.log(s)
-        return np.where(inter_mu > 0.0, term, -np.inf)
+        inter_mu = th_lo - th[2 * comp + 1] if k % 2 == 0 else th[2 * comp] - th_hi
+        return _cell_log(th_lo - th_hi, inter_mu)
 
     x = _chain_grid_max(pair_log, boxes)
-    d = GapPoints(tuple(x[0::2]))
-    interior = x[1::2]
-    return solynin_lower(e, d, interior), _solynin_points(e, d, interior)
+    p = _solynin_points(e, GapPoints(tuple(x[0::2])), x[1::2])
+    return partition_lower(e, p), p
 
 
 def projection_upper(e: IntervalUnion) -> float:

@@ -62,15 +62,13 @@ class WidomModel:
     p/sqrt(q) over every gap vanishes; q is monic with the 2n endpoints
     as roots.  ``gap_residuals`` are the achieved gap integrals (ideally
     zero); ``moment_nodes`` is the largest Chebyshev-Lobatto interval count
-    m any gap's moments needed (m + 1 nodes; 0 for a single interval);
-    ``robin`` is filled in by the capacity computation.
+    m any gap's moments needed (m + 1 nodes; 0 for a single interval).
     """
 
     E: IntervalUnion
     coeffs: tuple[float, ...]
     gap_residuals: tuple[float, ...]
     moment_nodes: int
-    robin: float | None = None
 
 
 def _check_two_interval(alpha: float, beta: float) -> None:

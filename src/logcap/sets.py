@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-# endpoints this close to +-1 are snapped exactly, so hull checks can use ==
+# hull ends this close to +-1 are snapped exactly, so hull checks can use ==
 _SNAP_TOL = 1e-14
 
 
@@ -116,14 +118,16 @@ class CircleArcSet:
     def total_length(self) -> float:
         return sum(e - s for s, e in self.arcs)
 
-    def length_within(self, lo: float, hi: float) -> float:
-        """Arc length of the set inside the sector [lo, hi] (angles, hi <= lo + 2*pi)."""
-        total = 0.0
-        for s, e in self.arcs:
-            for shift in (-TWO_PI, 0.0, TWO_PI):
-                ss, ee = s + shift, e + shift
-                total += max(0.0, min(ee, hi) - max(ss, lo))
-        return total
+    def length_within(self, lo, hi):
+        """Arc length of the set inside the sector [lo, hi] (angles, hi <= lo + 2*pi).
+
+        ``lo`` and ``hi`` may be arrays of sectors; the result has their shape.
+        """
+        s, e = np.array(self.arcs).T
+        shift = np.array([[-TWO_PI], [0.0], [TWO_PI]])  # each arc and its copies a turn away
+        s, e = (s + shift).ravel(), (e + shift).ravel()
+        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+        return (np.clip(e, lo, hi) - np.clip(s, lo, hi)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -162,19 +166,13 @@ class GapPoints:
                 raise DomainError(f"gap point {d} outside open gap ({lo}, {hi})")
 
 
-def _snap(x: float) -> float:
-    if abs(x - 1.0) < _SNAP_TOL:
-        return 1.0
-    if abs(x + 1.0) < _SNAP_TOL:
-        return -1.0
-    return x
-
-
 def make_interval_union(pairs) -> IntervalUnion:
     """Build an :class:`IntervalUnion` from (a, b) pairs.
 
-    Pairs are sorted; overlapping or touching intervals are merged.
-    Endpoints within 1e-14 of +-1 are snapped to +-1 exactly.
+    Pairs are sorted; overlapping or touching intervals are merged.  A
+    hull end a_1 within 1e-14 of -1, or b_n within 1e-14 of 1, is snapped
+    there exactly unless that would empty its interval; no other endpoint
+    moves.
     """
     pairs = list(pairs)
     if not pairs:
@@ -189,7 +187,7 @@ def make_interval_union(pairs) -> IntervalUnion:
             raise ValidationError(f"non-finite endpoint in ({a}, {b})")
         if a >= b:
             raise ValidationError(f"reversed or empty interval ({a}, {b})")
-        cleaned.append((_snap(a), _snap(b)))
+        cleaned.append((a, b))
     cleaned.sort()
     merged = [list(cleaned[0])]
     for a, b in cleaned[1:]:
@@ -197,6 +195,11 @@ def make_interval_union(pairs) -> IntervalUnion:
             merged[-1][1] = max(merged[-1][1], b)
         else:
             merged.append([a, b])
+    first, last = merged[0], merged[-1]
+    if abs(first[0] + 1.0) < _SNAP_TOL and first[1] > -1.0:
+        first[0] = -1.0
+    if abs(last[1] - 1.0) < _SNAP_TOL and last[0] < 1.0:
+        last[1] = 1.0
     return IntervalUnion(tuple((a, b) for a, b in merged))
 
 
@@ -213,18 +216,6 @@ def chebyshev_measure(e: IntervalUnion) -> float:
     """
     _require_unit_subset(e)
     return sum(math.acos(a) - math.acos(b) for a, b in e.intervals)
-
-
-def measure_within(e: IntervalUnion, lo: float, hi: float) -> float:
-    """chebyshev_measure of the part of e inside [lo, hi], without building the intersection."""
-    if lo < -1.0 or hi > 1.0:
-        raise DomainError("cell must lie inside [-1, 1]")
-    total = 0.0
-    for a, b in e.intervals:
-        s, t = max(a, lo), min(b, hi)
-        if t > s:
-            total += math.acos(s) - math.acos(t)
-    return total
 
 
 def intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion | None:
@@ -255,11 +246,10 @@ def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
     scale = 0.5 * (bn - a1)
     center = 0.5 * (bn + a1)
     mapped = [((a - center) / scale, (b - center) / scale) for a, b in e.intervals]
-    # force the hull endpoints exactly, the interior ones via snapping
+    # the hull ends are forced exactly; interior endpoints stay as mapped
     mapped[0] = (-1.0, mapped[0][1])
     mapped[-1] = (mapped[-1][0], 1.0)
-    out = IntervalUnion(tuple((_snap(a), _snap(b)) for a, b in mapped))
-    return out, scale
+    return IntervalUnion(tuple(mapped)), scale
 
 
 def _project_arc(s: float, e: float) -> tuple[float, float]:

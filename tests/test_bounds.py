@@ -14,12 +14,14 @@ from logcap import (
     beurling_arc_capacity,
     canonical_set,
     capacity,
+    chebyshev_measure,
     circle_preimage,
     classical_bounds,
     gap_division_lower,
     gap_division_lower_max,
     gillis_upper,
     haliste_arcs_capacity,
+    intersect,
     make_interval_union,
     partition_lower,
     polarization_upper,
@@ -192,6 +194,76 @@ def test_partition_lower_equality_on_canonical_sets():
             got = partition_lower(e, Partition(tuple(pts)))
             want = 0.5 * math.sin(l / 4) ** (2.0 / n)
             assert got == pytest.approx(want, abs=1e-13)
+
+
+def partition_lower_loop(e, p):
+    """Scalar per-cell transcription of the partition bound, as an oracle.
+
+    The measure of a cell's part of e comes from the exact intersection.
+    """
+    log_total = 0.0
+    for lo, hi in p.cells():
+        cell_mu = math.acos(lo) - math.acos(hi)
+        inter = intersect(e, make_interval_union([(lo, hi)]))
+        inter_mu = 0.0 if inter is None else chebyshev_measure(inter)
+        if inter_mu <= 0.0:
+            return 0.0
+        s = math.sin(math.pi * inter_mu / (2.0 * cell_mu))
+        log_total += (2.0 * cell_mu * cell_mu / math.pi ** 2) * math.log(s)
+    return 0.5 * math.exp(log_total)
+
+
+def gap_division_lower_loop(e, d):
+    """Scalar per-component transcription of the gap-division bound, as an oracle."""
+    dt = [math.pi] + [math.acos(x) for x in d.deltas] + [0.0]
+    log_total = 0.0
+    for (a, b), d_prev, d_k in zip(e.intervals, dt, dt[1:]):
+        span = d_prev - d_k
+        factor = 0.5 * (
+            math.cos(math.pi * (math.acos(b) - d_k) / span)
+            - math.cos(math.pi * (math.acos(a) - d_k) / span)
+        )
+        if factor <= 0.0:
+            return 0.0
+        log_total += (span * span / math.pi ** 2) * math.log(factor)
+    return 0.5 * math.exp(log_total)
+
+
+def test_partition_and_gap_division_match_scalar_oracles():
+    rng = random.Random(103)
+    for n in range(2, 9):
+        for _ in range(10):
+            e = random_unit_interval_union(rng, n)
+            cuts = sorted(rng.uniform(-1.0, 1.0) for _ in range(rng.randint(0, 2 * n)))
+            p = Partition((-1.0, *cuts, 1.0))
+            want = partition_lower_loop(e, p)
+            assert partition_lower(e, p) == pytest.approx(want, rel=1e-14, abs=0.0)
+            d = GapPoints(tuple(rng.uniform(lo, hi) for lo, hi in e.gaps()))
+            want = gap_division_lower_loop(e, d)
+            assert gap_division_lower(e, d) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_partition_and_gap_division_zero_cases_match_scalar_oracles():
+    e = make_interval_union([(-1.0, -0.5), (0.5, 1.0)])
+    p = Partition((-1.0, -0.2, 0.2, 1.0))  # the middle cell misses e
+    assert partition_lower(e, p) == partition_lower_loop(e, p) == 0.0
+    # arccos does not resolve [0, 1e-300], so that component's factor is 0
+    e = make_interval_union([(-1.0, -0.5), (0.0, 1e-300), (0.6, 1.0)])
+    d = GapPoints((-0.2, 0.3))
+    assert gap_division_lower(e, d) == gap_division_lower_loop(e, d) == 0.0
+
+
+def test_partition_bound_is_squared_symmetric_sector_product():
+    # the cells of p and their mirror images are sectors of the circle
+    # preimage, each carrying half the cell's exponent
+    rng = random.Random(107)
+    for n in range(2, 9):
+        e = random_unit_interval_union(rng, n)
+        p = uniform_measure_partition(n + 1)
+        upper = [math.acos(t) for t in reversed(p.points)]
+        angles = upper + [2.0 * math.pi - t for t in reversed(upper[:-1])]
+        want = 0.5 * sector_product_lower(circle_preimage(e), angles) ** 2
+        assert partition_lower(e, p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_gap_division_symmetric_pair():
