@@ -130,30 +130,34 @@ def akhiezer_capacity(alpha: float, beta: float) -> CapacityResult:
 def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap.
 
-    Also returns the largest Lobatto interval count m any gap needed.
-    Raises ConvergenceError when a gap's m-interval and m/2-interval rules
-    still disagree at the cap.
+    Also returns the largest Lobatto interval count m any gap needed.  The
+    ladder climbs level by level: one kernel call per gap still pending,
+    then one test of all of them.  Raises ConvergenceError, naming the
+    lowest such gap, when a gap's m-interval and m/2-interval rules still
+    disagree at the cap.
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
     out = np.empty((n - 1, n))
-    worst = _MOMENT_FIRST
-    for gap in range(n - 1):
-        m = _MOMENT_FIRST
-        while True:
-            fine, coarse = _kernels.gap_moment_sums(ep, gap, m, n - 1)
-            if abs(fine - coarse).max() < _MOMENT_TOL * max(1.0, abs(fine).max()):
-                break
-            if m >= _MOMENT_CAP:
-                lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
-                raise ConvergenceError(
-                    f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
-                    f"with {m + 1} Lobatto nodes ({m} intervals)"
-                )
-            m *= 2
-        out[gap] = fine
-        worst = max(worst, m)
-    return out, worst
+    pending = np.arange(n - 1)
+    m = _MOMENT_FIRST
+    while True:
+        sums = np.array([_kernels.gap_moment_sums(ep, gap, m, n - 1) for gap in pending.tolist()])
+        fine = sums[:, 0]
+        done = (abs(fine - sums[:, 1]).max(axis=1)
+                < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
+        out[pending[done]] = fine[done]
+        pending = pending[~done]
+        if not pending.size:
+            return out, m
+        if m >= _MOMENT_CAP:
+            gap = int(pending[0])
+            lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
+            raise ConvergenceError(
+                f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
+                f"with {m + 1} Lobatto nodes ({m} intervals)"
+            )
+        m *= 2
 
 
 def widom_polynomial(e: IntervalUnion) -> WidomModel:
@@ -175,10 +179,20 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
 
 
-def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``np.polyval(coeffs, t)`` for finite t, same roundings, updating one array in place."""
+def _horner_coeffs(coeffs) -> list[np.ndarray]:
+    """Polynomial coefficients as 0-d arrays, for ``_horner``.
+
+    numpy adds a 0-d array to a vector in about half the time it takes to
+    add a Python float or a numpy scalar; the sums are the same.
+    """
+    a = np.array(coeffs, dtype=float)
+    return [a[i, ...] for i in range(a.size)]
+
+
+def _horner(coeffs: list[np.ndarray], t: np.ndarray) -> np.ndarray:
+    """``np.polyval`` of ``_horner_coeffs`` output at finite t: same roundings, one array in place."""
     y = np.full_like(t, coeffs[0], dtype=float)
-    for c in coeffs[1:].tolist():
+    for c in coeffs[1:]:
         y *= t
         y += c
     return y
@@ -192,16 +206,20 @@ def _tail_integrand(model: WidomModel):
     cancel in exact coefficient arithmetic, so no subtractive loss occurs
     where p/sqrt(q) and 1/tau nearly agree.
     """
-    ep = np.asarray(model.E.endpoints(), dtype=float)
+    endpoints = model.E.endpoints()
+    ep = np.asarray(endpoints, dtype=float)
     bn = ep[-1]
     p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
     tp = np.convolve([1.0, 1.0 - bn], p_hi)
-    q_hi = np.concatenate(([1.0], np.zeros(ep.size)))
-    for k, root in enumerate(ep):
-        q_hi[1:k + 2] -= root * q_hi[:k + 1]
+    # q = prod (t - root), highest coefficient first, one root at a time;
+    # each step runs top down, so it reads the previous step's coefficients
+    q_hi = [1.0] + [0.0] * ep.size
+    for k, root in enumerate(endpoints):
+        for i in range(k + 1, 0, -1):
+            q_hi[i] -= root * q_hi[i - 1]
     big_n = np.convolve(tp, tp) - q_hi
     assert big_n[0] == 0.0
-    big_n = big_n[1:]
+    big_n, tp = _horner_coeffs(big_n[1:]), _horner_coeffs(tp)
 
     def h(t):
         t = np.asarray(t, dtype=float)
@@ -256,10 +274,11 @@ def _edge_integral(ep: np.ndarray, p_hi: np.ndarray, skip: int, base: float,
     """
     span = abs(x - base)
     direction = 1.0 if x > base else -1.0
+    p_coeffs = _horner_coeffs(p_hi)
 
     def f(t):
         sp = _kernels.skip_product(ep, skip, t)
-        return 2.0 * _horner(p_hi, t) / np.sqrt(np.abs(sp))
+        return 2.0 * _horner(p_coeffs, t) / np.sqrt(np.abs(sp))
 
     piece = (0.0, math.sqrt(span), tol, lambda u: base + direction * u * u, lambda u, fu: fu)
     ((val, _),), _ = _adaptive_gl(f, (piece,), 200000, "Green function quadrature")

@@ -240,16 +240,25 @@ def intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion | None:
 def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
     """Affine image of e with hull exactly [-1, 1], plus the half-width scale.
 
-    Capacity transforms as cap(e) = scale * cap(normalized).
+    Capacity transforms as cap(e) = scale * cap(normalized).  Raises
+    ValidationError when a component or gap is narrower than the rounding
+    at the hull's scale, so that its mapped ends coincide or cross.
     """
     a1, bn = e.hull
     scale = 0.5 * (bn - a1)
     center = 0.5 * (bn + a1)
-    mapped = [((a - center) / scale, (b - center) / scale) for a, b in e.intervals]
+    ends = e.endpoints()
+    mapped = [(x - center) / scale for x in ends]
     # the hull ends are forced exactly; interior endpoints stay as mapped
-    mapped[0] = (-1.0, mapped[0][1])
-    mapped[-1] = (mapped[-1][0], 1.0)
-    return IntervalUnion(tuple(mapped)), scale
+    mapped[0], mapped[-1] = -1.0, 1.0
+    for i in range(len(ends) - 1):
+        if not mapped[i] < mapped[i + 1]:
+            raise ValidationError(
+                f"{('component', 'gap')[i % 2]} {i // 2} ({ends[i]}, {ends[i + 1]}) is narrower "
+                f"than the rounding at the hull's scale (half-width {scale:.6g}): it collapses "
+                f"when mapped onto [-1, 1]"
+            )
+    return IntervalUnion(tuple(zip(mapped[::2], mapped[1::2]))), scale
 
 
 def _project_arc(s: float, e: float) -> tuple[float, float]:

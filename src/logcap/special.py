@@ -187,6 +187,15 @@ def chebyshev_gauss(g, a: float, b: float, m: int) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
+def _bisect(panels) -> list[tuple[int, float, float]]:
+    """The two halves (piece, lo, mid), (piece, mid, hi) of each panel (piece, lo, hi), in order."""
+    children = []
+    for k, lo, hi in panels:
+        mid = 0.5 * (lo + hi)
+        children += ((k, lo, mid), (k, mid, hi))
+    return children
+
+
 def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float, float]], int]:
     """Adaptive 15-point Gauss-Legendre by bisection, on several pieces at once.
 
@@ -197,15 +206,23 @@ def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float
     or when the panel is no wider than ``1e-14 (b - a)``, provided left +
     right is finite; otherwise both halves are refined in turn.  The open
     panels of one bisection level, over all pieces, are evaluated together
-    with one call of ``h``.  Each panel is decided on its own, so the panel
-    tree is the one depth-first refinement builds, and the accepted panels
-    are summed in depth-first order (right to left), so the sums agree with
-    it bit for bit.
+    with one call of ``h``, and the first call also evaluates the two
+    levels below the roots, so a refinement that stops there calls ``h``
+    once.  The first of them is only left out when it does not fit into
+    ``max_evals``, the second when it is more than 1% of ``max_evals``:
+    its panels below accepted first-level panels go unused, so the
+    evaluations made never pass ``max_evals`` by more than 1%.
+    Each panel is decided on its own, so the panel tree is the one
+    depth-first refinement builds, and the accepted panels are summed in
+    depth-first order (right to left), so the sums agree with it bit for bit.
 
     Returns ``([(value, error_estimate), ...] per piece, evaluations)``; the
-    estimate is the sum of the bisection defects of the accepted panels.
+    estimate is the sum of the bisection defects of the accepted panels,
+    and the evaluations are those of the panels the refinement visits, as
+    depth-first refinement counts them; the prefetched halves of panels
+    accepted one level below the roots are evaluated but not counted.
     Raises ConvergenceError, naming ``what``, when the next level would take
-    the evaluations past ``max_evals``.  Its ``partial`` sums the accepted
+    that count past ``max_evals``.  Its ``partial`` sums the accepted
     panels and the unrefined values of the open ones, leaving out non-finite
     panel values (an evaluation that rounds onto a singular endpoint), and
     its ``nodes_used`` counts the evaluations made plus those of the refused
@@ -216,10 +233,11 @@ def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float
     accepted: list[list[tuple[float, float, float]]] = [[] for _ in pieces]
 
     def spend(spans, pending) -> None:
+        # pending holds the values of the open panels
         nonlocal used
         used += _GL_NODES.size * len(spans)
         if used > max_evals:
-            values = [c for *_, c in pending] + [f for acc in accepted for _, f, _ in acc]
+            values = list(pending) + [f for acc in accepted for _, f, _ in acc]
             partial = sum(v for v in values if math.isfinite(v))
             raise ConvergenceError(f"{what} used more than {max_evals} evaluations",
                                    partial=QuadratureResult(partial, math.inf, used))
@@ -252,30 +270,38 @@ def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         roots = [(k, p[0], p[1]) for k, p in enumerate(pieces)]
         spend(roots, ())
-        panels = [(k, lo, hi, v) for (k, lo, hi), v in zip(roots, evaluate(roots))]
+        # the levels the first call of h evaluates: 1, 2 and 4 panels per root
+        levels = [roots]
+        root_evals = _GL_NODES.size * len(roots)
+        if 3 * root_evals <= max_evals:
+            levels.append(_bisect(roots))
+            if 100 * 4 * root_evals <= max_evals:
+                levels.append(_bisect(levels[-1]))
+        spans = sorted(itertools.chain(*levels), key=lambda s: s[0])
+        ahead = dict(zip(spans, evaluate(spans)))
+        panels, coarse = roots, [ahead[s] for s in roots]
+        depth = 0
         while panels:
-            children = []
-            for k, lo, hi, _ in panels:
-                mid = 0.5 * (lo + hi)
-                children += ((k, lo, mid), (k, mid, hi))
-            spend(children, panels)
-            vals = evaluate(children)
-            refine = []
-            for i, (k, lo, hi, coarse) in enumerate(panels):
+            children = _bisect(panels)
+            spend(children, coarse)
+            depth += 1
+            vals = [ahead[s] for s in children] if depth < len(levels) else evaluate(children)
+            refine, refine_vals = [], []
+            for i, (k, lo, hi) in enumerate(panels):
                 a, b, tol = pieces[k][:3]
                 total_width = b - a
                 left, right = vals[2 * i], vals[2 * i + 1]
                 fine = left + right
-                delta = abs(fine - coarse)
+                delta = abs(fine - coarse[i])
                 local_tol = tol * (hi - lo) / total_width
                 # an infinite fine would pass the defect test as inf <= inf
                 if math.isfinite(fine) and (delta <= max(local_tol, 1e-16 * abs(fine))
                                             or (hi - lo) <= 1e-14 * total_width):
                     accepted[k].append((lo, fine, delta))
                 else:
-                    mid = children[2 * i][2]
-                    refine += ((k, lo, mid, left), (k, mid, hi, right))
-            panels = refine
+                    refine += children[2 * i:2 * i + 2]
+                    refine_vals += (left, right)
+            panels, coarse = refine, refine_vals
     sums = []
     for acc in accepted:
         value = err = 0.0

@@ -23,6 +23,7 @@ from logcap import (
     widom_capacity,
     widom_polynomial,
 )
+from logcap import exact as exact_module
 from logcap._kernels import gap_moment_sums
 from logcap.exact import _MOMENT_CAP, _MOMENT_TOL, _moment_vectors
 from logcap.verify import random_unit_interval_union
@@ -397,6 +398,32 @@ def test_lobatto_ladder_agrees_with_gauss_ladder():
     assert widom_polynomial(canonical_set(0.3, 2)).moment_nodes == 512  # climbs two levels more
 
 
+def per_gap_moment_ladder(e):
+    """The moment ladder one gap at a time, each gap climbing to its own level."""
+    ep = np.asarray(e.endpoints(), dtype=float)
+    out, worst = np.empty((e.n - 1, e.n)), 0
+    for gap in range(e.n - 1):
+        m = 128
+        while True:
+            fine, coarse = gap_moment_sums(ep, gap, m, e.n - 1)
+            if abs(fine - coarse).max() < _MOMENT_TOL * max(1.0, abs(fine).max()):
+                break
+            m *= 2
+        out[gap], worst = fine, max(worst, m)
+    return out, worst
+
+
+def test_level_synchronous_ladder_matches_the_per_gap_ladder_bit_for_bit():
+    rng = random.Random(32)
+    sets = [random_unit_interval_union(rng, n) for n in range(2, 21) for _ in range(2)]
+    sets += [canonical_set(0.3, 2), canonical_set(0.3, 6),
+             make_interval_union([(-1.0, -0.5), (-0.4, -0.4 + 1e-5), (0.1, 1.0)])]
+    for e in sets:
+        got, m = _moment_vectors(e)
+        want, want_m = per_gap_moment_ladder(e)
+        assert np.array_equal(got, want) and m == want_m
+
+
 def test_widom_on_thin_canonical_pair_matches_closed_form():
     res = widom_capacity(canonical_set(0.3, 2))
     assert abs(res.value - 0.5 * math.sin(0.3 / 4)) <= res.est_error
@@ -410,6 +437,13 @@ def test_unconverged_gap_moments_raise(width):
         widom_capacity(e)
 
 
+def test_unconverged_gap_moments_name_the_lowest_failing_gap():
+    # gap 0 converges at the cap, gaps 1 and 2 both fail there
+    e = make_interval_union([(-1, -0.8), (-0.6, -0.5), (-0.4, -0.4 + 1e-9), (0.1, 1)])
+    with pytest.raises(ConvergenceError, match="gap 1 .* 4097 Lobatto nodes"):
+        widom_capacity(e)
+
+
 def test_gap_moments_converging_at_the_cap_still_return():
     e = make_interval_union([(-1.0, -0.5), (-0.4, -0.4 + 1e-5), (0.1, 1.0)])
     assert widom_polynomial(e).moment_nodes == _MOMENT_CAP
@@ -417,3 +451,35 @@ def test_gap_moments_converging_at_the_cap_still_return():
     # inside the set whose middle interval has width 1e-3, and containing the one without it
     assert widom_capacity(make_interval_union([(-1.0, -0.5), (0.1, 1.0)])).value < res.value
     assert res.value < widom_capacity(make_interval_union([(-1.0, -0.5), (-0.4, -0.399), (0.1, 1.0)])).value
+
+
+def test_widom_capacity_calls_the_tail_integrand_once_within_the_prefetch(monkeypatch):
+    # the first call of the tail integrand also evaluates the two bisection
+    # levels below the roots, 210 nodes: a tail that needs no more is one call
+    calls, nodes = [], []
+    make_integrand, tail = exact_module._tail_integrand, exact_module.tail_integral
+
+    def counted_integrand(model):
+        h = make_integrand(model)
+        calls.append(0)
+
+        def counted(t):
+            calls[-1] += 1
+            return h(t)
+
+        return counted
+
+    def recorded_tail(*args, **kwargs):
+        res = tail(*args, **kwargs)
+        nodes.append(res.nodes_used)
+        return res
+
+    monkeypatch.setattr(exact_module, "_tail_integrand", counted_integrand)
+    monkeypatch.setattr(exact_module, "tail_integral", recorded_tail)
+    rng = random.Random(41)
+    for n in range(3, 21):
+        for _ in range(3):
+            widom_capacity(random_unit_interval_union(rng, n))
+    within = [c for c, used in zip(calls, nodes, strict=True) if used <= 210]
+    assert all(c == 1 for c in within)
+    assert len(within) > len(calls) / 2

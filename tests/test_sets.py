@@ -9,6 +9,7 @@ import pytest
 from logcap import (
     DomainError,
     ValidationError,
+    all_bounds,
     canonical_set,
     capacity,
     chebyshev_measure,
@@ -179,6 +180,21 @@ def test_normalize_round_trip():
         for (a, b), (na, nb) in zip(moved.intervals, norm.intervals):
             assert abs(na * scale + center - a) < 1e-14 * max(1.0, abs(a))
             assert abs(nb * scale + center - b) < 1e-14 * max(1.0, abs(b))
+
+
+def test_normalize_names_a_component_or_gap_that_collapses():
+    # narrower than the rounding at the hull's scale: mapped onto [-1, 1],
+    # its ends coincide; the same type as before, so CLI exit codes stay
+    cases = [
+        ([(-1e-3, -1e-3 + 1e-15), (0, 1e3)], r"component 0 \(-0\.001, "),
+        ([(0, 1e-17), (0.5, 1)], r"component 0 \(0\.0, 1e-17\)"),
+        ([(-1e-3, -5e-4), (-5e-4 + 1e-15, 1e3)], r"gap 0 \(-0\.0005, "),
+    ]
+    for pairs, what in cases:
+        e = make_interval_union(pairs)
+        for f in (normalize_to_unit, capacity, all_bounds):
+            with pytest.raises(ValidationError, match=what + ".*narrower than the rounding"):
+                f(e)
 
 
 def test_canonical_single_arc():

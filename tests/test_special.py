@@ -328,6 +328,44 @@ def test_tail_integral_budget_boundary_matches_depth_first():
     assert_same_tail(lambda t: np.cos(20.0 * t) / (1.0 + t * t), 0.0, 1e-10, max_evals=3000)
 
 
+def evaluations_of(f, b, max_evals):
+    """(nodes evaluated, calls of f) by tail_integral(f, b, 1e-10, max_evals=max_evals)."""
+    seen = [0, 0]
+
+    def counted(t):
+        seen[0] += np.size(t)
+        seen[1] += 1
+        return f(t)
+
+    try:
+        tail_integral(counted, b, 1e-10, max_evals=max_evals)
+    except ConvergenceError:
+        pass
+    return tuple(seen)
+
+
+def test_tail_integral_prefetch_stays_within_the_budget():
+    # the first call also evaluates levels below the two roots, only as far
+    # as they fit: at max_evals=30 that is the roots alone
+    def h(t):
+        return np.cos(5.0 * t) * np.exp(-t) / np.sqrt(t - 1.0)
+
+    def osc(t):
+        return np.cos(20.0 * t) / (1.0 + t * t)
+
+    full = tail_integral(h, 1.0, 1e-10).nodes_used
+    for f, b, max_evals in [(h, 1.0, m) for m in (full, full - 1, 300)] + [(osc, 0.0, 3000)]:
+        nodes, _ = evaluations_of(f, b, max_evals)
+        assert 0 < nodes <= max_evals
+    assert evaluations_of(h, 1.0, 30) == (30, 1)
+    # with the second level prefetched too, the halves of accepted first-level
+    # panels go unused: at most 1% over the budget, also where it runs out
+    assert evaluations_of(h, 1.0, 100000)[0] <= full + 60
+    for max_evals in (12000, 100000):
+        nodes, _ = evaluations_of(osc, 0.0, max_evals)
+        assert nodes <= 1.01 * max_evals
+
+
 def test_tail_integral_partial_stays_finite_when_a_node_lands_on_the_endpoint():
     # the near-piece refinement reaches nodes where t rounds onto b and the
     # integrand is infinite; the partial leaves such panels out (the Gauss-ladder
