@@ -1,18 +1,17 @@
-"""The numpy kernels of the Schwarz-Christoffel route's innermost loops.
+"""The numpy kernel of the Schwarz-Christoffel route's innermost loop.
 
-``gap_moment_sums`` (the gap moment integrals) and ``skip_product`` (the
-endpoint product of the Green-function edge integrand) live in their own
-module so that callers reach them through the module attribute
+``gap_moment_sums`` (the gap moment integrals) lives in its own module so
+that callers reach it through the module attribute
 (``_kernels.gap_moment_sums``): that attribute is where the benchmark's
 tracer hooks in to count calls and nodes per gap.  That is also why the
 moment kernel is called once per gap and ladder level rather than once for
-all gaps.  Everything here is vectorized over the quadrature nodes, and the
-cost of a call is mostly the fixed cost of each numpy call, so the kernels
-keep that number small: ``gap_moment_sums`` takes a fixed handful of array
-operations whatever the number of intervals and moments, with the
-Chebyshev-Lobatto nodes cached per interval count, and returns both the
-rule it was asked for and the nested rule of half as many intervals, so one
-call gives the pair a convergence test compares.
+all gaps.  It is vectorized over the quadrature nodes, and the cost of a
+call is mostly the fixed cost of each numpy call, so it keeps that number
+small: it takes a fixed handful of array operations whatever the number
+of intervals and moments, with the Chebyshev-Lobatto nodes cached per
+interval count, and returns both the rule it was asked for and the nested
+rule of half as many intervals, so one call gives the pair a convergence
+test compares.
 """
 
 from __future__ import annotations
@@ -69,11 +68,3 @@ def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int) -> np.nd
     out[1] *= 2.0 * np.pi / m
     return out
 
-
-def skip_product(endpoints: np.ndarray, skip: int, t: np.ndarray) -> np.ndarray:
-    """Product of (t - e) over all endpoints except index ``skip``."""
-    endpoints = np.asarray(endpoints, dtype=float)
-    t = np.asarray(t, dtype=float)
-    mask = np.ones(endpoints.shape[0], dtype=bool)
-    mask[skip] = False
-    return np.prod(t[..., None] - endpoints[mask], axis=-1)

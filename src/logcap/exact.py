@@ -22,9 +22,10 @@ from .sets import IntervalUnion, normalize_to_unit
 from .special import (
     EllipticParams,
     QuadratureResult,
-    _adaptive_gl,
     _carlson_rf,
     _complete_K_of_kp,
+    _FEJER_CAP,
+    _fejer_ladder,
     complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these two names here
     incomplete_F,  # noqa: F401
     solve_dense,
@@ -198,34 +199,28 @@ def _horner(coeffs: list[np.ndarray], t: np.ndarray) -> np.ndarray:
     return y
 
 
-def _tail_integrand(model: WidomModel):
-    """Evaluator of p(t)/sqrt(q(t)) - 1/(1 + t - b_n), stable for huge t.
+def _p_over_root(p: list[np.ndarray], t: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """p(t) divided by the product of sqrt|t - e| over ``roots``, at a 1-D array t.
 
-    Written as N(t) / (tau sqrt(q) (tau p + sqrt(q))) with
-    N = (tau p)^2 - q and tau(t) = 1 + t - b_n; the leading terms of N
-    cancel in exact coefficient arithmetic, so no subtractive loss occurs
-    where p/sqrt(q) and 1/tau nearly agree.
+    Where that product overflows, p / inf would read 0: the value is nan
+    instead, so an overflow never passes for a finite value.
     """
-    endpoints = model.E.endpoints()
-    ep = np.asarray(endpoints, dtype=float)
+    root = np.prod(np.sqrt(np.abs(t[:, None] - roots)), axis=-1)
+    return np.where(root < np.inf, _horner(p, t) / root, np.nan)
+
+
+def _tail_integrand(model: WidomModel):
+    """Evaluator of p(t)/sqrt(q(t)) - 1/(1 + t - b_n) on t > b_n, in product form.
+
+    sqrt(q) is the product of the sqrt(t - e) over the endpoints, so no
+    coefficient of q is formed.
+    """
+    ep = np.asarray(model.E.endpoints(), dtype=float)
     bn = ep[-1]
-    p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
-    tp = np.convolve([1.0, 1.0 - bn], p_hi)
-    # q = prod (t - root), highest coefficient first, one root at a time;
-    # each step runs top down, so it reads the previous step's coefficients
-    q_hi = [1.0] + [0.0] * ep.size
-    for k, root in enumerate(endpoints):
-        for i in range(k + 1, 0, -1):
-            q_hi[i] -= root * q_hi[i - 1]
-    big_n = np.convolve(tp, tp) - q_hi
-    assert big_n[0] == 0.0
-    big_n, tp = _horner_coeffs(big_n[1:]), _horner_coeffs(tp)
+    p = _horner_coeffs((1.0, *model.coeffs[::-1]))
 
     def h(t):
-        t = np.asarray(t, dtype=float)
-        sq = np.sqrt(np.prod(t[..., None] - ep, axis=-1))
-        tau = t - bn + 1.0
-        return _horner(big_n, t) / (tau * sq * (_horner(tp, t) + sq))
+        return _p_over_root(p, t, ep) - 1.0 / (t - bn + 1.0)
 
     return h
 
@@ -267,22 +262,32 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
 
 def _edge_integral(ep: np.ndarray, p_hi: np.ndarray, skip: int, base: float,
                    x: float, tol: float) -> float:
-    """Integral of p/sqrt(q) from base to x with the 1/sqrt singularity at base.
+    """Integral of p/sqrt|q| from base to x with the 1/sqrt singularity at base.
 
-    ``skip`` is the endpoint index of ``base``; substitution t = base +- u^2.
-    Returns the integral with sqrt(q) > 0; orientation is from base towards x.
+    ``skip`` is the endpoint index of ``base``.  The map t = base +- w tan^2(theta),
+    w = min(span, hull width), runs theta up to atan(sqrt(span / w)), and
+    its Jacobian absorbs the factor sqrt|t - base|, as in ``tail_integral``.
+    Outside the hull, where p/sqrt|q| ~ sign/|t|, the integrand is
+    p/sqrt|q| - sign/(1 + |t - base|) and sign log1p(span) is added back,
+    so far points converge.  Orientation is from base towards x.
     """
     span = abs(x - base)
     direction = 1.0 if x > base else -1.0
-    p_coeffs = _horner_coeffs(p_hi)
+    w = min(span, ep[-1] - ep[0])
+    # the sign of p outside the hull; 0 inside it, where nothing is subtracted
+    sign = 0.0 if ep[0] <= x <= ep[-1] else direction ** (p_hi.size - 1)
+    others = np.delete(ep, skip)
+    p = _horner_coeffs(p_hi)
 
-    def f(t):
-        sp = _kernels.skip_product(ep, skip, t)
-        return 2.0 * _horner(p_coeffs, t) / np.sqrt(np.abs(sp))
+    def g(theta):
+        t = base + direction * w * np.tan(theta) ** 2
+        off = direction * (t - base)
+        f = _p_over_root(p, t, others) - sign * np.sqrt(off) / (1.0 + off)
+        return f * (2.0 * math.sqrt(w) * (1.0 + off / w))
 
-    piece = (0.0, math.sqrt(span), tol, lambda u: base + direction * u * u, lambda u, fu: fu)
-    ((val, _),), _ = _adaptive_gl(f, (piece,), 200000, "Green function quadrature")
-    return val
+    top = math.atan(math.sqrt(span / w))
+    quad = _fejer_ladder(g, 0.0, top, tol, _FEJER_CAP, "Green function quadrature")
+    return quad.value + sign * math.log1p(span)
 
 
 def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
@@ -291,8 +296,8 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     x must lie outside the open intervals of the set; on the set's boundary
     the value reflects the achieved gap residuals and is ~0.  Raises
     ConvergenceError when the quadrature from the nearest endpoint does not
-    reach ``tol`` within 200000 evaluations; its ``partial`` is that
-    integral so far.
+    reach ``tol`` at the cap of its ladder; its ``partial`` is that
+    quadrature's, without the sign log1p(span) of a point outside the hull.
     """
     e = model.E
     n = e.n

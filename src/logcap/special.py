@@ -3,15 +3,14 @@
 Everything is plain float64.  The complete integrals use the
 arithmetic-geometric mean, the incomplete integral of the first kind a
 Carlson symmetric form, and the singular integrals a Chebyshev-Gauss rule
-(inverse-square-root endpoint weight) plus an adaptive Gauss-Legendre
-scheme for the half-line tail; dense systems go to LAPACK behind a
+(inverse-square-root endpoint weight) and a nested ladder of Fejer rules
+for the half-line tail; dense systems go to LAPACK behind a
 singular-value guard (sigma_min > 1e-13 sigma_max, else SingularMatrixError).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -184,156 +183,96 @@ def chebyshev_gauss(g, a: float, b: float, m: int) -> float:
     return float(vals.sum()) * math.pi / m
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# the tail and edge ladder: Fejer rules of m = 128, 256, ..., 4096 intervals,
+# each level accepted when it agrees with its nested m/2 rule
+_FEJER_FIRST = 128
+_FEJER_CAP = 4096
 
 
-def _bisect(panels) -> list[tuple[int, float, float]]:
-    """The two halves (piece, lo, mid), (piece, mid, hi) of each panel (piece, lo, hi), in order."""
-    children = []
-    for k, lo, hi in panels:
-        mid = 0.5 * (lo + hi)
-        children += ((k, lo, mid), (k, mid, hi))
-    return children
+@functools.lru_cache(maxsize=8)
+def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fejer's second rule on [-1, 1]: nodes cos(k pi / m), k = 1..m-1, and weights (shared, read-only).
 
-
-def _adaptive_gl(h, pieces, max_evals: int, what: str) -> tuple[list[tuple[float, float]], int]:
-    """Adaptive 15-point Gauss-Legendre by bisection, on several pieces at once.
-
-    Each piece ``(a, b, tol, to_t, weigh)`` stands for the integral over
-    [a, b] of ``weigh(x, h(to_t(x)))``.  Starting from the whole of [a, b],
-    a panel is split in two and accepted when the defect |left + right -
-    panel| is at most ``tol * width / (b - a)`` (or ``1e-16 |left + right|``),
-    or when the panel is no wider than ``1e-14 (b - a)``, provided left +
-    right is finite; otherwise both halves are refined in turn.  The open
-    panels of one bisection level, over all pieces, are evaluated together
-    with one call of ``h``, and the first call also evaluates the two
-    levels below the roots, so a refinement that stops there calls ``h``
-    once.  The first of them is only left out when it does not fit into
-    ``max_evals``, the second when it is more than 1% of ``max_evals``:
-    its panels below accepted first-level panels go unused, so the
-    evaluations made never pass ``max_evals`` by more than 1%.
-    Each panel is decided on its own, so the panel tree is the one
-    depth-first refinement builds, and the accepted panels are summed in
-    depth-first order (right to left), so the sums agree with it bit for bit.
-
-    Returns ``([(value, error_estimate), ...] per piece, evaluations)``; the
-    estimate is the sum of the bisection defects of the accepted panels,
-    and the evaluations are those of the panels the refinement visits, as
-    depth-first refinement counts them; the prefetched halves of panels
-    accepted one level below the roots are evaluated but not counted.
-    Raises ConvergenceError, naming ``what``, when the next level would take
-    that count past ``max_evals``.  Its ``partial`` sums the accepted
-    panels and the unrefined values of the open ones, leaving out non-finite
-    panel values (an evaluation that rounds onto a singular endpoint), and
-    its ``nodes_used`` counts the evaluations made plus those of the refused
-    level.
+    The nodes are the interior Chebyshev-Lobatto nodes, so the m/2 rule
+    uses every other one (k even).  The weights come from one FFT
+    (Waldvogel, BIT 46, 2006); the rule integrates polynomials of degree
+    < m exactly.
     """
-    hv = _vectorized(h)
+    odd = np.arange(1.0, m, 2.0)
+    v = np.concatenate((2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(m // 2)))
+    weights = np.fft.ifft(-v[:-1] - v[:0:-1]).real[1:]
+    nodes = np.cos(np.arange(1, m) * np.pi / m)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _fejer_ladder(g, lo: float, hi: float, tol: float, max_evals: int, what: str) -> QuadratureResult:
+    """Integral of g over (lo, hi) by the nested ladder of Fejer rules, m = 128, ..., 4096.
+
+    g maps a 1-D array of nodes to its values.  Each level calls it once, on
+    the nodes the m/2 rule lacks, and is accepted when its value I_m is
+    finite and |I_m - I_{m/2}| <= max(tol, floor), where the rounding floor
+    is 1e-14 (hi - lo)/2 sum w_k |g_k|; ``est_error`` is the larger of the
+    two, ``nodes_used`` the evaluations made.  Raises ConvergenceError,
+    naming ``what``, when the next level would take the evaluations past
+    ``max_evals`` (its ``partial`` counts that level too) or the cap is
+    reached; the partial value sums the finite values of the last level.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = weights = np.empty(0)
     used = 0
-    accepted: list[list[tuple[float, float, float]]] = [[] for _ in pieces]
-
-    def spend(spans, pending) -> None:
-        # pending holds the values of the open panels
-        nonlocal used
-        used += _GL_NODES.size * len(spans)
-        if used > max_evals:
-            values = list(pending) + [f for acc in accepted for _, f, _ in acc]
-            partial = sum(v for v in values if math.isfinite(v))
-            raise ConvergenceError(f"{what} used more than {max_evals} evaluations",
-                                   partial=QuadratureResult(partial, math.inf, used))
-
-    def evaluate(spans) -> list[float]:
-        # values of the panels (piece, lo, hi); spans come grouped by piece
-        mid = np.array([0.5 * (lo + hi) for _, lo, hi in spans])
-        half = np.array([0.5 * (hi - lo) for _, lo, hi in spans])
-        x = mid[:, None] + half[:, None] * _GL_NODES
-        groups, start = [], 0
-        for k, run in itertools.groupby(s[0] for s in spans):
-            stop = start + sum(1 for _ in run)
-            groups.append((pieces[k], x[start:stop]))
-            start = stop
-        ts = [to_t(xk).ravel() for (_, _, _, to_t, _), xk in groups]
-        hx = hv(ts[0] if len(ts) == 1 else np.concatenate(ts))
-        fx, start = [], 0
-        for (*_, weigh), xk in groups:
-            fx.append(weigh(xk, hx[start:start + xk.size].reshape(xk.shape)))
-            start += xk.size
-        f = fx[0] if len(fx) == 1 else np.concatenate(fx)
-        # vecdot runs numpy's dot kernel row by row, as np.dot does on one
-        # panel; a matrix-vector product may add in another order
-        return (half * np.vecdot(f, _GL_WEIGHTS)).tolist()
-
-    # a node that rounds onto a singular endpoint gives an inf or nan value;
-    # a panel holding one is never accepted, only split until its nodes
-    # move off the endpoint or the budget runs out, so numpy's warnings
-    # about it add nothing
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        roots = [(k, p[0], p[1]) for k, p in enumerate(pieces)]
-        spend(roots, ())
-        # the levels the first call of h evaluates: 1, 2 and 4 panels per root
-        levels = [roots]
-        root_evals = _GL_NODES.size * len(roots)
-        if 3 * root_evals <= max_evals:
-            levels.append(_bisect(roots))
-            if 100 * 4 * root_evals <= max_evals:
-                levels.append(_bisect(levels[-1]))
-        spans = sorted(itertools.chain(*levels), key=lambda s: s[0])
-        ahead = dict(zip(spans, evaluate(spans)))
-        panels, coarse = roots, [ahead[s] for s in roots]
-        depth = 0
-        while panels:
-            children = _bisect(panels)
-            spend(children, coarse)
-            depth += 1
-            vals = [ahead[s] for s in children] if depth < len(levels) else evaluate(children)
-            refine, refine_vals = [], []
-            for i, (k, lo, hi) in enumerate(panels):
-                a, b, tol = pieces[k][:3]
-                total_width = b - a
-                left, right = vals[2 * i], vals[2 * i + 1]
-                fine = left + right
-                delta = abs(fine - coarse[i])
-                local_tol = tol * (hi - lo) / total_width
-                # an infinite fine would pass the defect test as inf <= inf
-                if math.isfinite(fine) and (delta <= max(local_tol, 1e-16 * abs(fine))
-                                            or (hi - lo) <= 1e-14 * total_width):
-                    accepted[k].append((lo, fine, delta))
-                else:
-                    refine += children[2 * i:2 * i + 2]
-                    refine_vals += (left, right)
-            panels, coarse = refine, refine_vals
-    sums = []
-    for acc in accepted:
-        value = err = 0.0
-        for _, fine, delta in sorted(acc, reverse=True):
-            value += fine
-            err += delta
-        sums.append((value, err))
-    return sums, used
+    m = _FEJER_FIRST
+    while m <= _FEJER_CAP:
+        nodes, rule = _fejer_rule(m)
+        new = nodes[::2] if used else nodes
+        if used + new.size > max_evals:
+            reason, refused = f"would use more than {max_evals} evaluations", new.size
+            break
+        # a node that rounds onto a singular endpoint gives an inf or nan
+        # value; a level holding one is never accepted
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fresh = g(mid + half * new)
+            used += new.size
+            if vals.size:
+                both = np.empty(m - 1)
+                both[::2], both[1::2] = fresh, vals
+                fresh = both
+            vals, weights = fresh, rule
+            fine = half * np.dot(weights, vals)
+            delta = abs(fine - half * np.dot(_fejer_rule(m // 2)[1], vals[1::2]))
+            floor = 1e-14 * half * np.dot(weights, np.abs(vals))
+        if math.isfinite(fine) and delta <= max(tol, floor):
+            return QuadratureResult(float(fine), float(max(delta, floor)), used)
+        m *= 2
+    else:
+        reason, refused = f"did not converge with {used} nodes", 0
+    ok = np.isfinite(vals)
+    partial = QuadratureResult(float(half * np.dot(weights[ok], vals[ok])), math.inf, used + refused)
+    raise ConvergenceError(f"{what} {reason}", partial=partial)
 
 
 def tail_integral(h, b: float, tol: float, width: float = 2.0,
                   max_evals: int = 100000) -> QuadratureResult:
     """Integral of h over (b, infinity) for h = O(1/t^2) at infinity.
 
-    An inverse-square-root singularity of h at t = b is allowed: the near
-    part over (b, T], T = b + width, is computed after the substitution
-    t = b + (T - b) u^2, which removes it; the far part uses s = 1/t.
+    An inverse-square-root singularity of h at t = b is allowed: the map
+    t = b + width tan^2(theta) takes (b, infinity) onto theta in (0, pi/2)
+    and removes it, since its Jacobian 2 sqrt(width off)(1 + off/width) is
+    taken at the offset off = t - b of the node t as it rounds.  The
+    integral over theta goes to ``_fejer_ladder``.
     """
     if tol <= 0.0:
         raise DomainError("tolerance must be positive")
     if width <= 0.0:
         raise DomainError("split width must be positive")
-    T = max(b + width, 0.5 * width)
-    near = (0.0, 1.0, 0.5 * tol,
-            lambda u: b + (T - b) * u * u,
-            lambda u, hu: 2.0 * (T - b) * u * hu)
-    far = (0.0, 1.0 / T, 0.5 * tol,
-           lambda s: 1.0 / s,
-           lambda s, hs: hs / (s * s))
-    ((near_val, near_err), (far_val, far_err)), used = _adaptive_gl(
-        h, (near, far), max_evals, "tail integral")
-    return QuadratureResult(near_val + far_val, near_err + far_err, used)
+    hv = _vectorized(h)
+
+    def g(theta):
+        t = b + width * np.tan(theta) ** 2
+        off = t - b
+        return hv(t) * (2.0 * np.sqrt(width * off) * (1.0 + off / width))
+
+    return _fejer_ladder(g, 0.0, 0.5 * math.pi, tol, max_evals, "tail integral")
 
 
 def solve_dense(mat, rhs) -> np.ndarray:

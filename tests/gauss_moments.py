@@ -7,8 +7,7 @@ before it.  These functions redo that computation bit for bit.
 
 import numpy as np
 
-from logcap import solve_dense
-from logcap.exact import _MOMENT_CAP, _MOMENT_TOL, WidomModel
+from logcap.exact import _MOMENT_CAP, _MOMENT_TOL
 
 
 def gauss_gap_moment_sums(endpoints, gap, m, jmax):
@@ -48,13 +47,3 @@ def gauss_moment_ladder(e):
         worst = max(worst, m)
     return out, worst
 
-
-def gauss_widom_model(e):
-    """The Widom model of e as it was built from the Gauss ladder's moments."""
-    n = e.n
-    moments, nodes = gauss_moment_ladder(e)
-    mat = np.array([mom[: n - 1] for mom in moments])
-    rhs = -np.array([mom[n - 1] for mom in moments])
-    c = solve_dense(mat, rhs)
-    residuals = tuple(float(mom[n - 1] + mom[: n - 1] @ c) for mom in moments)
-    return WidomModel(e, tuple(float(x) for x in c), residuals, nodes)

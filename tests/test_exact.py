@@ -24,6 +24,7 @@ from logcap import (
     widom_polynomial,
 )
 from logcap import exact as exact_module
+from logcap import special as special_module
 from logcap._kernels import gap_moment_sums
 from logcap.exact import _MOMENT_CAP, _MOMENT_TOL, _moment_vectors
 from logcap.verify import random_unit_interval_union
@@ -290,13 +291,40 @@ def test_est_error_brackets_truth_on_known_cases():
         assert abs(res.value - truth) <= max(res.est_error, 1e-10)
 
 
-def test_green_value_budget_exhaustion_raises_convergence_error():
+def test_green_value_budget_exhaustion_raises_convergence_error(monkeypatch):
+    # this edge integral takes the ladder's second level; capped at the first
+    # level, it runs out
     model = widom_polynomial(canonical_set(0.3, 4))
-    with pytest.raises(ConvergenceError) as exc_info:
+    want = green_value(model, -4.0, tol=1e-13)
+    monkeypatch.setattr(special_module, "_FEJER_CAP", 128)
+    with pytest.raises(ConvergenceError, match="Green function quadrature") as exc_info:
         green_value(model, -4.0, tol=1e-13)
     partial = exc_info.value.partial
-    assert partial.nodes_used > 200000
+    assert partial.nodes_used == 127
     assert math.isfinite(partial.value)
+    # the partial is the edge integral without the log1p term added back
+    assert abs(partial.value) == pytest.approx(want - math.log1p(3.0), rel=1e-6)
+
+
+def test_green_value_far_from_the_set_is_log_plus_robin():
+    e = make_interval_union([(-1.0, -0.55), (-0.3, 0.1), (0.25, 0.4), (0.7, 1.0)])
+    model = widom_polynomial(e)
+    r = robin_constant(model)
+    for x in (1e9, -1e9, 1e12, -1e12, 1e15, -1e15):
+        assert green_value(model, x) == pytest.approx(math.log(abs(x)) + r, abs=1e-9)
+
+
+@pytest.mark.parametrize("l, known_misses", [(0.3, [7]), (math.pi, []), (5.5, [])])
+def test_canonical_sets_up_to_40_arcs_come_back_within_est_error(l, known_misses):
+    # every set returns; est_error has no term yet for the rounding of the
+    # moments and their solve, which is what the one known miss (4 intervals,
+    # 1.0e-14 against 7.2e-15) comes from: its tail is within its own estimate
+    misses = []
+    for arcs in range(2, 41):
+        res = capacity(canonical_set(l, arcs))
+        if abs(res.value - 0.5 * math.sin(l / 4) ** (2 / arcs)) > res.est_error:
+            misses.append(arcs)
+    assert misses == known_misses
 
 
 def loop_gap_moment_sums(endpoints, gap, m, jmax):
@@ -453,9 +481,20 @@ def test_gap_moments_converging_at_the_cap_still_return():
     assert res.value < widom_capacity(make_interval_union([(-1.0, -0.5), (-0.4, -0.399), (0.1, 1.0)])).value
 
 
-def test_widom_capacity_calls_the_tail_integrand_once_within_the_prefetch(monkeypatch):
-    # the first call of the tail integrand also evaluates the two bisection
-    # levels below the roots, 210 nodes: a tail that needs no more is one call
+def test_tail_integrand_is_not_finite_where_the_endpoint_product_overflows():
+    # n = 3: prod sqrt(t - e) ~ t^3 overflows at t = 1e110 while p ~ t^2 does
+    # not, and p / inf would read 0, a finite wrong value
+    model = widom_polynomial(canonical_set(math.pi, 5))
+    assert model.E.n == 3
+    h = exact_module._tail_integrand(model)
+    t = np.array([2.0, 1e50, 1e110, 1e200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = h(t)
+    assert np.isfinite(vals).tolist() == [True, True, False, False]
+
+
+def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_accepted(monkeypatch):
+    # the first level of the tail ladder, 127 nodes, is one call of the integrand
     calls, nodes = [], []
     make_integrand, tail = exact_module._tail_integrand, exact_module.tail_integral
 
@@ -480,6 +519,6 @@ def test_widom_capacity_calls_the_tail_integrand_once_within_the_prefetch(monkey
     for n in range(3, 21):
         for _ in range(3):
             widom_capacity(random_unit_interval_union(rng, n))
-    within = [c for c, used in zip(calls, nodes, strict=True) if used <= 210]
+    within = [c for c, used in zip(calls, nodes, strict=True) if used == 127]
     assert all(c == 1 for c in within)
     assert len(within) > len(calls) / 2

@@ -26,13 +26,9 @@ from logcap import (
     theta4,
 )
 from logcap import exact as exact_module
-from logcap import canonical_set, green_value, make_interval_union, widom_polynomial
-from logcap._kernels import skip_product
-from logcap.exact import _tail_integrand
-from logcap.special import EllipticParams, _adaptive_gl, _vectorized
+from logcap import widom_polynomial
+from logcap.special import EllipticParams, _fejer_ladder, _fejer_rule
 from logcap.verify import random_unit_interval_union
-
-from gauss_moments import gauss_widom_model
 
 
 def k_integral_oracle(k, phi=math.pi / 2):
@@ -169,6 +165,8 @@ def test_tail_integral_inverse_square():
     r = tail_integral(lambda t: 1.0 / t ** 2, 1.0, 1e-10)
     assert abs(r.value - 1.0) <= max(r.est_error, 1e-13)
     assert r.est_error >= abs(r.value - 1.0)
+    # a callable that takes only scalars gives the same result
+    assert tail_integral(lambda t: 1.0 / float(t) ** 2, 1.0, 1e-10) == r
 
 
 def test_tail_integral_with_endpoint_singularity():
@@ -188,6 +186,7 @@ def test_tail_integral_negative_start():
     r = tail_integral(lambda t: 1.0 / (1.0 + t * t), -5.0, 1e-10, width=1.0)
     want = math.pi / 2 + math.atan(5.0)
     assert r.value == pytest.approx(want, abs=1e-10)
+    assert r.est_error >= abs(r.value - want)
 
 
 def test_tail_integral_budget_error_carries_partial():
@@ -202,212 +201,88 @@ def test_tail_integral_budget_error_carries_partial():
     assert math.isfinite(partial.value)
 
 
-# Depth-first adaptive Gauss-Legendre and the tail and edge integrals built on
-# it, as the library computed them one panel at a time.  The level-synchronous
-# quadrature must build the same panel tree and return the same bits.
-
-class _DfsBudgetExceeded(Exception):
-    pass
-
-
-def _dfs_adaptive_gl(f, a, b, tol, budget):
-    """Adaptive 15-point Gauss-Legendre on [a, b], depth first (right half first)."""
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-
-    def panel(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        budget[0] += nodes.size
-        if budget[0] > budget[1]:
-            raise _DfsBudgetExceeded()
-        return half * float(np.dot(weights, f(mid + half * nodes)))
-
-    total_width = b - a
-    value = 0.0
-    err = 0.0
-    stack = [(a, b, panel(a, b))]
-    while stack:
-        lo, hi, coarse = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left, right = panel(lo, mid), panel(mid, hi)
-        fine = left + right
-        delta = abs(fine - coarse)
-        local_tol = tol * (hi - lo) / total_width
-        if delta <= max(local_tol, 1e-16 * abs(fine)) or (hi - lo) <= 1e-14 * total_width:
-            value += fine
-            err += delta
-        else:
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, right))
-    return value, err
+def closed_form_fejer_weights(m):
+    """Fejer's second rule on [-1, 1] by its O(m^2) trigonometric sum, k = 1..m-1."""
+    theta = np.arange(1, m) * np.pi / m
+    j = np.arange(1, m // 2 + 1)
+    sums = (np.sin(np.outer(theta, 2 * j - 1)) / (2 * j - 1)).sum(axis=1)
+    return 4.0 * np.sin(theta) / m * sums
 
 
-def dfs_tail_integral(h, b, tol, width=2.0, max_evals=100000):
-    """(value, est_error, nodes_used) of the depth-first tail quadrature."""
-    T = max(b + width, 0.5 * width)
-    hv = _vectorized(h)
-    budget = [0, max_evals]
-
-    def near_f(u):
-        t = b + (T - b) * u * u
-        return 2.0 * (T - b) * u * hv(t)
-
-    def far_f(s):
-        return hv(1.0 / s) / (s * s)
-
-    near_val, near_err = _dfs_adaptive_gl(near_f, 0.0, 1.0, 0.5 * tol, budget)
-    far_val, far_err = _dfs_adaptive_gl(far_f, 0.0, 1.0 / T, 0.5 * tol, budget)
-    return near_val + far_val, near_err + far_err, budget[0]
+@pytest.mark.parametrize("m", [2, 4, 8, 64, 128, 512])
+def test_fejer_rule_matches_the_closed_form_and_nests(m):
+    nodes, weights = _fejer_rule(m)
+    assert np.array_equal(nodes, np.cos(np.arange(1, m) * np.pi / m))
+    assert np.abs(weights - closed_form_fejer_weights(m)).max() <= 1e-15
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    if m > 2:
+        # the m/2 rule is the even-indexed half of the nodes, bit for bit
+        assert np.array_equal(nodes[1::2], _fejer_rule(m // 2)[0])
 
 
-def dfs_edge_integral(ep, p_hi, skip, base, x, tol):
-    """Drop-in for ``logcap.exact._edge_integral`` on the depth-first quadrature."""
-    span = abs(x - base)
-    direction = 1.0 if x > base else -1.0
-
-    def f(u):
-        t = base + direction * u * u
-        sp = skip_product(ep, skip, np.ascontiguousarray(t))
-        pv = np.polyval(p_hi, t)
-        return 2.0 * pv / np.sqrt(np.abs(sp))
-
-    val, _ = _dfs_adaptive_gl(f, 0.0, math.sqrt(span), tol, [0, 200000])
-    return val
+@pytest.mark.parametrize("m", [8, 128, 4096])
+def test_fejer_rule_integrates_powers_below_m_exactly(m):
+    # theta^k over (0, 1), as the ladder maps the rule there
+    nodes, weights = _fejer_rule(m)
+    theta = 0.5 + 0.5 * nodes
+    for k in range(m):
+        assert 0.5 * np.dot(weights, theta ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
 
-def assert_same_tail(h, b, tol, **kw):
-    """Same bits as the depth-first quadrature, or a ConvergenceError where it runs out."""
-    try:
-        want = dfs_tail_integral(h, b, tol, **kw)
-    except _DfsBudgetExceeded:
-        with pytest.raises(ConvergenceError) as exc_info:
-            tail_integral(h, b, tol, **kw)
-        assert math.isfinite(exc_info.value.partial.value)
-        return None
-    got = tail_integral(h, b, tol, **kw)
-    assert (got.value, got.est_error, got.nodes_used) == want
-    assert type(got.value) is float and type(got.est_error) is float
-    assert type(got.nodes_used) is int
-    return got
+def test_fejer_ladder_never_accepts_a_non_finite_level():
+    nodes = {m: 0.5 + 0.5 * _fejer_rule(m)[0] for m in (128, 512)}
+    # inf at a node of every level: the ladder runs to its cap
+    first = nodes[128][-1]
 
+    def spike(theta):
+        return np.where(theta == first, np.inf, 1.0)
 
-def test_tail_integral_matches_depth_first_on_widom_models():
-    rng = random.Random(20)
-    for n in range(3, 21):
-        for _ in range(2):
-            model = widom_polynomial(random_unit_interval_union(rng, n))
-            a1, bn = model.E.hull
-            h = _tail_integrand(model)
-            for tol in (1e-10, 1e-8):
-                assert_same_tail(h, bn, tol, width=bn - a1)
+    # nan only from the m = 512 level on, where a kink has not converged yet
+    late = nodes[512][-1]
 
+    def kink(theta):
+        return np.where(theta <= late, np.nan, np.abs(theta - 0.3))
 
-def test_tail_integral_matches_depth_first_on_smooth_and_oscillatory_integrands():
-    cases = [
-        (lambda t: 1.0 / (1.0 + t * t), -5.0, 1.0),
-        (lambda t: np.exp(-t) / (1.0 + t), 0.5, 2.0),
-        (lambda t: 1.0 / (t * t * np.sqrt(t - 1.0)), 1.0, 2.0),
-        (lambda t: np.cos(7.0 * t) * np.exp(-t), 0.0, 3.0),
-        (lambda t: np.sin(3.0 * t) ** 2 * np.exp(-0.5 * t) / (1.0 + t), 2.0, 0.5),
-        (lambda t: math.exp(-t) * math.cos(5.0 * t), 0.0, 2.0),  # scalar-only callable
-        (lambda t: np.where(t < 2.3, 1.0, 2.0) / (1.0 + t * t), 0.0, 2.0),  # jump: width floor
-    ]
-    for h, b, width in cases:
-        for tol in (1e-6, 1e-10, 1e-12):
-            assert_same_tail(h, b, tol, width=width)
-
-
-def test_tail_integral_budget_boundary_matches_depth_first():
-    def h(t):
-        return np.cos(5.0 * t) * np.exp(-t) / np.sqrt(t - 1.0)
-
-    r = assert_same_tail(h, 1.0, 1e-10)
-    assert tail_integral(h, 1.0, 1e-10, max_evals=r.nodes_used) == r
-    for short in (r.nodes_used - 1, 300):
-        assert_same_tail(h, 1.0, 1e-10, max_evals=short)
-    # an integrand that oscillates ever faster near s = 1/t = 0 never converges
-    assert_same_tail(lambda t: np.cos(20.0 * t) / (1.0 + t * t), 0.0, 1e-10, max_evals=3000)
-
-
-def evaluations_of(f, b, max_evals):
-    """(nodes evaluated, calls of f) by tail_integral(f, b, 1e-10, max_evals=max_evals)."""
-    seen = [0, 0]
-
-    def counted(t):
-        seen[0] += np.size(t)
-        seen[1] += 1
-        return f(t)
-
-    try:
-        tail_integral(counted, b, 1e-10, max_evals=max_evals)
-    except ConvergenceError:
-        pass
-    return tuple(seen)
-
-
-def test_tail_integral_prefetch_stays_within_the_budget():
-    # the first call also evaluates levels below the two roots, only as far
-    # as they fit: at max_evals=30 that is the roots alone
-    def h(t):
-        return np.cos(5.0 * t) * np.exp(-t) / np.sqrt(t - 1.0)
-
-    def osc(t):
-        return np.cos(20.0 * t) / (1.0 + t * t)
-
-    full = tail_integral(h, 1.0, 1e-10).nodes_used
-    for f, b, max_evals in [(h, 1.0, m) for m in (full, full - 1, 300)] + [(osc, 0.0, 3000)]:
-        nodes, _ = evaluations_of(f, b, max_evals)
-        assert 0 < nodes <= max_evals
-    assert evaluations_of(h, 1.0, 30) == (30, 1)
-    # with the second level prefetched too, the halves of accepted first-level
-    # panels go unused: at most 1% over the budget, also where it runs out
-    assert evaluations_of(h, 1.0, 100000)[0] <= full + 60
-    for max_evals in (12000, 100000):
-        nodes, _ = evaluations_of(osc, 0.0, max_evals)
-        assert nodes <= 1.01 * max_evals
-
-
-def test_tail_integral_partial_stays_finite_when_a_node_lands_on_the_endpoint():
-    # the near-piece refinement reaches nodes where t rounds onto b and the
-    # integrand is infinite; the partial leaves such panels out (the Gauss-ladder
-    # model stalls there; the Lobatto-ladder one converges)
-    model = gauss_widom_model(canonical_set(math.pi, 20))
-    a1, bn = model.E.hull
-    with pytest.raises(ConvergenceError) as exc_info:
-        tail_integral(_tail_integrand(model), bn, 1e-10, width=bn - a1)
-    partial = exc_info.value.partial
-    assert partial.nodes_used > 100000
-    assert math.isfinite(partial.value)
-
-
-def test_adaptive_gl_refuses_an_infinite_panel():
-    # inf <= inf must pass neither the defect test nor the width floor: the
-    # panels holding infinite values keep splitting until the budget runs out
-    def step(t):
-        return np.where(t < 0.004, np.inf, 1.0)
-
-    def sliver(t):
-        # infinite only on nodes closer to 0 than the floor-width panel reaches
-        return np.where(t < 1e-16, np.inf, 1.0 / np.sqrt(t))
-
-    piece = (0.0, 1.0, 1e-10, lambda x: x, lambda x, hx: hx)
-    for h, max_evals, lo, hi in ((step, 100000, 0.99, 1.0), (sliver, 20000, 1.99, 2.0)):
-        with pytest.raises(ConvergenceError) as exc_info:
-            _adaptive_gl(h, (piece,), max_evals, "test integral")
+    for g, want in ((spike, 1.0), (kink, 0.29)):
+        with pytest.raises(ConvergenceError, match="test integral did not converge") as exc_info:
+            _fejer_ladder(g, 0.0, 1.0, 1e-10, 100000, "test integral")
         partial = exc_info.value.partial
-        assert partial.nodes_used > max_evals
-        assert lo < partial.value <= hi
+        assert partial.nodes_used == 4095
+        assert partial.value == pytest.approx(want, abs=1e-5)
 
 
-def test_green_value_matches_depth_first(monkeypatch):
-    e = make_interval_union([(-1.0, -0.55), (-0.3, 0.1), (0.25, 0.4), (0.7, 1.0)])
-    model = widom_polynomial(e)
-    points = [-7.0, -1.3, -1.0 - 1e-9, -0.5, -0.42, -0.31, 0.15, 0.2, 0.24,
-              0.45, 0.6, 1.0 + 1e-9, 2.5, 40.0]
-    got = [green_value(model, x) for x in points]
-    monkeypatch.setattr(exact_module, "_edge_integral", dfs_edge_integral)
-    want = [green_value(model, x) for x in points]
-    assert got == want
-    assert all(type(g) is float for g in got)
+def test_fejer_ladder_refusal_counts_the_refused_level():
+    def nasty(t):
+        return np.cos(50.0 * t) ** 2 / (1.0 + t * t)
+
+    for max_evals in (0, 126, 127, 254, 255, 1000):
+        seen = []
+
+        def counted(t):
+            seen.append(t.size)
+            return nasty(t)
+
+        with pytest.raises(ConvergenceError, match=f"more than {max_evals} evaluations") as exc_info:
+            tail_integral(counted, 0.0, 1e-13, max_evals=max_evals)
+        partial = exc_info.value.partial
+        assert sum(seen) <= max_evals < partial.nodes_used
+        assert math.isfinite(partial.value)
+
+
+def test_fejer_ladder_reports_what_it_evaluates():
+    seen = []
+
+    def h(t):
+        seen.append(t.size)
+        return np.cos(5.0 * t) * np.exp(-t) / np.sqrt(t - 1.0)
+
+    r = tail_integral(h, 1.0, 1e-10)
+    assert seen == [127] + [2 ** k for k in range(7, 7 + len(seen) - 1)]
+    assert r.nodes_used == sum(seen)
+    assert type(r.value) is float and type(r.est_error) is float and type(r.nodes_used) is int
+    assert tail_integral(h, 1.0, 1e-10, max_evals=r.nodes_used) == r
+    with pytest.raises(ConvergenceError):
+        tail_integral(h, 1.0, 1e-10, max_evals=r.nodes_used - 1)
 
 
 def test_solve_dense_identity_and_diagonal():
@@ -449,57 +324,6 @@ def test_solve_dense_guard_is_a_singular_value_ratio():
         solve_dense(np.ones((2, 3)), [1.0, 1.0])
     with pytest.raises(DomainError):
         solve_dense(np.eye(3), [1.0, 1.0])
-
-
-def polyval_tail_integrand(model):
-    """The Robin tail integrand as built from np.convolve and evaluated by np.polyval."""
-    ep = np.asarray(model.E.endpoints(), dtype=float)
-    bn = ep[-1]
-    p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
-    tp = np.convolve([1.0, 1.0 - bn], p_hi)
-    q_hi = np.array([1.0])
-    for root in ep:
-        q_hi = np.convolve(q_hi, [1.0, -root])
-    big_n = (np.convolve(tp, tp) - q_hi)[1:]
-
-    def h(t):
-        sq = np.sqrt(np.prod(t[..., None] - ep, axis=-1))
-        tau = t - bn + 1.0
-        return np.polyval(big_n, t) / (tau * sq * (np.polyval(tp, t) + sq))
-
-    return h
-
-
-def test_integrands_match_polyval_bit_for_bit(monkeypatch):
-    rng = random.Random(5)
-    captured = []
-
-    def capture(f, pieces, max_evals, what):
-        captured.append((f, pieces[0]))
-        return [(0.0, 0.0)], 0
-
-    monkeypatch.setattr(exact_module, "_adaptive_gl", capture)
-    for n in (3, 8, 20):
-        model = widom_polynomial(random_unit_interval_union(rng, n))
-        ep = np.asarray(model.E.endpoints(), dtype=float)
-        a1, bn = model.E.hull
-        big_t = bn + (bn - a1)
-        near = bn + (big_t - bn) * np.linspace(0.0, 1.0, 201) ** 2
-        far = np.geomspace(big_t, 1e12, 201)
-        # at n = 20 the far end overflows to inf / inf: nan on both sides
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for t in (near, far):
-                assert np.array_equal(_tail_integrand(model)(t), polyval_tail_integrand(model)(t),
-                                      equal_nan=True)
-        p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
-        for skip, x in ((0, -3.0), (1, 0.5 * (ep[1] + ep[2])), (2 * n - 1, 40.0)):
-            captured.clear()
-            exact_module._edge_integral(ep, p_hi, skip, ep[skip], x, 1e-10)
-            (f, (u_lo, u_hi, _, to_t, _)), = captured
-            t = to_t(np.linspace(u_lo, u_hi, 201))
-            want = 2.0 * np.polyval(p_hi, t) / np.sqrt(np.abs(skip_product(ep, skip, t)))
-            with np.errstate(divide="ignore"):
-                assert np.array_equal(f(t), want, equal_nan=True)
 
 
 def test_gap_residuals_match_the_per_gap_loop():
