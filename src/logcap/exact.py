@@ -24,8 +24,7 @@ from .special import (
     QuadratureResult,
     _carlson_rf,
     _complete_K_of_kp,
-    _FEJER_CAP,
-    _fejer_ladder,
+    _half_line,
     complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these two names here
     incomplete_F,  # noqa: F401
     solve_dense,
@@ -180,56 +179,41 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
 
 
-def _horner_coeffs(coeffs) -> list[np.ndarray]:
-    """Polynomial coefficients as 0-d arrays, for ``_horner``.
+def _green_integrand(model: WidomModel, skip: int, sign: float):
+    """Evaluator of the regular part of p/sqrt|q| at endpoint ``skip``, in product form.
 
-    numpy adds a 0-d array to a vector in about half the time it takes to
-    add a Python float or a numpy scalar; the sums are the same.
-    """
-    a = np.array(coeffs, dtype=float)
-    return [a[i, ...] for i in range(a.size)]
-
-
-def _horner(coeffs: list[np.ndarray], t: np.ndarray) -> np.ndarray:
-    """``np.polyval`` of ``_horner_coeffs`` output at finite t: same roundings, one array in place."""
-    y = np.full_like(t, coeffs[0], dtype=float)
-    for c in coeffs[1:]:
-        y *= t
-        y += c
-    return y
-
-
-def _p_over_root(p: list[np.ndarray], t: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """p(t) divided by the product of sqrt|t - e| over ``roots``, at a 1-D array t.
-
-    Where that product overflows, p / inf would read 0: the value is nan
-    instead, so an overflow never passes for a finite value.
-    """
-    root = np.prod(np.sqrt(np.abs(t[:, None] - roots)), axis=-1)
-    return np.where(root < np.inf, _horner(p, t) / root, np.nan)
-
-
-def _tail_integrand(model: WidomModel):
-    """Evaluator of p(t)/sqrt(q(t)) - 1/(1 + t - b_n) on t > b_n, in product form.
-
-    sqrt(q) is the product of the sqrt(t - e) over the endpoints, so no
-    coefficient of q is formed.
+    Returns f(t) = p(t) / prod sqrt|t - e| over the endpoints but e_skip,
+    minus sign sqrt(off)/(1 + off), off = |t - e_skip|, so that
+    f(t)/sqrt(off) = p/sqrt|q| - sign/(1 + off).  No coefficient of q is
+    formed, and the base root is left out, so a node that rounds onto
+    e_skip still has a finite value.  Where the product overflows, p / inf
+    would read 0: the value is nan instead, so an overflow never passes for
+    a finite value.
     """
     ep = np.asarray(model.E.endpoints(), dtype=float)
-    bn = ep[-1]
-    p = _horner_coeffs((1.0, *model.coeffs[::-1]))
+    base, others = ep[skip], np.concatenate((ep[:skip], ep[skip + 1:]))
+    # p's coefficients, highest first, as 0-d arrays: numpy adds one to a
+    # vector in about half the time it takes to add a Python float
+    p = np.array((1.0, *model.coeffs[::-1]))
+    p = [p[i, ...] for i in range(p.size)]
 
-    def h(t):
-        return _p_over_root(p, t, ep) - 1.0 / (t - bn + 1.0)
+    def f(t):
+        # Horner's rule in place, with the roundings of np.polyval
+        y = np.full_like(t, p[0], dtype=float)
+        for c in p[1:]:
+            y *= t
+            y += c
+        root = np.prod(np.sqrt(np.abs(t[:, None] - others)), axis=-1)
+        off = abs(t - base)
+        return np.where(root < np.inf, y / root, np.nan) - sign * np.sqrt(off) / (1.0 + off)
 
-    return h
+    return f
 
 
 def _robin_quad(model: WidomModel, tol: float = 1e-10) -> QuadratureResult:
-    e = model.E
-    a1, bn = e.hull
-    h = _tail_integrand(model)
-    return tail_integral(h, bn, tol, width=bn - a1)
+    a1, bn = model.E.hull
+    f = _green_integrand(model, 2 * model.E.n - 1, 1.0)
+    return tail_integral(lambda t: f(t) / np.sqrt(t - bn), bn, tol, width=bn - a1)
 
 
 def robin_constant(model: WidomModel, tol: float = 1e-10) -> float:
@@ -260,78 +244,45 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     return CapacityResult(scale * cap, WIDOM, scale * est)
 
 
-def _edge_integral(ep: np.ndarray, p_hi: np.ndarray, skip: int, base: float,
-                   x: float, tol: float) -> float:
-    """Integral of p/sqrt|q| from base to x with the 1/sqrt singularity at base.
-
-    ``skip`` is the endpoint index of ``base``.  The map t = base +- w tan^2(theta),
-    w = min(span, hull width), runs theta up to atan(sqrt(span / w)), and
-    its Jacobian absorbs the factor sqrt|t - base|, as in ``tail_integral``.
-    Outside the hull, where p/sqrt|q| ~ sign/|t|, the integrand is
-    p/sqrt|q| - sign/(1 + |t - base|) and sign log1p(span) is added back,
-    so far points converge.  Orientation is from base towards x.
-    """
-    span = abs(x - base)
-    direction = 1.0 if x > base else -1.0
-    w = min(span, ep[-1] - ep[0])
-    # the sign of p outside the hull; 0 inside it, where nothing is subtracted
-    sign = 0.0 if ep[0] <= x <= ep[-1] else direction ** (p_hi.size - 1)
-    others = np.delete(ep, skip)
-    p = _horner_coeffs(p_hi)
-
-    def g(theta):
-        t = base + direction * w * np.tan(theta) ** 2
-        off = direction * (t - base)
-        f = _p_over_root(p, t, others) - sign * np.sqrt(off) / (1.0 + off)
-        return f * (2.0 * math.sqrt(w) * (1.0 + off / w))
-
-    top = math.atan(math.sqrt(span / w))
-    quad = _fejer_ladder(g, 0.0, top, tol, _FEJER_CAP, "Green function quadrature")
-    return quad.value + sign * math.log1p(span)
-
-
 def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     """Green function of the complement (pole at infinity) at a real point x.
 
     x must lie outside the open intervals of the set; on the set's boundary
-    the value reflects the achieved gap residuals and is ~0.  Raises
-    ConvergenceError when the quadrature from the nearest endpoint does not
-    reach ``tol`` at the cap of its ladder; its ``partial`` is that
-    quadrature's, without the sign log1p(span) of a point outside the hull.
+    the value reflects the achieved gap residuals and is ~0.  The value is
+    integrated from the nearer endpoint of x's gap (the left one on a tie),
+    or the nearer hull end, on top of the signed gap residuals left of that
+    endpoint.  Outside the hull, where p/sqrt|q| ~ sign/|t|, the integrand
+    is p/sqrt|q| - sign/(1 + |t - base|) and sign log1p(span) is added
+    back, so far points converge.  Raises ConvergenceError when that
+    quadrature does not reach ``tol`` at the cap of its ladder; its
+    ``partial`` is the quadrature's, without the sign log1p(span).
     """
     e = model.E
     n = e.n
     ep = np.asarray(e.endpoints(), dtype=float)
-    p_hi = np.concatenate(([1.0], np.asarray(model.coeffs[::-1], dtype=float)))
-    a1, bn = e.hull
-    for a, b in e.intervals:
-        if a < x < b:
-            raise DomainError(f"{x} lies inside the set")
-    # branch sign of sqrt(q) on gap j, continued from +1 right of the set
-    signs = [(-1.0) ** (n - 1 - j) for j in range(n - 1)]
-    resid = model.gap_residuals
-    if x <= a1:
-        if x == a1:
-            return 0.0
-        return abs(_edge_integral(ep, p_hi, 0, a1, x, tol))
-    if x >= bn:
-        acc = sum(s * r for s, r in zip(signs, resid))
-        if x == bn:
-            return abs(acc)
-        return abs(acc + _edge_integral(ep, p_hi, 2 * n - 1, bn, x, tol))
-    for g, (lo, hi) in enumerate(e.gaps()):
-        if lo <= x <= hi:
-            acc = sum(signs[j] * resid[j] for j in range(g))
-            if x == lo:
-                return abs(acc)
-            if x == hi:
-                return abs(acc + signs[g] * resid[g])
-            if x - lo <= hi - x:
-                part = _edge_integral(ep, p_hi, 2 * g + 1, lo, x, tol)
-            else:
-                part = resid[g] - _edge_integral(ep, p_hi, 2 * g + 2, hi, x, tol)
-            return abs(acc + signs[g] * part)
-    raise DomainError(f"{x} could not be located relative to the set")
+    if math.isnan(x):
+        raise DomainError("x is nan")
+    i = int(np.searchsorted(ep, x))  # ep[i - 1] < x <= ep[i]
+    if i % 2 and x < ep[i]:
+        raise DomainError(f"{x} lies inside the set")
+    lo, hi = max(i - 1, 0), min(i, 2 * n - 1)
+    k = lo if x - ep[lo] <= ep[hi] - x else hi
+    # endpoint k bounds component j; G there is the sum of the gap residuals
+    # left of it, each times the branch sign of sqrt(q) on its gap, and G
+    # moves from there by the integral towards x times the branch sign right
+    # of component j (for x left of it, that of its left gap, negated)
+    j = k // 2
+    signs = (-1.0) ** np.arange(n - 1, -1, -1)
+    before = np.concatenate(([0.0], np.cumsum(signs[:-1] * model.gap_residuals)))[j]
+    branch = signs[j]
+    span = abs(x - ep[k])
+    if span == 0.0:
+        return abs(float(before))
+    # the sign of p/sqrt|q| outside the hull is the branch of its end; 0 inside it
+    sign = 0.0 if ep[0] < x < ep[-1] else float(branch)
+    quad = _half_line(_green_integrand(model, k, sign), ep[k], x, tol, ep[-1] - ep[0],
+                      "Green function quadrature")
+    return abs(float(before + branch * (quad.value + sign * math.log1p(span))))
 
 
 def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:

@@ -206,73 +206,76 @@ def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _fejer_ladder(g, lo: float, hi: float, tol: float, max_evals: int, what: str) -> QuadratureResult:
+def _fejer_ladder(g, lo: float, hi: float, tol: float, what: str) -> QuadratureResult:
     """Integral of g over (lo, hi) by the nested ladder of Fejer rules, m = 128, ..., 4096.
 
     g maps a 1-D array of nodes to its values.  Each level calls it once, on
     the nodes the m/2 rule lacks, and is accepted when its value I_m is
     finite and |I_m - I_{m/2}| <= max(tol, floor), where the rounding floor
     is 1e-14 (hi - lo)/2 sum w_k |g_k|; ``est_error`` is the larger of the
-    two, ``nodes_used`` the evaluations made.  Raises ConvergenceError,
-    naming ``what``, when the next level would take the evaluations past
-    ``max_evals`` (its ``partial`` counts that level too) or the cap is
-    reached; the partial value sums the finite values of the last level.
+    two, ``nodes_used`` the evaluations made (m - 1).  Raises
+    ConvergenceError, naming ``what``, when the cap is reached; its
+    ``partial`` sums the finite values of the last level.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = weights = np.empty(0)
-    used = 0
+    vals = np.empty(0)
     m = _FEJER_FIRST
     while m <= _FEJER_CAP:
-        nodes, rule = _fejer_rule(m)
-        new = nodes[::2] if used else nodes
-        if used + new.size > max_evals:
-            reason, refused = f"would use more than {max_evals} evaluations", new.size
-            break
+        nodes, weights = _fejer_rule(m)
         # a node that rounds onto a singular endpoint gives an inf or nan
         # value; a level holding one is never accepted
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fresh = g(mid + half * new)
-            used += new.size
+            fresh = g(mid + half * (nodes[::2] if vals.size else nodes))
             if vals.size:
                 both = np.empty(m - 1)
                 both[::2], both[1::2] = fresh, vals
                 fresh = both
-            vals, weights = fresh, rule
+            vals = fresh
             fine = half * np.dot(weights, vals)
             delta = abs(fine - half * np.dot(_fejer_rule(m // 2)[1], vals[1::2]))
             floor = 1e-14 * half * np.dot(weights, np.abs(vals))
         if math.isfinite(fine) and delta <= max(tol, floor):
-            return QuadratureResult(float(fine), float(max(delta, floor)), used)
+            return QuadratureResult(float(fine), float(max(delta, floor)), vals.size)
         m *= 2
-    else:
-        reason, refused = f"did not converge with {used} nodes", 0
     ok = np.isfinite(vals)
-    partial = QuadratureResult(float(half * np.dot(weights[ok], vals[ok])), math.inf, used + refused)
-    raise ConvergenceError(f"{what} {reason}", partial=partial)
+    partial = QuadratureResult(float(half * np.dot(weights[ok], vals[ok])), math.inf, vals.size)
+    raise ConvergenceError(f"{what} did not converge with {vals.size} nodes", partial=partial)
 
 
-def tail_integral(h, b: float, tol: float, width: float = 2.0,
-                  max_evals: int = 100000) -> QuadratureResult:
+def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> QuadratureResult:
+    """Integral of f(t) / sqrt|t - b| from b towards x (x may be +-inf), for f regular at b.
+
+    The map t = b +- w tan^2(theta), w = min(|x - b|, width), runs theta
+    over (0, atan(sqrt(|x - b| / w))) and removes the singularity: its
+    Jacobian over sqrt|t - b| is 2 sqrt(w)(1 + off/w), taken at the offset
+    off = |t - b| of the node t as it rounds.  f maps a 1-D array of t to
+    its values; the integral over theta goes to ``_fejer_ladder``.
+    """
+    span = abs(x - b)
+    w = min(span, width)
+    step = w if x > b else -w
+    jac = 2.0 * math.sqrt(w)
+
+    def g(theta):
+        t = b + step * np.tan(theta) ** 2
+        return f(t) * (jac * (1.0 + abs(t - b) / w))
+
+    return _fejer_ladder(g, 0.0, math.atan(math.sqrt(span / w)), tol, what)
+
+
+def tail_integral(h, b: float, tol: float, width: float = 2.0) -> QuadratureResult:
     """Integral of h over (b, infinity) for h = O(1/t^2) at infinity.
 
-    An inverse-square-root singularity of h at t = b is allowed: the map
-    t = b + width tan^2(theta) takes (b, infinity) onto theta in (0, pi/2)
-    and removes it, since its Jacobian 2 sqrt(width off)(1 + off/width) is
-    taken at the offset off = t - b of the node t as it rounds.  The
-    integral over theta goes to ``_fejer_ladder``.
+    An inverse-square-root singularity of h at t = b is allowed: the
+    integral goes to ``_half_line`` as that of h(t) sqrt(t - b) / sqrt(t - b),
+    over theta in (0, pi/2) with t = b + width tan^2(theta).
     """
     if tol <= 0.0:
         raise DomainError("tolerance must be positive")
     if width <= 0.0:
         raise DomainError("split width must be positive")
     hv = _vectorized(h)
-
-    def g(theta):
-        t = b + width * np.tan(theta) ** 2
-        off = t - b
-        return hv(t) * (2.0 * np.sqrt(width * off) * (1.0 + off / width))
-
-    return _fejer_ladder(g, 0.0, 0.5 * math.pi, tol, max_evals, "tail integral")
+    return _half_line(lambda t: hv(t) * np.sqrt(t - b), b, math.inf, tol, width, "tail integral")
 
 
 def solve_dense(mat, rhs) -> np.ndarray:

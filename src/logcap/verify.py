@@ -21,6 +21,7 @@ from .bounds import (
     schiefermayr_lower,
     solynin_lower,
 )
+from .errors import DomainError
 from .exact import akhiezer_capacity, capacity, widom_capacity
 from .sets import GapPoints, IntervalUnion, Partition, canonical_set, make_interval_union
 
@@ -64,7 +65,7 @@ def random_unit_interval_union(rng: random.Random, n: int, min_seg: float = 0.05
     """Random union of n intervals with hull [-1, 1]; every piece >= min_seg long."""
     segs = 2 * n - 1
     if segs * min_seg >= 2.0:
-        raise ValueError("minimum segment length too large for [-1, 1]")
+        raise DomainError("minimum segment length too large for [-1, 1]")
     raw = [rng.random() for _ in range(segs)]
     total = sum(raw)
     rest = 2.0 - segs * min_seg
@@ -83,7 +84,7 @@ def equality_gap_points(n: int) -> GapPoints:
     -cos(pi (2k - 1) / (2n - 2)), k = 1..n-1.
     """
     if n < 2:
-        raise ValueError("need at least two intervals")
+        raise DomainError("need at least two intervals")
     return GapPoints(
         tuple(-math.cos(math.pi * (2 * k - 1) / (2 * n - 2)) for k in range(1, n))
     )

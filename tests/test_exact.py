@@ -239,6 +239,8 @@ def test_green_interior_raises():
     model = widom_polynomial(sym_pair(0.5))
     with pytest.raises(DomainError):
         green_value(model, 0.9)
+    with pytest.raises(DomainError):
+        green_value(model, math.nan)
 
 
 def test_green_asymptotic_robin_offset():
@@ -312,6 +314,39 @@ def test_green_value_far_from_the_set_is_log_plus_robin():
     r = robin_constant(model)
     for x in (1e9, -1e9, 1e12, -1e12, 1e15, -1e15):
         assert green_value(model, x) == pytest.approx(math.log(abs(x)) + r, abs=1e-9)
+
+
+def canonical_green_oracle(l, arcs, x):
+    """G(x) = acosh|P(x)| / arcs at 40 digits, P = (2 T_arcs - 1 - cos(l/2)) / (1 - cos(l/2)).
+
+    ``canonical_set(l, arcs)`` is the preimage of [-1, 1] under P, whose
+    degree is arcs.
+    """
+    with mpmath.workdps(40):
+        x, c = mpmath.mpf(x), mpmath.cos(mpmath.mpf(l) / 2)
+        if abs(x) <= 1:
+            t = mpmath.cos(arcs * mpmath.acos(x))
+        else:
+            t = mpmath.sign(x) ** arcs * mpmath.cosh(arcs * mpmath.acosh(abs(x)))
+        return float(mpmath.acosh(abs((2 * t - 1 - c) / (1 - c))) / arcs)
+
+
+@pytest.mark.parametrize("l", [0.3, 1.0, math.pi, 5.5])
+def test_green_value_matches_the_canonical_closed_form(l):
+    # the 1e-7 points put quadrature nodes within rounding of the base
+    # endpoint; the 1/2 +- 1e-12 points straddle the switch between the
+    # two ends of a gap
+    fractions = (1e-7, 0.25, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.75, 1 - 1e-7)
+    for arcs in range(2, 13):
+        e = canonical_set(l, arcs)
+        model = widom_polynomial(e)
+        a1, bn = e.hull
+        xs = [lo + f * (hi - lo) for lo, hi in e.gaps() for f in fractions]
+        for d in (1e-7, 0.5, 10.0):
+            xs += [a1 - d * (bn - a1), bn + d * (bn - a1)]
+        for x in xs:
+            want = canonical_green_oracle(l, arcs, x)
+            assert green_value(model, x) == pytest.approx(want, abs=1e-11), (arcs, x)
 
 
 @pytest.mark.parametrize("l, known_misses", [(0.3, [7]), (math.pi, []), (5.5, [])])
@@ -481,30 +516,31 @@ def test_gap_moments_converging_at_the_cap_still_return():
     assert res.value < widom_capacity(make_interval_union([(-1.0, -0.5), (-0.4, -0.399), (0.1, 1.0)])).value
 
 
-def test_tail_integrand_is_not_finite_where_the_endpoint_product_overflows():
-    # n = 3: prod sqrt(t - e) ~ t^3 overflows at t = 1e110 while p ~ t^2 does
-    # not, and p / inf would read 0, a finite wrong value
+def test_green_integrand_is_not_finite_where_the_endpoint_product_overflows():
+    # n = 3: the product of sqrt(t - e) over the five endpoints but b_n,
+    # ~ t^2.5, overflows at t = 1e130 while p ~ t^2 does not, and p / inf
+    # would read 0, a finite wrong value
     model = widom_polynomial(canonical_set(math.pi, 5))
     assert model.E.n == 3
-    h = exact_module._tail_integrand(model)
-    t = np.array([2.0, 1e50, 1e110, 1e200])
+    f = exact_module._green_integrand(model, 5, 1.0)
+    t = np.array([2.0, 1e50, 1e130, 1e200])
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = h(t)
+        vals = f(t)
     assert np.isfinite(vals).tolist() == [True, True, False, False]
 
 
 def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_accepted(monkeypatch):
     # the first level of the tail ladder, 127 nodes, is one call of the integrand
     calls, nodes = [], []
-    make_integrand, tail = exact_module._tail_integrand, exact_module.tail_integral
+    make_integrand, tail = exact_module._green_integrand, exact_module.tail_integral
 
-    def counted_integrand(model):
-        h = make_integrand(model)
+    def counted_integrand(*args):
+        f = make_integrand(*args)
         calls.append(0)
 
         def counted(t):
             calls[-1] += 1
-            return h(t)
+            return f(t)
 
         return counted
 
@@ -513,7 +549,7 @@ def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_ac
         nodes.append(res.nodes_used)
         return res
 
-    monkeypatch.setattr(exact_module, "_tail_integrand", counted_integrand)
+    monkeypatch.setattr(exact_module, "_green_integrand", counted_integrand)
     monkeypatch.setattr(exact_module, "tail_integral", recorded_tail)
     rng = random.Random(41)
     for n in range(3, 21):

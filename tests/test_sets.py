@@ -20,7 +20,7 @@ from logcap import (
     project_to_real_axis,
 )
 from logcap.sets import IntervalUnion
-from logcap.verify import random_unit_interval_union
+from logcap.verify import equality_gap_points, random_unit_interval_union
 
 
 def test_make_canonical_input():
@@ -280,3 +280,11 @@ def test_preimage_projection_round_trip():
         for (a, b), (a2, b2) in zip(e.intervals, back.intervals):
             assert abs(a - a2) < 1e-14
             assert abs(b - b2) < 1e-14
+
+
+def test_verify_generators_raise_domain_error():
+    # 41 pieces of at least 0.05 do not fit in [-1, 1]
+    with pytest.raises(DomainError, match="minimum segment length"):
+        random_unit_interval_union(random.Random(1), 21)
+    with pytest.raises(DomainError, match="at least two intervals"):
+        equality_gap_points(1)
