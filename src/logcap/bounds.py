@@ -318,8 +318,7 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
         inter_mu = th_lo - th[2 * comp + 1] if k % 2 == 0 else th[2 * comp] - th_hi
         return _cell_log(th_lo - th_hi, inter_mu)
 
-    x = _chain_grid_max(pair_log, boxes)
-    p = _solynin_points(e, GapPoints(tuple(x[0::2])), x[1::2])
+    p = Partition((-1.0, *_chain_grid_max(pair_log, boxes), 1.0))
     return partition_lower(e, p), p
 
 

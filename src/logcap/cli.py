@@ -99,8 +99,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParseError(f"bad grid {text!r}") from exc
-    if count < 2:
-        raise ParseError("grid count must be at least 2")
     return start, stop, count
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class LogcapError(Exception):
@@ -30,7 +30,3 @@ class ConvergenceError(LogcapError, RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class NarrowGapWarning(UserWarning):
-    """A gap between intervals is so small that results lose accuracy."""

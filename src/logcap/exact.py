@@ -11,13 +11,12 @@ two-interval sets.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError, DomainError, NarrowGapWarning
+from .errors import ConvergenceError, DomainError
 from .sets import IntervalUnion, normalize_to_unit
 from .special import (
     EllipticParams,
@@ -25,19 +24,17 @@ from .special import (
     _carlson_rf,
     _complete_K_of_kp,
     _half_line,
-    complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these two names here
+    complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these three names here
     incomplete_F,  # noqa: F401
     solve_dense,
     tail_integral,
-    theta3,
+    theta3,  # noqa: F401
     theta4,
 )
 
 AKHIEZER = "akhiezer"
 WIDOM = "widom"
 CLOSED_FORM = "closed_form"
-
-NARROW_GAP = 1e-6
 
 # the gap moment ladder: Chebyshev-Lobatto rules of m = 128, 256, ..., 4096
 # intervals, each level accepted when it agrees with its nested m/2 rule
@@ -78,17 +75,6 @@ def _check_two_interval(alpha: float, beta: float) -> None:
         )
 
 
-def _warn_narrow_gaps(gaps) -> None:
-    # stacklevel 3 names the caller of the public function that calls this
-    for lo, hi in gaps:
-        if hi - lo < NARROW_GAP:
-            warnings.warn(
-                f"gap ({lo}, {hi}) narrower than {NARROW_GAP}; results lose accuracy",
-                NarrowGapWarning,
-                stacklevel=3,
-            )
-
-
 def akhiezer_params(alpha: float, beta: float) -> EllipticParams:
     """Elliptic moduli (k, k', q, omega) of the set [-1,alpha] u [beta,1].
 
@@ -115,16 +101,18 @@ def akhiezer_params(alpha: float, beta: float) -> EllipticParams:
 
 
 def akhiezer_capacity(alpha: float, beta: float) -> CapacityResult:
-    """Capacity of [-1,alpha] u [beta,1] via the theta-quotient formula."""
-    _check_two_interval(alpha, beta)
-    _warn_narrow_gaps([(alpha, beta)])
+    """Capacity of [-1,alpha] u [beta,1] via the theta-quotient formula.
+
+    The quotient theta4 theta3 at 0 over theta4 theta3 at omega, nome q, is
+    evaluated as theta4(0) over theta4(2 omega) at nome q^2, by
+    theta3(z, q) theta4(z, q) = theta4(0, q^2) theta4(2z, q^2): two series
+    instead of four, each shorter and cancelling less.  ``est_error`` is
+    relative to the value: value 1e-13 / (1 - q).
+    """
     params = akhiezer_params(alpha, beta)
-    q, omega = params.q, params.omega
-    num = theta4(0.0, q) * theta3(0.0, q)
-    den = theta4(omega, q) * theta3(omega, q)
-    value = 0.5 * (num / den) ** 2
-    est = max(1e-13, abs(value) * 1e-13 / (1.0 - q))
-    return CapacityResult(value, AKHIEZER, est)
+    q2 = params.q * params.q
+    value = 0.5 * (theta4(0.0, q2) / theta4(2.0 * params.omega, q2)) ** 2
+    return CapacityResult(value, AKHIEZER, value * 1e-13 / (1.0 - params.q))
 
 
 def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
@@ -170,7 +158,6 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     n = e.n
     if n == 1:
         return WidomModel(e, (), (), 0)
-    _warn_narrow_gaps(e.gaps())
     moments, nodes = _moment_vectors(e)
     mat, last = moments[:, : n - 1], moments[:, n - 1]
     c = solve_dense(mat, -last)

@@ -20,10 +20,11 @@ from .bounds import (
     projection_upper,
     schiefermayr_lower,
     solynin_lower,
+    uniform_measure_partition,
 )
 from .errors import DomainError
 from .exact import akhiezer_capacity, capacity, widom_capacity
-from .sets import GapPoints, IntervalUnion, Partition, canonical_set, make_interval_union
+from .sets import GapPoints, IntervalUnion, canonical_set, make_interval_union
 
 SANDWICH_SLACK = 1e-9
 EQUALITY_TOL = 1e-8
@@ -128,9 +129,7 @@ def equality_suite() -> SuiteResult:
         for n_arcs in (2, 3, 4, 5):
             e = canonical_set(l, n_arcs)
             exact = widom_capacity(e).value
-            pts = sorted(math.cos(math.pi * k / n_arcs) for k in range(n_arcs + 1))
-            pts[0], pts[-1] = -1.0, 1.0
-            v = partition_lower(e, Partition(tuple(pts)))
+            v = partition_lower(e, uniform_measure_partition(n_arcs))
             res.record(EQUALITY_TOL - abs(v - exact), f"partition l={l:.4f} n={n_arcs}")
         for n_comp in (3, 4):
             e = canonical_set(l, 2 * (n_comp - 1))

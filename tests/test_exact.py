@@ -11,7 +11,7 @@ import pytest
 from logcap import (
     ConvergenceError,
     DomainError,
-    NarrowGapWarning,
+    SingularMatrixError,
     akhiezer_capacity,
     akhiezer_params,
     capacity,
@@ -30,6 +30,7 @@ from logcap.exact import _MOMENT_CAP, _MOMENT_TOL, _moment_vectors
 from logcap.verify import random_unit_interval_union
 
 from gauss_moments import gauss_moment_ladder
+from preimages import polynomial_preimage
 
 
 def sym_pair(g):
@@ -45,7 +46,11 @@ def test_akhiezer_symmetric_closed_form():
 
 
 def akhiezer_oracle(alpha, beta):
-    """The theta-quotient formula at 40 digits, from the float endpoints."""
+    """The theta-quotient formula at 40 digits, from the float endpoints.
+
+    It keeps the four-series form theta4 theta3 at 0 over theta4 theta3 at
+    omega, so it does not share the library's two-series evaluation.
+    """
     with mpmath.workdps(40):
         alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
         m = 2 * (beta - alpha) / ((1 - alpha) * (1 + beta))
@@ -63,6 +68,7 @@ def test_akhiezer_thin_symmetric_components(digits):
     res = capacity(sym_pair(a))
     assert res.method == "akhiezer"
     assert abs(res.value - 0.5 * math.sqrt((1.0 - a) * (1.0 + a))) <= res.est_error
+    assert res.est_error <= 1e-11 * res.value
 
 
 def test_akhiezer_thin_asymmetric_components_against_oracle():
@@ -74,6 +80,7 @@ def test_akhiezer_thin_asymmetric_components_against_oracle():
             continue
         res = akhiezer_capacity(alpha, beta)
         assert abs(res.value - akhiezer_oracle(alpha, beta)) <= res.est_error, (alpha, beta)
+        assert res.est_error <= 1e-11 * res.value, (alpha, beta)
 
 
 def test_akhiezer_params_invariants():
@@ -91,11 +98,6 @@ def test_akhiezer_domain_errors():
         akhiezer_capacity(-1.0, 0.5)
     with pytest.raises(DomainError):
         akhiezer_capacity(0.2, 1.0)
-
-
-def test_akhiezer_narrow_gap_warns():
-    with pytest.warns(NarrowGapWarning):
-        akhiezer_capacity(0.1, 0.1 + 1e-7)
 
 
 def test_single_interval_closed_form():
@@ -280,10 +282,26 @@ def test_capacity_range_for_unit_subsets():
         assert 0.0 < v <= 0.5 + 1e-12
 
 
-def test_widom_narrow_gap_warns():
-    e = make_interval_union([(-1.0, 0.0), (1e-8, 1.0)])
-    with pytest.warns(NarrowGapWarning):
-        widom_capacity(e)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_canonical_sets_with_narrow_gaps_come_back_within_est_error(delta):
+    # arc length 2 pi - delta leaves gaps down to 7.8e-8 (delta = 1e-5, 20 arcs)
+    l = 2.0 * math.pi - delta
+    for arcs in (3, 4, 6, 9, 12, 20):
+        res = capacity(canonical_set(l, arcs))
+        assert abs(res.value - 0.5 * math.sin(l / 4) ** (2 / arcs)) <= res.est_error, arcs
+
+
+@pytest.mark.filterwarnings("error")
+def test_theta_and_widom_agree_across_narrow_gaps():
+    rng = random.Random(71)
+    for _ in range(300):
+        c = rng.uniform(-0.9, 0.9)
+        g = 10.0 ** rng.uniform(-13.0, -6.0)
+        alpha, beta = c - 0.5 * g, c + 0.5 * g
+        va = akhiezer_capacity(alpha, beta)
+        vw = widom_capacity(make_interval_union([(-1.0, alpha), (beta, 1.0)]))
+        assert abs(va.value - vw.value) <= va.est_error + vw.est_error, (alpha, beta)
 
 
 def test_est_error_brackets_truth_on_known_cases():
@@ -360,6 +378,30 @@ def test_canonical_sets_up_to_40_arcs_come_back_within_est_error(l, known_misses
         if abs(res.value - 0.5 * math.sin(l / 4) ** (2 / arcs)) > res.est_error:
             misses.append(arcs)
     assert misses == known_misses
+
+
+# the ids on which the Widom route raises today: at d = 32 its Robin tail
+# stalls, at d = 40 and 48 the moment matrix is singular in the monomial
+# basis (and one d = 48 set, with a component of 3.3e-8, stalls in its gap
+# moments); the gap-centre product basis planned in ROADMAP.md is meant to
+# flip these
+PREIMAGE_FAILURES = {
+    (32, 0): ConvergenceError, (32, 1): ConvergenceError, (32, 2): ConvergenceError,
+    (40, 0): SingularMatrixError, (40, 1): SingularMatrixError, (40, 2): SingularMatrixError,
+    (48, 0): SingularMatrixError, (48, 1): ConvergenceError, (48, 2): SingularMatrixError,
+}
+
+
+@pytest.mark.parametrize("d, k", [
+    pytest.param(d, k, marks=pytest.mark.xfail(
+        raises=PREIMAGE_FAILURES[d, k], strict=True)) if (d, k) in PREIMAGE_FAILURES
+    else (d, k)
+    for d in [*range(2, 25), 32, 40, 48] for k in range(3)
+])
+def test_polynomial_preimages_come_back_within_est_error(d, k):
+    e_in, e_out, cap = polynomial_preimage(np.random.default_rng([5, d, k]), d)
+    inner, outer = capacity(e_in), capacity(e_out)
+    assert inner.value - inner.est_error <= cap <= outer.value + outer.est_error
 
 
 def loop_gap_moment_sums(endpoints, gap, m, jmax):
