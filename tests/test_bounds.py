@@ -3,8 +3,10 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from logcap import (
     DomainError,
@@ -34,7 +36,17 @@ from logcap import (
     uniform_measure_partition,
     widom_capacity,
 )
-from logcap.bounds import _GRID_CANDIDATES, _chain_argmax
+from logcap.bounds import (
+    _GRID_CANDIDATES,
+    _cell_log,
+    _chain_argmax,
+    _chain_grid,
+    _gap_division_chain,
+    _gap_division_log,
+    _gap_division_terms,
+    _solynin_chain,
+    _solynin_link_terms,
+)
 from logcap.verify import (
     DOMINANCE_SLACK,
     EQUALITY_TOL,
@@ -424,12 +436,7 @@ def test_chain_argmax_matches_exhaustive_enumeration(m, kind):
         if kind == "all_infeasible":
             for t in tables:
                 t[:] = -np.inf
-        pts = [np.arange(s, dtype=float) for s in sizes]
-
-        def pair_log(k, lo, hi):
-            return tables[k][lo.astype(int), hi.astype(int)]
-
-        idx = _chain_argmax(pair_log, pts)
+        idx = _chain_argmax(np.stack([np.broadcast_to(t, (g, g)) for t in tables]))
         want_val, want_idx = _brute_force_chain(tables)
         got_val = sum(t[i, j] for t, i, j in zip(tables, idx, idx[1:]))
         assert idx[0] == idx[-1] == 0
@@ -472,6 +479,132 @@ def test_optimizers_reject_single_interval_and_non_unit_hull(optimizer):
         optimizer(make_interval_union([(-1.0, 1.0)]))
     with pytest.raises(DomainError):
         optimizer(make_interval_union([(-0.9, -0.2), (0.1, 1.0)]))
+
+
+def _link_geometry(rng, edge):
+    """Angles lo > end > hi of one link, with lo (edge 1) or hi (edge 2) within 1e-6 of end."""
+    end = rng.uniform(0.6, 2.4)
+    above = 1e-6 * rng.random() if edge == 1 else rng.uniform(0.05, 0.7)
+    below = 1e-6 * rng.random() if edge == 2 else rng.uniform(0.05, 0.5)
+    return end + above, end, end - below
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "gap"])
+def test_chain_link_derivatives_match_mpmath(kind):
+    """Closed-form value, gradient and Hessian of one link against 40-digit mpmath.diff.
+
+    Near an edge a term of a factor close to 1 rounds to an absolute
+    epsilon in the log, so the value is compared against span^2 and the
+    gradient against span at 1e-14, besides their own size; the Hessian
+    is compared against its largest entry.
+    """
+    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    rng = random.Random({"even": 11, "odd": 12, "gap": 13}[kind])
+    for trial in range(12):
+        lo, end, hi = _link_geometry(rng, trial % 3)
+        if kind == "gap":
+            # the component [th_b, th_a] lies inside the cell [hi, lo]
+            th_b, th_a = end, end + rng.uniform(0.01, 0.5)
+            lo += th_a - th_b
+            got = _gap_division_terms(th_a, th_b, lo, hi)
+            want_np = float(_gap_division_log(th_a, th_b, np.float64(lo), np.float64(hi)))
+
+            def f(x, y, th_a=mpmath.mpf(th_a), th_b=mpmath.mpf(th_b)):
+                span = x - y
+                phi = (mpmath.cos(mpmath.pi * (th_b - y) / span)
+                       - mpmath.cos(mpmath.pi * (th_a - y) / span)) / 2
+                return span ** 2 / mpmath.pi ** 2 * mpmath.log(phi)
+        else:
+            even = kind == "even"
+            got = _solynin_link_terms(even, end, lo, hi)
+            want_np = float(_cell_log(np.float64(lo - hi), np.float64(lo - end if even else end - hi)))
+
+            def f(x, y, even=even, end=mpmath.mpf(end)):
+                mu = x - end if even else end - y
+                u = mpmath.pi * mu / (2 * (x - y))
+                return 2 / mpmath.pi ** 2 * (x - y) ** 2 * mpmath.log(mpmath.sin(u))
+        with mpmath.workdps(40):
+            want = [float(mpmath.diff(f, (mpmath.mpf(lo), mpmath.mpf(hi)), o)) for o in orders]
+        span = lo - hi
+        assert abs(got[0] - want_np) <= 4 * np.finfo(float).eps * abs(want_np)
+        assert abs(got[0] - want[0]) <= 1e-12 * (abs(want[0]) + span * span)
+        scale = max(map(abs, want[1:3]))
+        assert max(abs(g - w) for g, w in zip(got[1:3], want[1:3])) <= 1e-10 * scale + 1e-14 * span
+        scale = max(map(abs, want[3:]))
+        assert max(abs(g - w) for g, w in zip(got[3:], want[3:])) <= 1e-10 * scale
+
+
+def _optimizer_problem(e, optimizer):
+    """The optimizer's value and points, the boxes of those points, and the public bound at t."""
+    if optimizer is solynin_lower_max:
+        val, p = optimizer(e)
+        boxes = _solynin_chain(e)[0]
+        return val, p.points[1:-1], boxes, lambda t: partition_lower(e, Partition((-1.0, *t, 1.0)))
+    val, d = optimizer(e)
+    return val, d.deltas, e.gaps(), lambda t: gap_division_lower(e, GapPoints(tuple(t)))
+
+
+# of the first 300 three-interval sets that random_unit_interval_union draws from
+# random.Random(3), the one on which the former three-round grid refinement stalled
+# furthest below Solynin's optimum, by 1.0e-5
+STALLED_SET = [(-1.0, -0.8810244639358251), (-0.11142871970137391, 0.036664952430284115),
+               (0.10758085679925139, 1.0)]
+
+
+@pytest.mark.parametrize("optimizer", [solynin_lower_max, gap_division_lower_max])
+def test_optimizers_return_local_maxima(optimizer):
+    """L-BFGS-B in the arccos angle boxes cannot raise either optimized bound."""
+    rng = random.Random(101)
+    sets = [make_interval_union(STALLED_SET)]
+    for n in range(2, 13):
+        sets += [random_unit_interval_union(rng, n, min_seg) for min_seg in (0.05, 0.5 / (2 * n - 1))]
+    for e in sets:
+        val, t, boxes, public = _optimizer_problem(e, optimizer)
+
+        def neg_log(x):
+            t = np.cos(x).tolist()
+            if not all(lo < ti < hi for ti, (lo, hi) in zip(t, boxes)):
+                return 1e3
+            v = public(t)
+            return -math.log(v) if v > 0.0 else 1e3
+
+        res = minimize(neg_log, np.arccos(t), method="L-BFGS-B", jac="3-point",
+                       bounds=[(math.acos(hi) + 1e-12, math.acos(lo) - 1e-12) for lo, hi in boxes],
+                       options={"ftol": 1e-15, "gtol": 1e-12})
+        assert math.exp(-res.fun) <= val * (1.0 + 1e-12)
+
+
+def _hard_sets():
+    """Near-full canonical sets, sets with a component of width 1e-9 or less, and n = 16."""
+    sets = [canonical_set(2.0 * math.pi - delta, arcs)
+            for delta in (1e-3, 1e-5, 1e-7) for arcs in (4, 8, 14)]
+    rng = random.Random(107)
+    for n in (3, 5, 8):
+        for _ in range(2):
+            pairs = list(random_unit_interval_union(rng, n).intervals)
+            k = rng.randrange(1, n - 1)
+            a = rng.uniform(*pairs[k])
+            pairs[k] = (a, a + 1e-9)
+            sets.append(make_interval_union(pairs))
+    sets += [random_unit_interval_union(rng, 16, 0.5 / 31) for _ in range(2)]
+    # a component 63 ulp wide: t = cos(x) and arccos(t) move its split point by
+    # a large share of its width, so the public bound at the Newton point
+    # falls 4e-4 below its value at the grid optimum
+    sets.append(make_interval_union([
+        (-1.0, -0.8691053601385033), (-0.7022330373106636, -0.702233037135044),
+        (-0.20931030012916224, -0.2093103001291605), (-0.037535230452002515, 0.14638171064444938),
+        (0.4027234923709578, 0.6436021092002506), (0.9035241103623934, 1.0)]))
+    return sets
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("optimizer, chain", [(solynin_lower_max, _solynin_chain),
+                                              (gap_division_lower_max, _gap_division_chain)])
+def test_optimizers_never_fall_below_the_first_grid(optimizer, chain):
+    for e in _hard_sets():
+        val, _, _, public = _optimizer_problem(e, optimizer)
+        boxes, link_log, _ = chain(e)
+        assert val >= public(_chain_grid(link_log, boxes)[0])
 
 
 def test_projection_upper_values():
