@@ -7,15 +7,19 @@ Gillis, Schiefermayr's elliptic-integral bound, and the circle-projection
 bound.  Products of powers are evaluated in the log domain; a vanishing
 factor short-circuits to 0.
 
-Each factor is written once, as a vectorized function shared by the
-public bound and its optimizer: the partition cell term (used by the
-partition, Solynin and sector-product bounds) and the gap-division factor.
+Every factor is one formula, the partition cell term, written once as a
+vectorized function shared by the public bounds and the optimizers.  It
+serves the partition, Solynin and sector-product bounds, and the
+gap-division bound too: the factor (cos p - cos q) / 2 of a component
+equals sin((q - p) / 2) sin((p + q) / 2), so its log is the mean of two
+cell terms of the same cell.  One of them takes the component's arccos
+width, computed from b - a so that a thin component keeps its digits.
 The Solynin and gap-division bounds have free division points.  Both are
 chains: each factor depends only on its two neighbouring points, so
 their maximizers solve a grid of candidates exactly with one max-sum
 pass, then climb from its optimum by damped Newton steps in the arccos
-angles, on a tridiagonal Hessian written in closed form beside each
-factor.
+angles, on a tridiagonal Hessian that the chain rule takes from the
+cell term's closed-form derivatives.
 """
 
 from __future__ import annotations
@@ -130,37 +134,30 @@ def haliste_arcs_capacity(l: float, n: int) -> float:
     return math.sin(l / 4.0) ** (1.0 / n)
 
 
-def _cell_log(cell_mu, inter_mu):
-    """Log of the partition cell term sin(pi mu / (2 M)) ** (2 M^2 / pi^2), elementwise.
+def _cell_log(cell_mu, *inter_mu):
+    """Mean of the log partition cell terms sin(pi mu / (2 M)) ** (2 M^2 / pi^2), elementwise.
 
-    M = ``cell_mu`` is the arccos measure of the cell and mu = ``inter_mu``
-    that of its intersection with the set; -inf where mu <= 0.  Callers
-    silence numpy's divide and invalid warnings.
+    M = ``cell_mu`` is the arccos measure of the cell and each mu in
+    ``inter_mu`` that of a part of the set in it; -inf where the product
+    of the sines is <= 0.  With one mu this is the cell term of the
+    partition, Solynin and sector-product bounds.  With mu = w, the
+    component's arccos width, and mu = th_a + th_b - 2 th_hi, it is the
+    gap-division factor of a component [th_b, th_a] in the cell
+    [th_hi, th_hi + M], since (cos p - cos q) / 2 = sin((q - p) / 2)
+    sin((p + q) / 2).  Callers silence numpy's divide and invalid warnings.
     """
-    s = np.sin((0.5 * math.pi) * inter_mu / cell_mu)
-    term = (2.0 / math.pi ** 2) * cell_mu * cell_mu * np.log(s)
-    return np.where(inter_mu > 0.0, term, -np.inf)
-
-
-def _gap_division_log(th_a, th_b, th_lo, th_hi):
-    """Log of one component's gap-division factor, elementwise; -inf where the factor is <= 0.
-
-    The component has arccos angles th_b < th_a and lies in the division
-    cell of arccos angles th_hi < th_lo.  Callers silence numpy's divide
-    and invalid warnings.
-    """
-    span = th_lo - th_hi
-    factor = 0.5 * (np.cos(math.pi * (th_b - th_hi) / span)
-                    - np.cos(math.pi * (th_a - th_hi) / span))
-    # fmax sends factor <= 0, and nan, to log(0) = -inf
-    return (span * span / math.pi ** 2) * np.log(np.fmax(factor, 0.0))
+    s = np.sin((0.5 * math.pi) * inter_mu[0] / cell_mu)
+    for mu in inter_mu[1:]:
+        s = s * np.sin((0.5 * math.pi) * mu / cell_mu)
+    # fmax sends a product <= 0, and nan, to log(0) = -inf
+    return (2.0 / math.pi ** 2 / len(inter_mu)) * cell_mu * cell_mu * np.log(np.fmax(s, 0.0))
 
 
 _INFEASIBLE = (-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _cell_terms(cell_mu, inter_mu):
-    """Scalar :func:`_cell_log` and its derivatives in (M, mu).
+    """Scalar one-mu :func:`_cell_log` and its derivatives in (M, mu).
 
     Returns (f, f_M, f_mu, f_MM, f_Mmu, f_mumu) with M = ``cell_mu`` and
     mu = ``inter_mu``; f = -inf, and no derivatives, where the term is 0.
@@ -185,58 +182,45 @@ def _cell_terms(cell_mu, inter_mu):
             -c * h * h * csc2)
 
 
-def _solynin_link_terms(even, end, lo, hi):
-    """Solynin cell k as a function of its arccos angles lo > hi: value and derivatives.
+def _link_terms(mus, lo, hi):
+    """One chain link as a function of its arccos angles lo > hi: value and derivatives.
 
-    An even cell meets its component from lo to ``end`` = th_b, an odd
-    one from ``end`` = th_a to hi.  Returns (f, f_lo, f_hi, f_ll, f_lh, f_hh).
+    The link is :func:`_cell_log` of the cell M = lo - hi with one
+    mu = a lo + b hi + c per (a, b, c) in ``mus``.  Returns
+    (f, f_lo, f_hi, f_ll, f_lh, f_hh) by the chain rule from
+    :func:`_cell_terms`; f = -inf, and no derivatives, where a term is 0.
     """
-    if even:
-        f, f_m, f_u, f_mm, f_mu, f_uu = _cell_terms(lo - hi, lo - end)
-        return f, f_m + f_u, -f_m, f_mm + 2.0 * f_mu + f_uu, -f_mm - f_mu, f_mm
-    f, f_m, f_u, f_mm, f_mu, f_uu = _cell_terms(lo - hi, end - hi)
-    return f, f_m, -f_m - f_u, f_mm, -f_mm - f_mu, f_mm + 2.0 * f_mu + f_uu
+    cell = lo - hi
+    f = f_lo = f_hi = f_ll = f_lh = f_hh = 0.0
+    for a, b, c in mus:
+        g, g_m, g_u, g_mm, g_mu, g_uu = _cell_terms(cell, a * lo + b * hi + c)
+        if g == -math.inf:
+            return _INFEASIBLE
+        f += g
+        f_lo += g_m + a * g_u
+        f_hi += -g_m + b * g_u
+        f_ll += g_mm + 2.0 * a * g_mu + a * a * g_uu
+        f_lh += -g_mm + (b - a) * g_mu + a * b * g_uu
+        f_hh += g_mm - 2.0 * b * g_mu + b * b * g_uu
+    r = 1.0 / len(mus)
+    return f * r, f_lo * r, f_hi * r, f_ll * r, f_lh * r, f_hh * r
 
 
-def _gap_division_terms(th_a, th_b, lo, hi):
-    """Scalar :func:`_gap_division_log` and its derivatives in the cell angles.
+def _component_arcs(e: IntervalUnion):
+    """Arccos width w = th_a - th_b and sum th_a + th_b of each component [a, b].
 
-    Returns (f, f_lo, f_hi, f_ll, f_lh, f_hh) for the cell of arccos
-    angles hi < lo; f = -inf, and no derivatives, where the factor is <= 0.
-    With S = lo - hi, p = pi (th_b - hi) / S and q = pi (th_a - hi) / S,
-    f = S^2 / pi^2 log phi with phi = (cos p - cos q) / 2.
+    w comes from b - a = 2 sin((th_a + th_b) / 2) sin(w / 2), not from the
+    difference of two arccos values, which loses log10(1/w) digits on a
+    thin component.
     """
-    span = lo - hi
-    if not span > 0.0:
-        return _INFEASIBLE
-    p = math.pi * (th_b - hi) / span
-    q = math.pi * (th_a - hi) / span
-    cp, cq = math.cos(p), math.cos(q)
-    phi = 0.5 * (cp - cq)
-    if not phi > 0.0:
-        return _INFEASIBLE
-    sp, sq = math.sin(p), math.sin(q)
-    r = 1.0 / span
-    r2 = r * r
-    # first and second derivatives of p and q in (lo, hi)
-    p_l, p_h = -p * r, (p - math.pi) * r
-    q_l, q_h = -q * r, (q - math.pi) * r
-    p_ll, p_lh, p_hh = 2.0 * p * r2, (math.pi - 2.0 * p) * r2, 2.0 * (p - math.pi) * r2
-    q_ll, q_lh, q_hh = 2.0 * q * r2, (math.pi - 2.0 * q) * r2, 2.0 * (q - math.pi) * r2
-    # derivatives of log phi
-    l_l = 0.5 * (sq * q_l - sp * p_l) / phi
-    l_h = 0.5 * (sq * q_h - sp * p_h) / phi
-    l_ll = 0.5 * (cq * q_l * q_l + sq * q_ll - cp * p_l * p_l - sp * p_ll) / phi - l_l * l_l
-    l_lh = 0.5 * (cq * q_l * q_h + sq * q_lh - cp * p_l * p_h - sp * p_lh) / phi - l_l * l_h
-    l_hh = 0.5 * (cq * q_h * q_h + sq * q_hh - cp * p_h * p_h - sp * p_hh) / phi - l_h * l_h
-    c = 1.0 / math.pi ** 2
-    log_phi = math.log(phi)
-    return ((span * span / math.pi ** 2) * log_phi,
-            c * (2.0 * span * log_phi + span * span * l_l),
-            c * (-2.0 * span * log_phi + span * span * l_h),
-            c * (2.0 * log_phi + 4.0 * span * l_l + span * span * l_ll),
-            c * (-2.0 * log_phi + 2.0 * span * (l_h - l_l) + span * span * l_lh),
-            c * (2.0 * log_phi - 4.0 * span * l_h + span * span * l_hh))
+    w, total = [], []
+    for a, b in e.intervals:
+        s = math.acos(a) + math.acos(b)
+        # sin(w / 2) is within an ulp or two of 1 on a component spanning
+        # nearly all of [-1, 1]; min keeps rounding out of asin's domain
+        w.append(2.0 * math.asin(min((b - a) / (2.0 * math.sin(0.5 * s)), 1.0)))
+        total.append(s)
+    return np.array(w), np.array(total)
 
 
 def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
@@ -284,10 +268,10 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     """
     _require_unit_hull(e)
     d.validate_for(e)
-    th = np.arccos(e.endpoints())
+    w, total = _component_arcs(e)
     cut = np.arccos((-1.0, *d.deltas, 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 0.5 * math.exp(_gap_division_log(th[0::2], th[1::2], cut[:-1], cut[1:]).sum())
+        return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], w, total - 2.0 * cut[1:]).sum())
 
 
 def _chain_argmax(tables) -> list[int]:
@@ -332,15 +316,17 @@ def _chain_grid(link_log, boxes) -> tuple[list[float], float]:
     return [float(t[i, j]) for i, j in enumerate(idx[1:-1])], f
 
 
-def _chain_eval(link_terms, x):
+def _chain_eval(links, x):
     """Chain sum at the angles ``x`` (ends included), its gradient and its Hessian.
+
+    Link k is :func:`_link_terms` of ``links[k]`` at x[k] > x[k + 1].
 
     The Hessian is tridiagonal and comes as its diagonal and off-diagonal.
     """
     m = len(x) - 2
     total, grad, diag, off = 0.0, [0.0] * m, [0.0] * m, [0.0] * (m - 1)
     for k in range(m + 1):
-        f, f_lo, f_hi, f_ll, f_lh, f_hh = link_terms(k, x[k], x[k + 1])
+        f, f_lo, f_hi, f_ll, f_lh, f_hh = _link_terms(links[k], x[k], x[k + 1])
         total += f
         if k:
             grad[k - 1] += f_lo
@@ -406,7 +392,7 @@ def _newton_step(grad, diag, off, x, boxes):
     return d, sum(g * di for g, di in zip(grad, d)) + 0.5 * curv
 
 
-def _chain_newton(link_terms, boxes, t):
+def _chain_newton(links, boxes, t):
     """Damped Newton ascent of a chain sum in the arccos angles, from t_1 ... t_m.
 
     No coordinate moves by more than _REACH grid steps at once.  A step
@@ -419,7 +405,7 @@ def _chain_newton(link_terms, boxes, t):
     x = [math.pi, *map(math.acos, t), 0.0]
     angle_boxes = [(math.acos(hi), math.acos(lo)) for lo, hi in boxes]
     reach = [_REACH * (hi - lo) / (_GRID_CANDIDATES + 1) for lo, hi in angle_boxes]
-    total, grad, diag, off = _chain_eval(link_terms, x)
+    total, grad, diag, off = _chain_eval(links, x)
     for _ in range(_NEWTON_STEPS):
         # each step stays within _REACH grid steps, so it climbs in the basin
         # it is in rather than jumping to another one
@@ -434,7 +420,7 @@ def _chain_newton(link_terms, boxes, t):
             t_new = [math.cos(xi) for xi in x_new]
             if all(lo < ti < hi for ti, (lo, hi) in zip(t_new, boxes)):
                 x_new = [math.pi, *x_new, 0.0]
-                trial = _chain_eval(link_terms, x_new)
+                trial = _chain_eval(links, x_new)
                 if trial[0] > total:
                     break
             step *= 0.5
@@ -448,19 +434,20 @@ def _chain_newton(link_terms, boxes, t):
 def _chain_grid_max(chain, bound):
     """Maximize a chain sum over -1 = t_0 < t_1 < ... < t_m < t_{m+1} = 1.
 
-    ``chain`` is (boxes, link_log, link_terms): coordinate t_i ranges over
-    the open box ``boxes[i - 1]``, ``link_log`` evaluates every link on the
-    first grid as in :func:`_chain_grid`, and ``link_terms(k, lo, hi)``
-    returns link k's value and its first and second derivatives in the
-    arccos angles of its two points.  The 33-candidate grid, solved
-    exactly, is the global search; damped Newton steps from its optimum
-    then reach the local maximum.  ``bound(t)`` returns the public bound
-    and its parameters at t_1 ... t_m, and the result is ``bound`` at the
-    Newton point, or at the grid optimum where that is higher.
+    ``chain`` is (boxes, link_log, links): coordinate t_i ranges over the
+    open box ``boxes[i - 1]``, ``link_log`` evaluates every link on the
+    first grid as in :func:`_chain_grid`, and ``links[k]`` lists link k's
+    mu's for :func:`_link_terms`, which gives its value and its first and
+    second derivatives in the arccos angles of its two points.  The
+    33-candidate grid, solved exactly, is the global search; damped Newton
+    steps from its optimum then reach the local maximum.  ``bound(t)``
+    returns the public bound and its parameters at t_1 ... t_m, and the
+    result is ``bound`` at the Newton point, or at the grid optimum where
+    that is higher.
     """
-    boxes, link_log, link_terms = chain
+    boxes, link_log, links = chain
     t0, f0 = _chain_grid(link_log, boxes)
-    t = _chain_newton(link_terms, boxes, t0)
+    t = _chain_newton(links, boxes, t0)
     if t is t0:
         return bound(t0)
     best = bound(t)
@@ -473,18 +460,14 @@ def _chain_grid_max(chain, bound):
 
 def _gap_division_chain(e: IntervalUnion):
     """The gap-division bound as a chain for :func:`_chain_grid_max`: link k is factor k."""
-    th = np.arccos(e.endpoints())
-    th_a, th_b = th[0::2], th[1::2]
+    w, total = _component_arcs(e)
 
     def link_log(lo, hi):
-        return _gap_division_log(th_a[:, None, None], th_b[:, None, None], lo, hi)
+        return _cell_log(lo - hi, w[:, None, None], total[:, None, None] - 2.0 * hi)
 
-    ends = list(zip(th_a.tolist(), th_b.tolist()))
-
-    def link_terms(k, lo, hi):
-        return _gap_division_terms(*ends[k], lo, hi)
-
-    return e.gaps(), link_log, link_terms
+    links = [((0.0, 0.0, w_k), (0.0, -2.0, total_k))
+             for w_k, total_k in zip(w.tolist(), total.tolist())]
+    return e.gaps(), link_log, links
 
 
 def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
@@ -551,12 +534,9 @@ def _solynin_chain(e: IntervalUnion):
         even_k, end_k = even[:, None, None], end[:, None, None]
         return _cell_log(lo - hi, np.where(even_k, lo - end_k, end_k - hi))
 
-    links = list(zip(even.tolist(), end.tolist()))
-
-    def link_terms(k, lo, hi):
-        return _solynin_link_terms(*links[k], lo, hi)
-
-    return boxes, link_log, link_terms
+    links = [((1.0, 0.0, -end_k),) if even_k else ((0.0, -1.0, end_k),)
+             for even_k, end_k in zip(even.tolist(), end.tolist())]
+    return boxes, link_log, links
 
 
 def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:

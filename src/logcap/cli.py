@@ -48,6 +48,8 @@ def format_inline_set(e: IntervalUnion) -> str:
 
 
 def _load_set(args) -> IntervalUnion:
+    if args.set is not None and args.json is not None:
+        raise ParseError("give the set by -e/--set or by --json, not both")
     if args.set is not None:
         return parse_inline_set(args.set)
     if args.json is not None:

@@ -122,30 +122,34 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     ladder climbs level by level: one kernel call per gap still pending,
     then one test of all of them.  Raises ConvergenceError, naming the
     lowest such gap, when a gap's m-interval and m/2-interval rules still
-    disagree at the cap.
+    disagree at the cap.  A node that rounds onto an endpoint makes a level
+    inf or nan, which the test never accepts, so numpy's divide and invalid
+    warnings are silenced for the whole ladder.
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
     out = np.empty((n - 1, n))
     pending = np.arange(n - 1)
     m = _MOMENT_FIRST
-    while True:
-        sums = np.array([_kernels.gap_moment_sums(ep, gap, m, n - 1) for gap in pending.tolist()])
-        fine = sums[:, 0]
-        done = (abs(fine - sums[:, 1]).max(axis=1)
-                < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
-        out[pending[done]] = fine[done]
-        pending = pending[~done]
-        if not pending.size:
-            return out, m
-        if m >= _MOMENT_CAP:
-            gap = int(pending[0])
-            lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
-            raise ConvergenceError(
-                f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
-                f"with {m + 1} Lobatto nodes ({m} intervals)"
-            )
-        m *= 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            sums = np.array([_kernels.gap_moment_sums(ep, gap, m, n - 1)
+                             for gap in pending.tolist()])
+            fine = sums[:, 0]
+            done = (abs(fine - sums[:, 1]).max(axis=1)
+                    < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
+            out[pending[done]] = fine[done]
+            pending = pending[~done]
+            if not pending.size:
+                return out, m
+            if m >= _MOMENT_CAP:
+                gap = int(pending[0])
+                lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
+                raise ConvergenceError(
+                    f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
+                    f"with {m + 1} Lobatto nodes ({m} intervals)"
+                )
+            m *= 2
 
 
 def widom_polynomial(e: IntervalUnion) -> WidomModel:

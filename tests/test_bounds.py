@@ -42,10 +42,8 @@ from logcap.bounds import (
     _chain_argmax,
     _chain_grid,
     _gap_division_chain,
-    _gap_division_log,
-    _gap_division_terms,
+    _link_terms,
     _solynin_chain,
-    _solynin_link_terms,
 )
 from logcap.verify import (
     DOMINANCE_SLACK,
@@ -241,6 +239,19 @@ def gap_division_lower_loop(e, d):
     return 0.5 * math.exp(log_total)
 
 
+def gap_division_lower_mp(e, d):
+    """The gap-division bound in mpmath's working precision, in its cosine-difference form."""
+    th = [mpmath.acos(x) for x in e.endpoints()]
+    cut = [mpmath.pi, *map(mpmath.acos, d.deltas), mpmath.mpf(0)]
+    log_total = 0
+    for th_a, th_b, lo, hi in zip(th[0::2], th[1::2], cut, cut[1:]):
+        span = lo - hi
+        factor = (mpmath.cos(mpmath.pi * (th_b - hi) / span)
+                  - mpmath.cos(mpmath.pi * (th_a - hi) / span)) / 2
+        log_total += span ** 2 / mpmath.pi ** 2 * mpmath.log(factor)
+    return mpmath.exp(log_total) / 2
+
+
 def test_partition_and_gap_division_match_scalar_oracles():
     rng = random.Random(103)
     for n in range(2, 9):
@@ -259,10 +270,29 @@ def test_partition_and_gap_division_zero_cases_match_scalar_oracles():
     e = make_interval_union([(-1.0, -0.5), (0.5, 1.0)])
     p = Partition((-1.0, -0.2, 0.2, 1.0))  # the middle cell misses e
     assert partition_lower(e, p) == partition_lower_loop(e, p) == 0.0
-    # arccos does not resolve [0, 1e-300], so that component's factor is 0
+    # arccos does not resolve [0, 1e-300], so the scalar oracle's factor for
+    # it is 0; its width taken from b - a keeps the bound positive
     e = make_interval_union([(-1.0, -0.5), (0.0, 1e-300), (0.6, 1.0)])
     d = GapPoints((-0.2, 0.3))
-    assert gap_division_lower(e, d) == gap_division_lower_loop(e, d) == 0.0
+    assert gap_division_lower_loop(e, d) == 0.0
+    with mpmath.workdps(400):
+        want = float(gap_division_lower_mp(e, d))
+    assert gap_division_lower(e, d) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12])
+def test_gap_division_keeps_its_digits_on_a_thin_component(width):
+    # mpmath keeps 40 digits beyond the log10(1/w) that acos(a) - acos(b) cancels
+    rng = random.Random(113)
+    for _ in range(30):
+        pairs = list(random_unit_interval_union(rng, 3).intervals)
+        a = rng.uniform(*pairs[1])
+        pairs[1] = (a, a + width)
+        e = make_interval_union(pairs)
+        d = GapPoints(tuple(rng.uniform(lo, hi) for lo, hi in e.gaps()))
+        with mpmath.workdps(40 + round(-math.log10(width))):
+            want = float(gap_division_lower_mp(e, d))
+        assert gap_division_lower(e, d) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_partition_bound_is_squared_symmetric_sector_product():
@@ -506,8 +536,9 @@ def test_chain_link_derivatives_match_mpmath(kind):
             # the component [th_b, th_a] lies inside the cell [hi, lo]
             th_b, th_a = end, end + rng.uniform(0.01, 0.5)
             lo += th_a - th_b
-            got = _gap_division_terms(th_a, th_b, lo, hi)
-            want_np = float(_gap_division_log(th_a, th_b, np.float64(lo), np.float64(hi)))
+            got = _link_terms(((0.0, 0.0, th_a - th_b), (0.0, -2.0, th_a + th_b)), lo, hi)
+            want_np = float(_cell_log(np.float64(lo - hi), np.float64(th_a - th_b),
+                                      np.float64(th_a + th_b - 2.0 * hi)))
 
             def f(x, y, th_a=mpmath.mpf(th_a), th_b=mpmath.mpf(th_b)):
                 span = x - y
@@ -516,7 +547,7 @@ def test_chain_link_derivatives_match_mpmath(kind):
                 return span ** 2 / mpmath.pi ** 2 * mpmath.log(phi)
         else:
             even = kind == "even"
-            got = _solynin_link_terms(even, end, lo, hi)
+            got = _link_terms(((1.0, 0.0, -end),) if even else ((0.0, -1.0, end),), lo, hi)
             want_np = float(_cell_log(np.float64(lo - hi), np.float64(lo - end if even else end - hi)))
 
             def f(x, y, even=even, end=mpmath.mpf(end)):

@@ -85,6 +85,15 @@ def test_cap_bad_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_cap_set_and_json_together_exit_2(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"intervals": [[-1, -0.5], [0.5, 1]]}))
+    code, out, err = run_cli(capsys, "cap", "-e", "-1:-0.6,0.5:1", "--json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not both" in err
+
+
 def test_bounds_domain_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "bounds", "-e", "-1:-0.6,-0.1:0.2,0.5:1", "--method", "akhiezer")
     assert code == 1

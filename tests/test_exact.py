@@ -549,6 +549,14 @@ def test_unconverged_gap_moments_name_the_lowest_failing_gap():
         widom_capacity(e)
 
 
+def test_a_node_rounding_onto_an_endpoint_raises_without_a_warning():
+    # gap 1's last Lobatto node rounds from 1e-20 onto a_2 = 0, where the
+    # endpoint product is 0; the ladder raises, and no numpy RuntimeWarning
+    # (an error under this suite's settings) escapes before it
+    with pytest.raises(ConvergenceError, match="gap 0 .* 4097 Lobatto nodes"):
+        capacity(make_interval_union([(-1.0, -0.5), (0.0, 1e-20), (0.6, 1.0)]))
+
+
 def test_gap_moments_converging_at_the_cap_still_return():
     e = make_interval_union([(-1.0, -0.5), (-0.4, -0.4 + 1e-5), (0.1, 1.0)])
     assert widom_polynomial(e).moment_nodes == _MOMENT_CAP
