@@ -8,25 +8,17 @@ moment kernel is called once per gap and ladder level rather than once for
 all gaps.  It is vectorized over the quadrature nodes, and the cost of a
 call is mostly the fixed cost of each numpy call, so it keeps that number
 small: it takes a fixed handful of array operations whatever the number
-of intervals and moments, with the Chebyshev-Lobatto nodes cached per
-interval count, and returns both the rule it was asked for and the nested
-rule of half as many intervals, so one call gives the pair a convergence
-test compares.
+of intervals and moments, on the Chebyshev-Lobatto nodes that
+``special._lobatto_nodes`` caches per interval count, and returns both
+the rule it was asked for and the nested rule of half as many intervals,
+so one call gives the pair a convergence test compares.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-
-@functools.lru_cache(maxsize=16)
-def _lobatto_nodes(m: int) -> np.ndarray:
-    """The m + 1 Chebyshev-Lobatto nodes cos(k pi / m), k = 0..m (shared, read-only)."""
-    nodes = np.cos(np.arange(m + 1) * np.pi / m)
-    nodes.flags.writeable = False
-    return nodes
+from .special import _lobatto_nodes
 
 
 def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int) -> np.ndarray:

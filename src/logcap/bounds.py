@@ -144,13 +144,15 @@ def _cell_log(cell_mu, *inter_mu):
     component's arccos width, and mu = th_a + th_b - 2 th_hi, it is the
     gap-division factor of a component [th_b, th_a] in the cell
     [th_hi, th_hi + M], since (cos p - cos q) / 2 = sin((q - p) / 2)
-    sin((p + q) / 2).  Callers silence numpy's divide and invalid warnings.
+    sin((p + q) / 2).
     """
-    s = np.sin((0.5 * math.pi) * inter_mu[0] / cell_mu)
-    for mu in inter_mu[1:]:
-        s = s * np.sin((0.5 * math.pi) * mu / cell_mu)
-    # fmax sends a product <= 0, and nan, to log(0) = -inf
-    return (2.0 / math.pi ** 2 / len(inter_mu)) * cell_mu * cell_mu * np.log(np.fmax(s, 0.0))
+    # an empty cell (M = 0) divides by zero; fmax sends a product <= 0,
+    # and nan, to log(0) = -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sin((0.5 * math.pi) * inter_mu[0] / cell_mu)
+        for mu in inter_mu[1:]:
+            s = s * np.sin((0.5 * math.pi) * mu / cell_mu)
+        return (2.0 / math.pi ** 2 / len(inter_mu)) * cell_mu * cell_mu * np.log(np.fmax(s, 0.0))
 
 
 _INFEASIBLE = (-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -240,8 +242,7 @@ def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     if abs((angles[-1] - angles[0]) - 2.0 * math.pi) > 1e-9:
         raise DomainError("sector angles must cover exactly one full turn")
     mes = f.length_within(angles[:-1], angles[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return math.exp(_cell_log(0.5 * np.diff(angles), 0.5 * mes).sum())
+    return math.exp(_cell_log(0.5 * np.diff(angles), 0.5 * mes).sum())
 
 
 def partition_lower(e: IntervalUnion, p: Partition) -> float:
@@ -256,8 +257,7 @@ def partition_lower(e: IntervalUnion, p: Partition) -> float:
     lo, hi = cut[:-1, None], cut[1:, None]
     # component k spans the angles [th_b, th_a], cell j the angles [hi_j, lo_j]
     inter_mu = np.maximum(np.minimum(th[0::2], lo) - np.maximum(th[1::2], hi), 0.0).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], inter_mu).sum())
+    return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], inter_mu).sum())
 
 
 def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
@@ -270,8 +270,7 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     d.validate_for(e)
     w, total = _component_arcs(e)
     cut = np.arccos((-1.0, *d.deltas, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], w, total - 2.0 * cut[1:]).sum())
+    return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], w, total - 2.0 * cut[1:]).sum())
 
 
 def _chain_argmax(tables) -> list[int]:
@@ -307,10 +306,12 @@ def _chain_grid(link_log, boxes) -> tuple[list[float], float]:
     lo, hi = np.array(boxes, dtype=float).T
     step = (hi - lo) / (_GRID_CANDIDATES + 1)
     t = lo[:, None] + np.arange(1, _GRID_CANDIDATES + 1) * step[:, None]
+    if not ((lo[:, None] < t) & (t < hi[:, None])).all():
+        # on a box a few ulp wide, candidates round onto its ends
+        t = np.clip(t, np.nextafter(lo, hi)[:, None], np.nextafter(hi, lo)[:, None])
     x = np.empty((len(t) + 2, _GRID_CANDIDATES))
     x[0], x[-1], x[1:-1] = math.pi, 0.0, np.arccos(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tables = link_log(x[:-1, :, None], x[1:, None, :])
+    tables = link_log(x[:-1, :, None], x[1:, None, :])
     idx = _chain_argmax(tables)
     f = float(tables[np.arange(len(tables)), idx[:-1], idx[1:]].sum())
     return [float(t[i, j]) for i, j in enumerate(idx[1:-1])], f
@@ -522,13 +523,10 @@ def _solynin_chain(e: IntervalUnion):
     boxes = [gaps[0]]
     for comp, gap in zip(e.intervals[1:-1], gaps[1:]):
         boxes += [comp, gap]
-    th = np.arccos(e.endpoints())
-    k = np.arange(len(boxes) + 1)
-    comp = (k + 1) // 2
-    # an even cell meets its component from the cell's left end to b_comp,
-    # an odd one from a_comp to the cell's right end
-    even = k % 2 == 0
-    end = np.where(even, th[2 * comp + 1], th[2 * comp])
+    # cell k meets its component at endpoint k + 1: an even cell from the
+    # cell's left end to b, an odd one from a to the cell's right end
+    end = np.arccos(e.endpoints())[1:-1]
+    even = np.arange(len(end)) % 2 == 0
 
     def link_log(lo, hi):
         even_k, end_k = even[:, None, None], end[:, None, None]

@@ -19,6 +19,7 @@ from . import _kernels
 from .errors import ConvergenceError, DomainError
 from .sets import IntervalUnion, normalize_to_unit
 from .special import (
+    _LADDER,
     EllipticParams,
     QuadratureResult,
     _carlson_rf,
@@ -36,10 +37,6 @@ AKHIEZER = "akhiezer"
 WIDOM = "widom"
 CLOSED_FORM = "closed_form"
 
-# the gap moment ladder: Chebyshev-Lobatto rules of m = 128, 256, ..., 4096
-# intervals, each level accepted when it agrees with its nested m/2 rule
-_MOMENT_FIRST = 128
-_MOMENT_CAP = 4096
 _MOMENT_TOL = 1e-12
 
 
@@ -119,20 +116,20 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap.
 
     Also returns the largest Lobatto interval count m any gap needed.  The
-    ladder climbs level by level: one kernel call per gap still pending,
-    then one test of all of them.  Raises ConvergenceError, naming the
-    lowest such gap, when a gap's m-interval and m/2-interval rules still
-    disagree at the cap.  A node that rounds onto an endpoint makes a level
-    inf or nan, which the test never accepts, so numpy's divide and invalid
-    warnings are silenced for the whole ladder.
+    ladder, ``special._LADDER``, climbs level by level: one kernel call per
+    gap still pending, then one test of all of them.  Raises
+    ConvergenceError, naming the lowest such gap, when a gap's m-interval
+    and m/2-interval rules still disagree at the cap.  A node that rounds
+    onto an endpoint makes a level inf or nan, which the test never
+    accepts, so numpy's divide and invalid warnings are silenced for the
+    whole ladder.
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
     out = np.empty((n - 1, n))
     pending = np.arange(n - 1)
-    m = _MOMENT_FIRST
     with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
+        for m in _LADDER:
             sums = np.array([_kernels.gap_moment_sums(ep, gap, m, n - 1)
                              for gap in pending.tolist()])
             fine = sums[:, 0]
@@ -142,14 +139,12 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
             pending = pending[~done]
             if not pending.size:
                 return out, m
-            if m >= _MOMENT_CAP:
-                gap = int(pending[0])
-                lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
-                raise ConvergenceError(
-                    f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
-                    f"with {m + 1} Lobatto nodes ({m} intervals)"
-                )
-            m *= 2
+    gap = int(pending[0])
+    lo, hi = ep[2 * gap + 1], ep[2 * gap + 2]
+    raise ConvergenceError(
+        f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
+        f"with {m + 1} Lobatto nodes ({m} intervals)"
+    )
 
 
 def widom_polynomial(e: IntervalUnion) -> WidomModel:

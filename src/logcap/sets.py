@@ -89,7 +89,7 @@ class IntervalUnion:
             pairs = data["intervals"]
         except (TypeError, KeyError) as exc:
             raise ValidationError("expected {'intervals': [[a, b], ...]}") from exc
-        return make_interval_union([tuple(p) for p in pairs])
+        return make_interval_union(pairs)
 
 
 @dataclass(frozen=True)
@@ -172,16 +172,21 @@ def make_interval_union(pairs) -> IntervalUnion:
     Pairs are sorted; overlapping or touching intervals are merged.  A
     hull end a_1 within 1e-14 of -1, or b_n within 1e-14 of 1, is snapped
     there exactly unless that would empty its interval; no other endpoint
-    moves.
+    moves.  Raises ValidationError unless ``pairs`` is an iterable of
+    two-entry pairs of numbers.
     """
-    pairs = list(pairs)
+    try:
+        pairs = list(pairs)
+    except TypeError as exc:
+        raise ValidationError(f"expected a sequence of (a, b) pairs, got {pairs!r}") from exc
     if not pairs:
         raise ValidationError("need at least one interval")
     cleaned = []
     for pair in pairs:
         try:
-            a, b = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError) as exc:
+            a, b = pair
+            a, b = float(a), float(b)
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"not an interval pair: {pair!r}") from exc
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError(f"non-finite endpoint in ({a}, {b})")

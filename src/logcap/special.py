@@ -160,10 +160,21 @@ def _vectorized(f):
     return call
 
 
+# the quadrature ladder: rules of m = 128, 256, ..., 4096 intervals on the
+# Chebyshev-Lobatto nodes, each level accepted when it agrees with its
+# nested m/2 rule.  The gap moments climb it with the Lobatto rule itself,
+# the Robin tail and the Green edges with Fejer's rule on its interior nodes.
+_LADDER = (128, 256, 512, 1024, 2048, 4096)
+
+
 @functools.lru_cache(maxsize=16)
-def _chebyshev_nodes(m: int) -> np.ndarray:
-    """The m Chebyshev-Gauss nodes cos((2r - 1) pi / 2m), r = 1..m (shared, read-only)."""
-    nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
+def _lobatto_nodes(m: int) -> np.ndarray:
+    """The m + 1 Chebyshev-Lobatto nodes cos(k pi / m), k = 0..m (shared, read-only).
+
+    The odd-indexed ones of the 2m-interval set are the m Chebyshev-Gauss
+    nodes cos((2r - 1) pi / 2m), r = 1..m.
+    """
+    nodes = np.cos(np.arange(m + 1) * np.pi / m)
     nodes.flags.writeable = False
     return nodes
 
@@ -178,15 +189,9 @@ def chebyshev_gauss(g, a: float, b: float, m: int) -> float:
         raise DomainError(f"node count must be positive, got {m}")
     if not a < b:
         raise DomainError(f"need a < b, got ({a}, {b})")
-    t = 0.5 * (a + b) + 0.5 * (b - a) * _chebyshev_nodes(m)
+    t = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto_nodes(2 * m)[1::2]
     vals = _vectorized(g)(t)
     return float(vals.sum()) * math.pi / m
-
-
-# the tail and edge ladder: Fejer rules of m = 128, 256, ..., 4096 intervals,
-# each level accepted when it agrees with its nested m/2 rule
-_FEJER_FIRST = 128
-_FEJER_CAP = 4096
 
 
 @functools.lru_cache(maxsize=8)
@@ -201,9 +206,8 @@ def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     odd = np.arange(1.0, m, 2.0)
     v = np.concatenate((2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(m // 2)))
     weights = np.fft.ifft(-v[:-1] - v[:0:-1]).real[1:]
-    nodes = np.cos(np.arange(1, m) * np.pi / m)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    weights.flags.writeable = False
+    return _lobatto_nodes(m)[1:-1], weights
 
 
 def _fejer_ladder(g, lo: float, hi: float, tol: float, what: str) -> QuadratureResult:
@@ -219,8 +223,7 @@ def _fejer_ladder(g, lo: float, hi: float, tol: float, what: str) -> QuadratureR
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     vals = np.empty(0)
-    m = _FEJER_FIRST
-    while m <= _FEJER_CAP:
+    for m in _LADDER:
         nodes, weights = _fejer_rule(m)
         # a node that rounds onto a singular endpoint gives an inf or nan
         # value; a level holding one is never accepted
@@ -236,7 +239,6 @@ def _fejer_ladder(g, lo: float, hi: float, tol: float, what: str) -> QuadratureR
             floor = 1e-14 * half * np.dot(weights, np.abs(vals))
         if math.isfinite(fine) and delta <= max(tol, floor):
             return QuadratureResult(float(fine), float(max(delta, floor)), vals.size)
-        m *= 2
     ok = np.isfinite(vals)
     partial = QuadratureResult(float(half * np.dot(weights[ok], vals[ok])), math.inf, vals.size)
     raise ConvergenceError(f"{what} did not converge with {vals.size} nodes", partial=partial)

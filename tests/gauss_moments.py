@@ -7,7 +7,7 @@ before it.  These functions redo that computation bit for bit.
 
 import numpy as np
 
-from logcap.exact import _MOMENT_CAP, _MOMENT_TOL
+from logcap.exact import _LADDER, _MOMENT_TOL
 
 
 def gauss_gap_moment_sums(endpoints, gap, m, jmax):
@@ -36,7 +36,7 @@ def gauss_moment_ladder(e):
     for gap in range(e.n - 1):
         m = 64
         prev = gauss_gap_moment_sums(ep, gap, m, e.n - 1)
-        while m < _MOMENT_CAP:
+        while m < _LADDER[-1]:
             m *= 2
             cur = gauss_gap_moment_sums(ep, gap, m, e.n - 1)
             done = np.max(np.abs(cur - prev)) < _MOMENT_TOL * max(1.0, float(np.max(np.abs(cur))))

@@ -511,6 +511,30 @@ def test_optimizers_reject_single_interval_and_non_unit_hull(optimizer):
         optimizer(make_interval_union([(-0.9, -0.2), (0.1, 1.0)]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_gap_division_optimum_stays_inside_a_gap_a_few_ulp_wide():
+    # the gap is 4 ulp wide: every first-grid candidate rounds onto one of its ends
+    e = make_interval_union([(-1.0, -0.5), (-0.49999999999999956, 1.0)])
+    val, d = gap_division_lower_max(e)
+    assert -0.5 < d.deltas[0] < -0.49999999999999956
+    assert val == gap_division_lower(e, d) == 0.5
+    # a gap 1 ulp wide has no interior float
+    e = make_interval_union([(-1.0, -0.5), (math.nextafter(-0.5, 1.0), 1.0)])
+    with pytest.raises(DomainError, match="outside open gap"):
+        gap_division_lower_max(e)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solynin_split_point_stays_inside_a_component_a_few_ulp_wide():
+    a = -0.3
+    b = math.nextafter(math.nextafter(math.nextafter(math.nextafter(a, 1.0), 1.0), 1.0), 1.0)
+    e = make_interval_union([(-1.0, -0.6), (a, b), (0.2, 1.0)])
+    val, p = solynin_lower_max(e)
+    free = p.points[1:-1]
+    assert a < free[1] < b
+    assert val == solynin_lower(e, GapPoints(free[0::2]), free[1::2])
+
+
 def _link_geometry(rng, edge):
     """Angles lo > end > hi of one link, with lo (edge 1) or hi (edge 2) within 1e-6 of end."""
     end = rng.uniform(0.6, 2.4)

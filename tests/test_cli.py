@@ -85,6 +85,17 @@ def test_cap_bad_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data", [{"intervals": 3}, {"intervals": [1, 2]},
+                                  {"intervals": [[0, 1, 2]]}])
+def test_cap_malformed_json_set_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "cap", "--json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_cap_set_and_json_together_exit_2(tmp_path, capsys):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"intervals": [[-1, -0.5], [0.5, 1]]}))

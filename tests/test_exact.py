@@ -26,7 +26,7 @@ from logcap import (
 from logcap import exact as exact_module
 from logcap import special as special_module
 from logcap._kernels import gap_moment_sums
-from logcap.exact import _MOMENT_CAP, _MOMENT_TOL, _moment_vectors
+from logcap.exact import _LADDER, _MOMENT_TOL, _moment_vectors
 from logcap.verify import random_unit_interval_union
 
 from gauss_moments import gauss_moment_ladder
@@ -316,7 +316,7 @@ def test_green_value_budget_exhaustion_raises_convergence_error(monkeypatch):
     # level, it runs out
     model = widom_polynomial(canonical_set(0.3, 4))
     want = green_value(model, -4.0, tol=1e-13)
-    monkeypatch.setattr(special_module, "_FEJER_CAP", 128)
+    monkeypatch.setattr(special_module, "_LADDER", (128,))
     with pytest.raises(ConvergenceError, match="Green function quadrature") as exc_info:
         green_value(model, -4.0, tol=1e-13)
     partial = exc_info.value.partial
@@ -559,7 +559,7 @@ def test_a_node_rounding_onto_an_endpoint_raises_without_a_warning():
 
 def test_gap_moments_converging_at_the_cap_still_return():
     e = make_interval_union([(-1.0, -0.5), (-0.4, -0.4 + 1e-5), (0.1, 1.0)])
-    assert widom_polynomial(e).moment_nodes == _MOMENT_CAP
+    assert widom_polynomial(e).moment_nodes == _LADDER[-1]
     res = widom_capacity(e)
     # inside the set whose middle interval has width 1e-3, and containing the one without it
     assert widom_capacity(make_interval_union([(-1.0, -0.5), (0.1, 1.0)])).value < res.value

@@ -19,7 +19,7 @@ from logcap import (
     normalize_to_unit,
     project_to_real_axis,
 )
-from logcap.sets import IntervalUnion
+from logcap.sets import CircleArcSet, IntervalUnion, Partition
 from logcap.verify import equality_gap_points, random_unit_interval_union
 
 
@@ -75,9 +75,34 @@ def test_thin_components_near_unit_ends_are_not_snapped_empty():
     assert 0.125 <= capacity(thin).value <= 0.25  # cap([0.5, 1]) <= cap <= cap([0, 1])
 
 
-def test_direct_construction_validates():
+def test_make_rejects_malformed_input():
+    for pairs in (3, [1, 2], [(0.0, 1.0, 2.0)], [(0.0,)], [(0.0, "x")], "ab"):
+        with pytest.raises(ValidationError):
+            make_interval_union(pairs)
+
+
+@pytest.mark.parametrize("data", [{"intervals": 3}, {"intervals": [1, 2]},
+                                  {"intervals": [[0, 1, 2]]}, {"sets": []}, [[0, 1]]])
+def test_from_json_dict_rejects_malformed_input(data):
     with pytest.raises(ValidationError):
-        IntervalUnion(((0.0, 1.0), (0.5, 2.0)))
+        IntervalUnion.from_json_dict(data)
+
+
+def test_json_dict_round_trip():
+    e = make_interval_union([(-1.0, -0.123456789012345), (0.1, 0.3), (2.0 / 3.0, 1.0)])
+    assert IntervalUnion.from_json_dict(e.to_json_dict()) == e
+
+
+def test_direct_construction_validates():
+    for intervals in ((), ((0.0, 1.0), (0.5, 2.0)), ((0.0, math.inf),), ((1.0, 1.0),)):
+        with pytest.raises(ValidationError):
+            IntervalUnion(intervals)
+    for points in ((-1.0,), (-0.5, 1.0), (-1.0, 0.5), (-1.0, 0.2, 0.2, 1.0)):
+        with pytest.raises(ValidationError):
+            Partition(points)
+    for arcs in ((), ((1.0, 0.5),), ((0.0, 7.0),), ((1.0, 2.0), (0.5, 3.0))):
+        with pytest.raises(ValidationError):
+            CircleArcSet(arcs)
 
 
 def test_mu_full_interval():

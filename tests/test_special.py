@@ -154,6 +154,11 @@ def test_chebyshev_gauss_scalar_callable():
     assert got == pytest.approx(1.5 * math.pi, rel=1e-14)
 
 
+def test_chebyshev_gauss_constant_callable():
+    # a callable that ignores its array and returns one float is evaluated node by node
+    assert chebyshev_gauss(lambda t: 2.0, -1, 1, 8) == 2.0 * math.pi
+
+
 def test_chebyshev_gauss_argument_errors():
     with pytest.raises(DomainError):
         chebyshev_gauss(lambda t: t, 0, 1, 0)
