@@ -306,9 +306,9 @@ def _chain_grid(link_log, boxes) -> tuple[list[float], float]:
     lo, hi = np.array(boxes, dtype=float).T
     step = (hi - lo) / (_GRID_CANDIDATES + 1)
     t = lo[:, None] + np.arange(1, _GRID_CANDIDATES + 1) * step[:, None]
-    if not ((lo[:, None] < t) & (t < hi[:, None])).all():
-        # on a box a few ulp wide, candidates round onto its ends
-        t = np.clip(t, np.nextafter(lo, hi)[:, None], np.nextafter(hi, lo)[:, None])
+    # on a box a few ulp wide, candidates round onto its ends; the clip
+    # leaves every candidate already strictly inside its box unchanged
+    t = np.clip(t, np.nextafter(lo, hi)[:, None], np.nextafter(hi, lo)[:, None])
     x = np.empty((len(t) + 2, _GRID_CANDIDATES))
     x[0], x[-1], x[1:-1] = math.pi, 0.0, np.arccos(t)
     tables = link_log(x[:-1, :, None], x[1:, None, :])
