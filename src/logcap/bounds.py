@@ -8,18 +8,20 @@ bound.  Products of powers are evaluated in the log domain; a vanishing
 factor short-circuits to 0.
 
 Every factor is one formula, the partition cell term, written once as a
-vectorized function shared by the public bounds and the optimizers.  It
-serves the partition, Solynin and sector-product bounds, and the
-gap-division bound too: the factor (cos p - cos q) / 2 of a component
-equals sin((q - p) / 2) sin((p + q) / 2), so its log is the mean of two
-cell terms of the same cell.  One of them takes the component's arccos
-width, computed from b - a so that a thin component keeps its digits.
+vectorized function for the public bounds, with its scalar derivatives
+beside it for the optimizers.  It serves the partition, Solynin and
+sector-product bounds, and the gap-division bound too: the factor
+(cos p - cos q) / 2 of a component equals sin((q - p) / 2)
+sin((p + q) / 2), so its log is the mean of two cell terms of the same
+cell.  Every arccos width of a part of the set, a component or its
+intersection with a partition cell, is computed from its width in t, so
+that a thin component keeps its digits.
 The Solynin and gap-division bounds have free division points.  Both are
-chains: each factor depends only on its two neighbouring points, so
-their maximizers solve a grid of candidates exactly with one max-sum
-pass, then climb from its optimum by damped Newton steps in the arccos
-angles, on a tridiagonal Hessian that the chain rule takes from the
-cell term's closed-form derivatives.
+chains: each factor depends only on its two neighbouring points, and
+each chain sum is concave in the arccos angles of the points.  Their
+maximizers climb from the centres of the angle boxes by damped Newton
+steps, on a tridiagonal Hessian that the chain rule takes from the cell
+term's closed-form derivatives.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ from .special import complete_E, complete_K
 LOWER = "lower"
 UPPER = "upper"
 
-# first grid of the optimized bounds, then the Newton ascent from its optimum
-_GRID_CANDIDATES = 33
+# the Newton ascent of the optimized bounds
 _NEWTON_STEPS = 30
 _NEWTON_TOL = 1e-15
 _HALVINGS = 4
 _TO_EDGE = 0.9
-_REACH = 2.0
 
 
 @dataclass(frozen=True)
@@ -208,21 +208,18 @@ def _link_terms(mus, lo, hi):
     return f * r, f_lo * r, f_hi * r, f_ll * r, f_lh * r, f_hh * r
 
 
-def _component_arcs(e: IntervalUnion):
-    """Arccos width w = th_a - th_b and sum th_a + th_b of each component [a, b].
+def _arcs(a, b):
+    """Arccos width w = th_a - th_b and sum th_a + th_b of the intervals [a, b], elementwise.
 
     w comes from b - a = 2 sin((th_a + th_b) / 2) sin(w / 2), not from the
     difference of two arccos values, which loses log10(1/w) digits on a
-    thin component.
+    thin interval; w = 0 where b <= a.
     """
-    w, total = [], []
-    for a, b in e.intervals:
-        s = math.acos(a) + math.acos(b)
-        # sin(w / 2) is within an ulp or two of 1 on a component spanning
-        # nearly all of [-1, 1]; min keeps rounding out of asin's domain
-        w.append(2.0 * math.asin(min((b - a) / (2.0 * math.sin(0.5 * s)), 1.0)))
-        total.append(s)
-    return np.array(w), np.array(total)
+    s = np.arccos(a) + np.arccos(b)
+    # sin(w / 2) is within an ulp or two of 1 on an interval spanning
+    # nearly all of [-1, 1]; min keeps rounding out of arcsin's domain
+    w = 2.0 * np.arcsin(np.minimum(np.maximum(b - a, 0.0) / (2.0 * np.sin(0.5 * s)), 1.0))
+    return w, s
 
 
 def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
@@ -252,12 +249,11 @@ def partition_lower(e: IntervalUnion, p: Partition) -> float:
     with the set; a cell missing the set entirely gives bound 0.
     """
     _require_unit_subset(e)
-    th = np.arccos(e.endpoints())
-    cut = np.arccos(p.points)
-    lo, hi = cut[:-1, None], cut[1:, None]
-    # component k spans the angles [th_b, th_a], cell j the angles [hi_j, lo_j]
-    inter_mu = np.maximum(np.minimum(th[0::2], lo) - np.maximum(th[1::2], hi), 0.0).sum(axis=1)
-    return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], inter_mu).sum())
+    pts, (a, b) = np.array(p.points), np.array(e.intervals).T
+    # cell j meets component k in [max(a_k, t_j), min(b_k, t_{j+1})]
+    inter_mu, _ = _arcs(np.maximum(a, pts[:-1, None]), np.minimum(b, pts[1:, None]))
+    cut = np.arccos(pts)
+    return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], inter_mu.sum(axis=1)).sum())
 
 
 def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
@@ -268,53 +264,9 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     """
     _require_unit_hull(e)
     d.validate_for(e)
-    w, total = _component_arcs(e)
+    w, total = _arcs(*np.array(e.intervals).T)
     cut = np.arccos((-1.0, *d.deltas, 1.0))
     return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], w, total - 2.0 * cut[1:]).sum())
-
-
-def _chain_argmax(tables) -> list[int]:
-    """Exact max-sum over a chain of link tables.
-
-    ``tables[k][i, j]`` is the log-contribution of link k with candidate i
-    of chain point k and candidate j of chain point k+1; -inf marks an
-    infeasible pair.  A forward pass keeps argmax back-pointers, so ties
-    keep the lowest index.  Returns the chosen index of every point.
-    """
-    score = np.zeros(tables.shape[1])
-    back = []
-    for table in tables:
-        table = score[:, None] + table
-        back.append(table.argmax(axis=0))
-        score = table.max(axis=0)
-    idx = [int(score.argmax())]
-    for best in reversed(back):
-        idx.append(int(best[idx[-1]]))
-    return idx[::-1]
-
-
-def _chain_grid(link_log, boxes) -> tuple[list[float], float]:
-    """Optimum of a chain sum over 33 equispaced interior candidates per box.
-
-    ``link_log(lo, hi)`` returns every link's log-contribution at once, as
-    an array broadcast to (links, 33, 33), from the arccos angles ``lo``
-    of each link's left point (shape (links, 33, 1)) and ``hi`` of its
-    right point (shape (links, 1, 33)); link 0's left point is -1 (angle
-    pi) and the last link's right point is 1 (angle 0).  Returns the
-    chosen t_1 ... t_m and the chain sum there.
-    """
-    lo, hi = np.array(boxes, dtype=float).T
-    step = (hi - lo) / (_GRID_CANDIDATES + 1)
-    t = lo[:, None] + np.arange(1, _GRID_CANDIDATES + 1) * step[:, None]
-    # on a box a few ulp wide, candidates round onto its ends; the clip
-    # leaves every candidate already strictly inside its box unchanged
-    t = np.clip(t, np.nextafter(lo, hi)[:, None], np.nextafter(hi, lo)[:, None])
-    x = np.empty((len(t) + 2, _GRID_CANDIDATES))
-    x[0], x[-1], x[1:-1] = math.pi, 0.0, np.arccos(t)
-    tables = link_log(x[:-1, :, None], x[1:, None, :])
-    idx = _chain_argmax(tables)
-    f = float(tables[np.arange(len(tables)), idx[:-1], idx[1:]].sum())
-    return [float(t[i, j]) for i, j in enumerate(idx[1:-1])], f
 
 
 def _chain_eval(links, x):
@@ -396,23 +348,17 @@ def _newton_step(grad, diag, off, x, boxes):
 def _chain_newton(links, boxes, t):
     """Damped Newton ascent of a chain sum in the arccos angles, from t_1 ... t_m.
 
-    No coordinate moves by more than _REACH grid steps at once.  A step
-    is taken only if every t_i stays in its open box and the sum rises,
-    halving it up to _HALVINGS times; the ascent stops once the predicted
-    rise is at most _NEWTON_TOL of the sum (for an interior step,
-    1/2 g.d).  Returns the last accepted t (``t`` itself if no step was
-    taken).
+    A step is taken only if every t_i stays in its open box and the sum
+    rises, halving it up to _HALVINGS times; the ascent stops once the
+    predicted rise is at most _NEWTON_TOL of the sum (for an interior
+    step, 1/2 g.d).  Returns the last accepted t (``t`` itself if no
+    step was taken).
     """
     x = [math.pi, *map(math.acos, t), 0.0]
     angle_boxes = [(math.acos(hi), math.acos(lo)) for lo, hi in boxes]
-    reach = [_REACH * (hi - lo) / (_GRID_CANDIDATES + 1) for lo, hi in angle_boxes]
     total, grad, diag, off = _chain_eval(links, x)
     for _ in range(_NEWTON_STEPS):
-        # each step stays within _REACH grid steps, so it climbs in the basin
-        # it is in rather than jumping to another one
-        local = [(max(lo, xi - r), min(hi, xi + r))
-                 for (lo, hi), xi, r in zip(angle_boxes, x[1:-1], reach)]
-        newton = _newton_step(grad, diag, off, x[1:-1], local)
+        newton = _newton_step(grad, diag, off, x[1:-1], angle_boxes)
         if newton is None or not newton[1] > _NEWTON_TOL * abs(total):
             break
         d, step = newton[0], 1.0
@@ -432,51 +378,36 @@ def _chain_newton(links, boxes, t):
     return t
 
 
-def _chain_grid_max(chain, bound):
+def _chain_max(boxes, links, bound):
     """Maximize a chain sum over -1 = t_0 < t_1 < ... < t_m < t_{m+1} = 1.
 
-    ``chain`` is (boxes, link_log, links): coordinate t_i ranges over the
-    open box ``boxes[i - 1]``, ``link_log`` evaluates every link on the
-    first grid as in :func:`_chain_grid`, and ``links[k]`` lists link k's
-    mu's for :func:`_link_terms`, which gives its value and its first and
-    second derivatives in the arccos angles of its two points.  The
-    33-candidate grid, solved exactly, is the global search; damped Newton
-    steps from its optimum then reach the local maximum.  ``bound(t)``
-    returns the public bound and its parameters at t_1 ... t_m, and the
-    result is ``bound`` at the Newton point, or at the grid optimum where
-    that is higher.
+    Coordinate t_i ranges over the open box ``boxes[i - 1]``, and
+    ``links[k]`` lists link k's mu's for :func:`_link_terms`, which gives
+    its value and its first and second derivatives in the arccos angles
+    of its two points.  The sum is concave in those angles, so damped
+    Newton steps from the centres of the angle boxes reach its maximum.
+    ``bound(t)`` returns the public bound and its parameters at
+    t_1 ... t_m, and the result is ``bound`` at the Newton point.
     """
-    boxes, link_log, links = chain
-    t0, f0 = _chain_grid(link_log, boxes)
-    t = _chain_newton(links, boxes, t0)
-    if t is t0:
-        return bound(t0)
-    best = bound(t)
-    # the public bound evaluates arccos(cos x), not x: a rise within its
-    # rounding, or on a component a few dozen ulp wide a fall, is caught here
-    if not best[0] > 0.5 * math.exp(f0) * (1.0 + 1e-9):
-        best = max(best, bound(t0), key=lambda r: r[0])
-    return best
+    # the centre of a box a few ulp wide can round onto one of its ends
+    t = [min(max(math.cos(0.5 * (math.acos(lo) + math.acos(hi))), math.nextafter(lo, hi)),
+             math.nextafter(hi, lo)) for lo, hi in boxes]
+    return bound(_chain_newton(links, boxes, t))
 
 
 def _gap_division_chain(e: IntervalUnion):
-    """The gap-division bound as a chain for :func:`_chain_grid_max`: link k is factor k."""
-    w, total = _component_arcs(e)
-
-    def link_log(lo, hi):
-        return _cell_log(lo - hi, w[:, None, None], total[:, None, None] - 2.0 * hi)
-
+    """The gap-division bound as a chain for :func:`_chain_max`: link k is factor k."""
+    w, total = _arcs(*np.array(e.intervals).T)
     links = [((0.0, 0.0, w_k), (0.0, -2.0, total_k))
              for w_k, total_k in zip(w.tolist(), total.tolist())]
-    return e.gaps(), link_log, links
+    return e.gaps(), links
 
 
 def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
     """Maximize the gap-division bound over the division points.
 
     Factor k depends only on the division points on either side of
-    component k, so the grid optimum is found exactly by a chain pass,
-    and the Newton steps solve a tridiagonal system.
+    component k, so the Newton steps solve a tridiagonal system.
     """
     _require_unit_hull(e)
 
@@ -484,7 +415,7 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
         d = GapPoints(tuple(t))
         return gap_division_lower(e, d), d
 
-    return _chain_grid_max(_gap_division_chain(e), bound)
+    return _chain_max(*_gap_division_chain(e), bound)
 
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
@@ -518,23 +449,17 @@ def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
 
 
 def _solynin_chain(e: IntervalUnion):
-    """The tailored-partition bound as a chain for :func:`_chain_grid_max`: link k is cell k."""
+    """The tailored-partition bound as a chain for :func:`_chain_max`: link k is cell k."""
     gaps = e.gaps()
     boxes = [gaps[0]]
     for comp, gap in zip(e.intervals[1:-1], gaps[1:]):
         boxes += [comp, gap]
     # cell k meets its component at endpoint k + 1: an even cell from the
     # cell's left end to b, an odd one from a to the cell's right end
-    end = np.arccos(e.endpoints())[1:-1]
-    even = np.arange(len(end)) % 2 == 0
-
-    def link_log(lo, hi):
-        even_k, end_k = even[:, None, None], end[:, None, None]
-        return _cell_log(lo - hi, np.where(even_k, lo - end_k, end_k - hi))
-
-    links = [((1.0, 0.0, -end_k),) if even_k else ((0.0, -1.0, end_k),)
-             for even_k, end_k in zip(even.tolist(), end.tolist())]
-    return boxes, link_log, links
+    end = np.arccos(e.endpoints())[1:-1].tolist()
+    links = [((0.0, -1.0, end_k),) if k % 2 else ((1.0, 0.0, -end_k),)
+             for k, end_k in enumerate(end)]
+    return boxes, links
 
 
 def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
@@ -542,9 +467,8 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
 
     The cells [t_k, t_{k+1}] of the chain -1, d_1, g_1, d_2, ..., d_{n-1}, 1
     each meet component (k+1)//2 at one known end, so the measure of the
-    intersection is a closed form in one endpoint, the grid optimum is
-    found exactly by a chain pass, and the Newton steps solve a
-    tridiagonal system.
+    intersection is a closed form in one endpoint, and the Newton steps
+    solve a tridiagonal system.
     """
     _require_unit_hull(e)
 
@@ -552,7 +476,7 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
         p = Partition((-1.0, *t, 1.0))
         return partition_lower(e, p), p
 
-    return _chain_grid_max(_solynin_chain(e), bound)
+    return _chain_max(*_solynin_chain(e), bound)
 
 
 def projection_upper(e: IntervalUnion) -> float:
@@ -582,7 +506,10 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
     scaled back by the half-width (cap(a e + b) = |a| cap(e)); ``params``
     stay in normalized coordinates.  The classical pair always appears,
     the partition, gap-division and projection bounds for n >= 2, and the
-    two-interval bounds for n = 2.
+    two-interval bounds for n = 2.  An optimized bound is left out where
+    one of its open boxes holds no float: the gap-division bound where a
+    gap is 1 ulp wide, and the Solynin bound also where an interior
+    component is.
     """
     norm, scale = normalize_to_unit(e)
     n = norm.n
@@ -597,10 +524,13 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
         alpha, beta = norm.intervals[0][1], norm.intervals[1][0]
         add("schiefermayr_lower", LOWER, schiefermayr_lower(alpha, beta))
     if n >= 2:
-        add("solynin_lower", LOWER, *solynin_lower_max(norm))
+        gaps_open = all(math.nextafter(a, b) < b for a, b in norm.gaps())
+        if gaps_open and all(math.nextafter(a, b) < b for a, b in norm.intervals[1:-1]):
+            add("solynin_lower", LOWER, *solynin_lower_max(norm))
         upart = uniform_measure_partition(n)
         add("partition_uniform_lower", LOWER, partition_lower(norm, upart), upart)
-        add("gap_division_lower", LOWER, *gap_division_lower_max(norm))
+        if gaps_open:
+            add("gap_division_lower", LOWER, *gap_division_lower_max(norm))
     add("classical_upper", UPPER, hi)
     if n == 2:
         add("polarization_upper", UPPER, polarization_upper(alpha, beta))

@@ -36,18 +36,9 @@ from logcap import (
     uniform_measure_partition,
     widom_capacity,
 )
-from logcap.bounds import (
-    _GRID_CANDIDATES,
-    _cell_log,
-    _chain_argmax,
-    _chain_grid,
-    _gap_division_chain,
-    _link_terms,
-    _solynin_chain,
-)
+from logcap.bounds import _cell_log, _link_terms, _solynin_chain
 from logcap.verify import (
     DOMINANCE_SLACK,
-    EQUALITY_TOL,
     SANDWICH_SLACK,
     equality_gap_points,
     random_unit_interval_union,
@@ -252,6 +243,20 @@ def gap_division_lower_mp(e, d):
     return mpmath.exp(log_total) / 2
 
 
+def partition_lower_mp(e, p):
+    """The partition bound in mpmath's working precision, from exact cell intersections."""
+    log_total = 0
+    for lo, hi in p.cells():
+        inter_mu = sum(mpmath.acos(max(a, lo)) - mpmath.acos(min(b, hi))
+                       for a, b in e.intervals if max(a, lo) < min(b, hi))
+        if inter_mu == 0:
+            return mpmath.mpf(0)
+        cell_mu = mpmath.acos(lo) - mpmath.acos(hi)
+        log_total += 2 * cell_mu ** 2 / mpmath.pi ** 2 * mpmath.log(
+            mpmath.sin(mpmath.pi * inter_mu / (2 * cell_mu)))
+    return mpmath.exp(log_total) / 2
+
+
 def test_partition_and_gap_division_match_scalar_oracles():
     rng = random.Random(103)
     for n in range(2, 9):
@@ -293,6 +298,24 @@ def test_gap_division_keeps_its_digits_on_a_thin_component(width):
         with mpmath.workdps(40 + round(-math.log10(width))):
             want = float(gap_division_lower_mp(e, d))
         assert gap_division_lower(e, d) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solynin_max_keeps_its_digits_beside_a_thin_component():
+    # each cell's part of the set is measured from its width in t, so no
+    # digits cancel between two arccos values of the thin component
+    for width in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+        e = make_interval_union([(-1.0, -0.6), (-0.3, -0.3 + width), (0.2, 1.0)])
+        val, p = solynin_lower_max(e)
+        with mpmath.workdps(50):
+            want = float(partition_lower_mp(e, p))
+        assert val == pytest.approx(want, rel=1e-13, abs=0.0), width
+    # 4 ulp wide: arccos of its ends and of the split point collide
+    b = -0.3
+    for _ in range(4):
+        b = math.nextafter(b, 1.0)
+    val, p = solynin_lower_max(make_interval_union([(-1.0, -0.6), (-0.3, b), (0.2, 1.0)]))
+    assert val > 0.0
 
 
 def test_partition_bound_is_squared_symmetric_sector_product():
@@ -379,7 +402,7 @@ def test_gap_division_below_exact():
 def test_gap_division_max_symmetric_argmax():
     e = sym_pair(0.3)
     val, pts = gap_division_lower_max(e)
-    assert abs(pts.deltas[0]) <= 0.6 / 34  # grid resolution of the first pass
+    assert abs(pts.deltas[0]) <= 1e-12
     assert val == pytest.approx(0.5 * math.sqrt(1 - 0.09), abs=1e-9)
 
 
@@ -430,57 +453,24 @@ def test_solynin_validates_interior_points():
         solynin_lower(e, GapPoints((-0.4, 0.4)), [])  # missing interior point
 
 
-def _brute_force_chain(tables):
-    """Optimum and argmax of a chain sum by enumerating the whole product grid.
-
-    Ties go to the lowest last index, then the lowest index before it, and
-    so on, which is the order a forward pass with back-pointers produces.
-    """
-    m = len(tables) - 1
-    i = np.indices(tuple(t.shape[1] for t in tables[:-1]))
-    total = tables[0][0, i[0]]
-    for k in range(1, m):
-        total = total + tables[k][i[k - 1], i[k]]
-    total = total + tables[m][i[m - 1], 0]
-    flat = total.transpose().ravel()  # last coordinate most significant
-    best = int(np.argmax(flat))
-    idx = np.unravel_index(best, total.shape[::-1])[::-1]
-    return flat[best], [int(j) for j in idx]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["continuous", "ties", "infeasible", "all_infeasible"])
-def test_chain_argmax_matches_exhaustive_enumeration(m, kind):
-    g = _GRID_CANDIDATES
-    rng = np.random.default_rng(100 * m + len(kind))
-    for _ in range(4):
-        sizes = [1] + [g] * m + [1]
-        if kind == "continuous":
-            tables = [rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:])]
-        else:  # small integers sum exactly, so ties are exact
-            tables = [rng.integers(0, 3, size=(a, b)).astype(float)
-                      for a, b in zip(sizes, sizes[1:])]
-        if kind == "infeasible":
-            for t in tables:
-                t[rng.random(t.shape) < 0.3] = -np.inf
-        if kind == "all_infeasible":
-            for t in tables:
-                t[:] = -np.inf
-        idx = _chain_argmax(np.stack([np.broadcast_to(t, (g, g)) for t in tables]))
-        want_val, want_idx = _brute_force_chain(tables)
-        got_val = sum(t[i, j] for t, i, j in zip(tables, idx, idx[1:]))
-        assert idx[0] == idx[-1] == 0
-        assert idx[1:-1] == want_idx
-        assert got_val == want_val
-
-
-@pytest.mark.parametrize("l", [math.pi / 2.0, math.pi, 1.5 * math.pi])
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_gap_division_max_reaches_equality_on_canonical_sets(l, n):
+def _reaches_closed_form(optimizer, l, n):
+    """The optimized bound equals the capacity 1/2 sin(l/4)^(2/arcs) of canonical_set(l, arcs)."""
     e = canonical_set(l, 2 * (n - 1))
     assert e.n == n
-    val, _ = gap_division_lower_max(e)
-    assert abs(val - 0.5 * math.sin(l / 4.0) ** (1.0 / (n - 1))) <= EQUALITY_TOL
+    want = 0.5 * math.sin(l / 4.0) ** (1.0 / (n - 1))
+    assert optimizer(e)[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("l", [0.3, math.pi / 2.0, math.pi, 1.5 * math.pi, 5.5])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_gap_division_max_reaches_equality_on_canonical_sets(l, n):
+    _reaches_closed_form(gap_division_lower_max, l, n)
+
+
+@pytest.mark.parametrize("l", [0.3, math.pi / 2.0, math.pi, 1.5 * math.pi, 5.5])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_solynin_max_reaches_equality_on_canonical_sets(l, n):
+    _reaches_closed_form(solynin_lower_max, l, n)
 
 
 def test_gap_division_max_dominates_solynin_max():
@@ -643,8 +633,7 @@ def _hard_sets():
             sets.append(make_interval_union(pairs))
     sets += [random_unit_interval_union(rng, 16, 0.5 / 31) for _ in range(2)]
     # a component 63 ulp wide: t = cos(x) and arccos(t) move its split point by
-    # a large share of its width, so the public bound at the Newton point
-    # falls 4e-4 below its value at the grid optimum
+    # a large share of its width
     sets.append(make_interval_union([
         (-1.0, -0.8691053601385033), (-0.7022330373106636, -0.702233037135044),
         (-0.20931030012916224, -0.2093103001291605), (-0.037535230452002515, 0.14638171064444938),
@@ -652,14 +641,30 @@ def _hard_sets():
     return sets
 
 
+# the bound on each of _hard_sets(), to 50 digits, at the points that a
+# 33-candidate grid search followed by Newton steps returned; its own float
+# values were off by up to 9.6e-4 on the thin components
+HARD_SET_VALUES = {
+    solynin_lower_max: [
+        0.49999999218749996, 0.49999999609374995, 0.49999999776785714, 0.49999999999921874,
+        0.49999999999960937, 0.4999999999997768, 0.49999999999999994, 0.49999999999999994,
+        0.5, 0.32647177012908374, 0.3583641872408692, 0.40202359098270807,
+        0.42723566690734077, 0.46946522895148635, 0.4713844290466929, 0.49041564149493533,
+        0.4908790292669844, 0.20627485572269622],
+    gap_division_lower_max: [
+        0.49999999218749996, 0.49999999609374995, 0.49999999776785714, 0.49999999999921874,
+        0.49999999999960937, 0.4999999999997768, 0.49999999999999994, 0.49999999999999994,
+        0.5, 0.33156055996705, 0.35906952325219404, 0.40483058940706973,
+        0.42893746341058214, 0.4703286385313548, 0.4717562776090446, 0.4904722300728277,
+        0.490947983761821, 0.29185040380243316],
+}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("optimizer, chain", [(solynin_lower_max, _solynin_chain),
-                                              (gap_division_lower_max, _gap_division_chain)])
-def test_optimizers_never_fall_below_the_first_grid(optimizer, chain):
-    for e in _hard_sets():
-        val, _, _, public = _optimizer_problem(e, optimizer)
-        boxes, link_log, _ = chain(e)
-        assert val >= public(_chain_grid(link_log, boxes)[0])
+@pytest.mark.parametrize("optimizer", [solynin_lower_max, gap_division_lower_max])
+def test_optimizers_never_fall_below_the_pinned_values_on_hard_sets(optimizer):
+    for e, want in zip(_hard_sets(), HARD_SET_VALUES[optimizer], strict=True):
+        assert optimizer(e)[0] >= want * (1.0 - 1e-15), e.intervals
 
 
 def test_projection_upper_values():
@@ -718,6 +723,31 @@ def test_all_bounds_three_intervals_excludes_two_interval_bounds():
     assert "schiefermayr_upper" not in names
     assert {"solynin_lower", "partition_uniform_lower", "gap_division_lower",
             "projection_upper"} <= names
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_bounds_leaves_out_optimized_bounds_without_an_interior_float():
+    # a gap 1 ulp wide holds no division point, and a component 1 ulp wide
+    # no Solynin split point; every other bound is still reported
+    e = make_interval_union([(-1.0, -0.5), (math.nextafter(-0.5, 1.0), 1.0)])
+    assert [r.name for r in all_bounds(e)] == [
+        "classical_lower",
+        "schiefermayr_lower",
+        "partition_uniform_lower",
+        "classical_upper",
+        "polarization_upper",
+        "gillis_upper",
+        "schiefermayr_upper",
+        "projection_upper",
+    ]
+    e = make_interval_union([(-1.0, -0.6), (-0.3, math.nextafter(-0.3, 1.0)), (0.2, 1.0)])
+    assert [r.name for r in all_bounds(e)] == [
+        "classical_lower",
+        "partition_uniform_lower",
+        "gap_division_lower",
+        "classical_upper",
+        "projection_upper",
+    ]
 
 
 def test_all_bounds_equality_collapse_on_symmetric_set():
