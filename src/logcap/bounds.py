@@ -345,14 +345,20 @@ def _newton_step(grad, diag, off, x, boxes):
     return d, sum(g * di for g, di in zip(grad, d)) + 0.5 * curv
 
 
+def _clip(t, lo, hi):
+    """t, or the float strictly inside (lo, hi) next to the end that t is on or past."""
+    return min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+
+
 def _chain_newton(links, boxes, t):
     """Damped Newton ascent of a chain sum in the arccos angles, from t_1 ... t_m.
 
-    A step is taken only if every t_i stays in its open box and the sum
-    rises, halving it up to _HALVINGS times; the ascent stops once the
-    predicted rise is at most _NEWTON_TOL of the sum (for an interior
-    step, 1/2 g.d).  Returns the last accepted t (``t`` itself if no
-    step was taken).
+    A step is taken only if the sum rises, halving it up to _HALVINGS
+    times; a t_i that rounds onto or past an end of its open box goes to
+    the float next to that end, so a box a few ulp wide cannot stall the
+    other coordinates.  The ascent stops once the predicted rise is at
+    most _NEWTON_TOL of the sum (for an interior step, 1/2 g.d).
+    Returns the last accepted t (``t`` itself if no step was taken).
     """
     x = [math.pi, *map(math.acos, t), 0.0]
     angle_boxes = [(math.acos(hi), math.acos(lo)) for lo, hi in boxes]
@@ -364,12 +370,12 @@ def _chain_newton(links, boxes, t):
         d, step = newton[0], 1.0
         for _ in range(_HALVINGS + 1):
             x_new = [xi + step * di for xi, di in zip(x[1:-1], d)]
-            t_new = [math.cos(xi) for xi in x_new]
-            if all(lo < ti < hi for ti, (lo, hi) in zip(t_new, boxes)):
-                x_new = [math.pi, *x_new, 0.0]
-                trial = _chain_eval(links, x_new)
-                if trial[0] > total:
-                    break
+            t_new = [_clip(math.cos(xi), *box) for xi, box in zip(x_new, boxes)]
+            x_new = [math.pi, *(xi if lo < math.cos(xi) < hi else math.acos(ti)
+                                for xi, ti, (lo, hi) in zip(x_new, t_new, boxes)), 0.0]
+            trial = _chain_eval(links, x_new)
+            if trial[0] > total:
+                break
             step *= 0.5
         else:
             break
@@ -390,8 +396,7 @@ def _chain_max(boxes, links, bound):
     t_1 ... t_m, and the result is ``bound`` at the Newton point.
     """
     # the centre of a box a few ulp wide can round onto one of its ends
-    t = [min(max(math.cos(0.5 * (math.acos(lo) + math.acos(hi))), math.nextafter(lo, hi)),
-             math.nextafter(hi, lo)) for lo, hi in boxes]
+    t = [_clip(math.cos(0.5 * (math.acos(lo) + math.acos(hi))), lo, hi) for lo, hi in boxes]
     return bound(_chain_newton(links, boxes, t))
 
 

@@ -36,7 +36,14 @@ from logcap import (
     uniform_measure_partition,
     widom_capacity,
 )
-from logcap.bounds import _cell_log, _link_terms, _solynin_chain
+from logcap.bounds import (
+    _cell_log,
+    _chain_eval,
+    _chain_max,
+    _gap_division_chain,
+    _link_terms,
+    _solynin_chain,
+)
 from logcap.verify import (
     DOMINANCE_SLACK,
     SANDWICH_SLACK,
@@ -453,6 +460,85 @@ def test_solynin_validates_interior_points():
         solynin_lower(e, GapPoints((-0.4, 0.4)), [])  # missing interior point
 
 
+def _brute_force_chain(tables):
+    """Optimum and argmax of a chain sum by enumerating the whole product grid."""
+    m = len(tables) - 1
+    i = np.indices(tuple(t.shape[1] for t in tables[:-1]))
+    total = tables[0][0, i[0]]
+    for k in range(1, m):
+        total = total + tables[k][i[k - 1], i[k]]
+    total = total + tables[m][i[m - 1], 0]
+    best = np.unravel_index(int(np.argmax(total)), total.shape)
+    return total[best], [int(j) for j in best]
+
+
+def _box_candidates(lo, hi, k):
+    """k angles evenly spaced across the box, as t strictly inside it, or every float there.
+
+    On a box a few ulp wide the evenly spaced angles round onto its ends,
+    which are infeasible; the floats strictly inside it are enumerated
+    instead.
+    """
+    inside = [math.nextafter(lo, hi)]
+    while len(inside) <= k and math.nextafter(inside[-1], hi) < hi:
+        inside.append(math.nextafter(inside[-1], hi))
+    if len(inside) <= k:
+        return inside
+    a, b = math.acos(hi), math.acos(lo)
+    return [t for t in (math.cos(a + (j + 0.5) * (b - a) / k) for j in range(k)) if lo < t < hi]
+
+
+def _chain_test_set(rng, n, kind):
+    """n intervals: random, mirror-symmetric, or with one or every gap a few ulp wide."""
+    pts = random_unit_interval_union(rng, n).endpoints()
+    if kind == "ties":
+        half = [0.5 * (p + 1.0) for p in pts[n:]]
+        pts = [-p for p in reversed(half)] + half
+    thin = {"infeasible": [rng.randrange(n - 1)], "all_infeasible": range(n - 1)}.get(kind, [])
+    for k in thin:
+        a = pts[2 * k + 1]
+        for _ in range(rng.randint(2, 5)):
+            a = math.nextafter(a, 1.0)
+        pts[2 * k + 2] = a
+    return make_interval_union(list(zip(pts[::2], pts[1::2])))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["continuous", "ties", "infeasible", "all_infeasible"])
+def test_chain_argmax_matches_exhaustive_enumeration(m, kind):
+    """The Newton ascent of _chain_max is no lower than any point of a product grid.
+
+    The chains are both optimizers' on m + 1 intervals.  The sum is
+    concave in the arccos angles, so on wide boxes the ascent's angles
+    also lie within two grid steps of the grid's best; on a
+    mirror-symmetric set, where the grid's mirrored points tie, the
+    ascent's points are symmetric.  Where a gap is a few ulp wide the
+    grid takes every float in it, and the ascent must still move the
+    other coordinates.
+    """
+    rng = random.Random(100 * m + len(kind))
+    for _ in range(4):
+        e = _chain_test_set(rng, m + 1, kind)
+        for chain in (_gap_division_chain, _solynin_chain):
+            boxes, links = chain(e)
+            t = _chain_max(boxes, links, lambda t: t)
+            assert all(lo < ti < hi for ti, (lo, hi) in zip(t, boxes, strict=True))
+            got = _chain_eval(links, [math.pi, *map(math.acos, t), 0.0])[0]
+            k = 33 if len(boxes) <= 3 else 11
+            cands = [[math.pi]] + [_box_candidates(lo, hi, k) for lo, hi in boxes] + [[0.0]]
+            cands[1:-1] = [list(map(math.acos, c)) for c in cands[1:-1]]
+            tables = [np.array([[_link_terms(mus, lo, hi)[0] for hi in his] for lo in los])
+                      for mus, los, his in zip(links, cands, cands[1:])]
+            want, idx = _brute_force_chain(tables)
+            assert got >= want - 1e-14 * abs(want)
+            if kind in ("continuous", "ties"):
+                for x, c, j in zip(map(math.acos, t), cands[1:-1], idx, strict=True):
+                    assert abs(x - c[j]) <= 2.0 * abs(c[-1] - c[0]) / (len(c) - 1)
+            if kind == "ties":
+                assert max(abs(a + b) for a, b in zip(t, reversed(t))) <= 1e-12
+
+
 def _reaches_closed_form(optimizer, l, n):
     """The optimized bound equals the capacity 1/2 sin(l/4)^(2/arcs) of canonical_set(l, arcs)."""
     e = canonical_set(l, 2 * (n - 1))
@@ -659,12 +745,34 @@ HARD_SET_VALUES = {
         0.490947983761821, 0.29185040380243316],
 }
 
+# the public bound on each of _hard_sets() at the optimum of that grid
+# search alone, before any Newton step
+FIRST_GRID_VALUES = {
+    solynin_lower_max: [
+        0.49999999218749996, 0.49999999609374995, 0.49999999776785714, 0.49999999999921874,
+        0.49999999999960937, 0.4999999999997768, 0.49999999999999994, 0.49999999999999994,
+        0.5, 0.3264054276085935, 0.35821271654686915, 0.40197246189728075,
+        0.42722083192053245, 0.46945311123981587, 0.47137332222933936, 0.4904133521818176,
+        0.49087461962473683, 0.20647384756891146],
+    gap_division_lower_max: [
+        0.49999999218749996, 0.49999999609374995, 0.49999999776785714, 0.49999999999921874,
+        0.49999999999960937, 0.4999999999997768, 0.49999999999999994, 0.49999999999999994,
+        0.5, 0.33120570609791206, 0.359003347019257, 0.40467889797710305,
+        0.42889659646647355, 0.4703068575131784, 0.47173811889734446, 0.49047057785808057,
+        0.49094489673060887, 0.2916755404207999],
+}
+
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("optimizer", [solynin_lower_max, gap_division_lower_max])
-def test_optimizers_never_fall_below_the_pinned_values_on_hard_sets(optimizer):
-    for e, want in zip(_hard_sets(), HARD_SET_VALUES[optimizer], strict=True):
-        assert optimizer(e)[0] >= want * (1.0 - 1e-15), e.intervals
+@pytest.mark.parametrize("optimizer, chain", [(solynin_lower_max, _solynin_chain),
+                                              (gap_division_lower_max, _gap_division_chain)])
+def test_optimizers_never_fall_below_the_first_grid(optimizer, chain):
+    """Neither the former grid's optimum nor its refinement is lost, to 1e-15, in open boxes."""
+    for e, grid, refined in zip(_hard_sets(), FIRST_GRID_VALUES[optimizer],
+                                HARD_SET_VALUES[optimizer], strict=True):
+        val, t, _, _ = _optimizer_problem(e, optimizer)
+        assert val >= max(grid, refined) * (1.0 - 1e-15), e.intervals
+        assert all(lo < ti < hi for ti, (lo, hi) in zip(t, chain(e)[0], strict=True))
 
 
 def test_projection_upper_values():
