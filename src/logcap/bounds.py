@@ -473,12 +473,16 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     The cells [t_k, t_{k+1}] of the chain -1, d_1, g_1, d_2, ..., d_{n-1}, 1
     each meet component (k+1)//2 at one known end, so the measure of the
     intersection is a closed form in one endpoint, and the Newton steps
-    solve a tridiagonal system.
+    solve a tridiagonal system.  Raises DomainError, as ``solynin_lower``
+    does, where a gap or an interior component is 1 ulp wide, so that no
+    split point fits inside it.
     """
     _require_unit_hull(e)
 
     def bound(t):
-        p = Partition((-1.0, *t, 1.0))
+        d = GapPoints(tuple(t[::2]))
+        d.validate_for(e)
+        p = _solynin_points(e, d, t[1::2])
         return partition_lower(e, p), p
 
     return _chain_max(*_solynin_chain(e), bound)

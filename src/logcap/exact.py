@@ -112,17 +112,29 @@ def akhiezer_capacity(alpha: float, beta: float) -> CapacityResult:
     return CapacityResult(value, AKHIEZER, value * 1e-13 / (1.0 - params.q))
 
 
+def _gap_runs(gaps: list[int], size: int) -> list[list[int]]:
+    """The sorted ``gaps`` as ranges [start, stop) of consecutive gaps, none over ``size`` long."""
+    runs = []
+    for g in gaps:
+        if runs and runs[-1][1] == g and g - runs[-1][0] < size:
+            runs[-1][1] = g + 1
+        else:
+            runs.append([g, g + 1])
+    return runs
+
+
 def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap.
 
     Also returns the largest Lobatto interval count m any gap needed.  The
     ladder, ``special._LADDER``, climbs level by level: one kernel call per
-    gap still pending, then one test of all of them.  Raises
-    ConvergenceError, naming the lowest such gap, when a gap's m-interval
-    and m/2-interval rules still disagree at the cap.  A node that rounds
-    onto an endpoint makes a level inf or nan, which the test never
-    accepts, so numpy's divide and invalid warnings are silenced for the
-    whole ladder.
+    run of consecutive gaps still pending, then one test of all of them.
+    A call covers at most ``_LADDER[-1] // m`` gaps, so it holds no more
+    nodes than one gap at the cap.  Raises ConvergenceError, naming the
+    lowest such gap, when a gap's m-interval and m/2-interval rules still
+    disagree at the cap.  A node that rounds onto an endpoint makes a level
+    inf or nan, which the test never accepts, so numpy's divide and invalid
+    warnings are silenced for the whole ladder.
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
@@ -130,10 +142,10 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     pending = np.arange(n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in _LADDER:
-            sums = np.array([_kernels.gap_moment_sums(ep, gap, m, n - 1)
-                             for gap in pending.tolist()])
-            fine = sums[:, 0]
-            done = (abs(fine - sums[:, 1]).max(axis=1)
+            runs = _gap_runs(pending.tolist(), _LADDER[-1] // m)
+            sums = [_kernels.gap_moment_sums(ep, start, m, n - 1, stop) for start, stop in runs]
+            fine, coarse = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
+            done = (abs(fine - coarse).max(axis=1)
                     < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
             out[pending[done]] = fine[done]
             pending = pending[~done]

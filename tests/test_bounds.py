@@ -589,7 +589,7 @@ def test_optimizers_reject_single_interval_and_non_unit_hull(optimizer):
 
 @pytest.mark.filterwarnings("error")
 def test_gap_division_optimum_stays_inside_a_gap_a_few_ulp_wide():
-    # the gap is 4 ulp wide: every first-grid candidate rounds onto one of its ends
+    # the gap is 4 ulp wide: the centre of its angle box can round onto one of its ends
     e = make_interval_union([(-1.0, -0.5), (-0.49999999999999956, 1.0)])
     val, d = gap_division_lower_max(e)
     assert -0.5 < d.deltas[0] < -0.49999999999999956
@@ -609,6 +609,22 @@ def test_solynin_split_point_stays_inside_a_component_a_few_ulp_wide():
     free = p.points[1:-1]
     assert a < free[1] < b
     assert val == solynin_lower(e, GapPoints(free[0::2]), free[1::2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_solynin_optimizer_raises_where_a_box_is_1_ulp_wide():
+    # no float lies strictly inside the gap, or the middle component, so
+    # the optimizer raises as solynin_lower does instead of returning an end
+    e = make_interval_union([(-1.0, -0.5), (math.nextafter(-0.5, 1.0), 1.0)])
+    with pytest.raises(DomainError, match="outside open gap"):
+        solynin_lower(e, GapPoints((-0.5,)))
+    with pytest.raises(DomainError, match="outside open gap"):
+        solynin_lower_max(e)
+    e = make_interval_union([(-1.0, -0.6), (-0.3, math.nextafter(-0.3, 1.0)), (0.2, 1.0)])
+    with pytest.raises(DomainError, match="outside component"):
+        solynin_lower(e, GapPoints((-0.45, 0.0)), (-0.3,))
+    with pytest.raises(DomainError, match="outside component"):
+        solynin_lower_max(e)
 
 
 def _link_geometry(rng, edge):

@@ -23,6 +23,7 @@ from logcap import (
     widom_capacity,
     widom_polynomial,
 )
+from logcap import _kernels as kernels_module
 from logcap import exact as exact_module
 from logcap import special as special_module
 from logcap._kernels import gap_moment_sums
@@ -427,16 +428,22 @@ def loop_gap_moment_sums(endpoints, gap, m, jmax):
 
 
 def test_gap_moment_sums_match_power_loop_bit_for_bit():
+    # every gap of a range call, and a single-gap call, as alone in the loop
     rng = random.Random(8)
     for n in (2, 5, 11, 20):
-        for _ in range(2):
+        for shift in (False, True):
             ep = np.asarray(random_unit_interval_union(rng, n).endpoints(), dtype=float)
-            ep = 3.0 * ep + 0.7  # off the unit hull as well
-            for gap in range(n - 1):
-                for m in (64, 128, 256):
-                    got = gap_moment_sums(ep, gap, m, n - 1)
-                    want = loop_gap_moment_sums(ep, gap, m, n - 1)
-                    assert got.tobytes() == want.tobytes()
+            if shift:
+                ep = 3.0 * ep + 0.7  # off the unit hull
+            for m in (64, 128, 256):
+                want = [loop_gap_moment_sums(ep, gap, m, n - 1) for gap in range(n - 1)]
+                for start, stop in ((0, n - 1), (n // 3, n // 3 + 1), ((n - 1) // 2, n - 1)):
+                    got = gap_moment_sums(ep, start, m, n - 1, stop)
+                    assert got.shape == (2, stop - start, n)
+                    for gap in range(start, stop):
+                        assert got[:, gap - start].tobytes() == want[gap].tobytes()
+                gap = n // 2 - 1
+                assert gap_moment_sums(ep, gap, m, n - 1)[:, 0].tobytes() == want[gap].tobytes()
 
 
 def _chebyshev_weight_integral(c, r, j):
@@ -455,7 +462,7 @@ def test_gap_moment_sums_polynomial_exactness(m):
     big = 2.0 ** 30
     lo, hi = -0.5, 1.5
     c, r = Fraction(lo + hi) / 2, Fraction(hi - lo) / 2
-    sums = big * gap_moment_sums(np.array([-big, lo, hi, big]), 0, m, 2 * m)
+    sums = big * gap_moment_sums(np.array([-big, lo, hi, big]), 0, m, 2 * m)[:, 0]
     for j in range(2 * m + 1):
         want = math.pi * float(_chebyshev_weight_integral(c, r, j))
         for row, degree in ((0, 2 * m - 1), (1, m - 1)):
@@ -484,7 +491,7 @@ def test_gap_moments_against_generic_rule():
         return g
 
     m = 128
-    sums = gap_moment_sums(ep, gap, m, 2)
+    sums = gap_moment_sums(ep, gap, m, 2)[:, 0]
     for j in range(3):
         want = chebyshev_gauss(smooth(j), lo, hi, m)
         assert sums[0, j] == pytest.approx(want, rel=1e-13)
@@ -510,7 +517,7 @@ def per_gap_moment_ladder(e):
     for gap in range(e.n - 1):
         m = 128
         while True:
-            fine, coarse = gap_moment_sums(ep, gap, m, e.n - 1)
+            fine, coarse = gap_moment_sums(ep, gap, m, e.n - 1)[:, 0]
             if abs(fine - coarse).max() < _MOMENT_TOL * max(1.0, abs(fine).max()):
                 break
             m *= 2
@@ -527,6 +534,34 @@ def test_level_synchronous_ladder_matches_the_per_gap_ladder_bit_for_bit():
         got, m = _moment_vectors(e)
         want, want_m = per_gap_moment_ladder(e)
         assert np.array_equal(got, want) and m == want_m
+
+
+def test_ladder_calls_the_kernel_once_per_run_of_open_gaps(monkeypatch):
+    calls = []  # (m, start, stop) of every kernel call
+
+    def recording(endpoints, gap, m, jmax, stop=None):
+        calls.append((m, gap, gap + 1 if stop is None else stop))
+        return gap_moment_sums(endpoints, gap, m, jmax, stop)
+
+    # six gaps beside five components 1e-5 wide climb the ladder together
+    e = make_interval_union([(-1.0, -0.5), (-0.4, -0.39999), (-0.3, -0.29999), (-0.2, -0.19999),
+                             (-0.1, -0.09999), (0.0, 1e-5), (0.2, 1.0)])
+    want, want_m = per_gap_moment_ladder(e)
+    monkeypatch.setattr(kernels_module, "gap_moment_sums", recording)
+    got, m = _moment_vectors(e)
+    assert np.array_equal(got, want) and m == want_m
+    assert [c for c in calls if c[0] == 128] == [(128, 0, 6)]
+    assert all(stop - start <= _LADDER[-1] // level for level, start, stop in calls)
+    # all six converge at 2048; a call at 1024 holds at most 4 gaps, at 2048 at most 2
+    assert calls == [(128, 0, 6), (256, 0, 6), (512, 0, 6), (1024, 0, 4), (1024, 4, 6),
+                     (2048, 0, 2), (2048, 2, 4), (2048, 4, 6)]
+    # gaps 0 and 2 climb past 128 beside thin end components, gap 1 between them does not
+    e = make_interval_union([(-1.0, -1.0 + 1e-5), (-0.5, 0.0), (0.3, 0.6), (1.0 - 1e-5, 1.0)])
+    want, want_m = per_gap_moment_ladder(e)
+    calls.clear()
+    got, m = _moment_vectors(e)
+    assert np.array_equal(got, want) and m == want_m
+    assert calls[:3] == [(128, 0, 3), (256, 0, 1), (256, 2, 3)]
 
 
 def test_widom_on_thin_canonical_pair_matches_closed_form():
