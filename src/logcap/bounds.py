@@ -5,7 +5,8 @@ bound, Solynin's tailored-partition bound, the general partition bound,
 and the gap-division bound.  Upper bounds: the trivial 1/2, polarization,
 Gillis, Schiefermayr's elliptic-integral bound, and the circle-projection
 bound.  Products of powers are evaluated in the log domain; a vanishing
-factor short-circuits to 0.
+factor short-circuits to 0.  The checks of a set's shape are ``sets.py``'s;
+this module checks only its bounds' own parameters.
 
 Every factor is one formula, the partition cell term, written once as a
 vectorized function for the public bounds, with its scalar derivatives
@@ -14,8 +15,8 @@ sector-product bounds, and the gap-division bound too: the factor
 (cos p - cos q) / 2 of a component equals sin((q - p) / 2)
 sin((p + q) / 2), so its log is the mean of two cell terms of the same
 cell.  Every arccos width of a part of the set, a component or its
-intersection with a partition cell, is computed from its width in t, so
-that a thin component keeps its digits.
+intersection with a partition cell, comes from ``sets._arcs``, which
+keeps the digits of a thin component.
 The Solynin and gap-division bounds have free division points.  Both are
 chains: each factor depends only on its two neighbouring points, and
 each chain sum is concave in the arccos angles of the points.  Their
@@ -32,12 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exact import _check_two_interval
 from .sets import (
     CircleArcSet,
     GapPoints,
     IntervalUnion,
     Partition,
+    _arcs,
+    _check_arc_family,
+    _check_two_interval,
+    _require_unit_hull,
     _require_unit_subset,
     normalize_to_unit,
 )
@@ -59,13 +63,6 @@ class BoundReport:
     kind: str  # "lower" or "upper"
     value: float
     params: Partition | GapPoints | None = None
-
-
-def _require_unit_hull(e: IntervalUnion) -> None:
-    if not e.is_unit_hull():
-        raise DomainError("bound requires a_1 = -1 and b_n = 1 exactly")
-    if e.n < 2:
-        raise DomainError("bound needs at least two intervals")
 
 
 def classical_bounds(e: IntervalUnion) -> tuple[float, float]:
@@ -127,10 +124,7 @@ def haliste_arcs_capacity(l: float, n: int) -> float:
     This is the maximum capacity among unions of n closed arcs of total
     length l, so it serves as an upper bound for such unions.
     """
-    if not 0.0 < l < 2.0 * math.pi:
-        raise DomainError(f"total arc length must lie in (0, 2*pi), got {l}")
-    if n < 1:
-        raise DomainError("need a positive number of arcs")
+    _check_arc_family(l, n)
     return math.sin(l / 4.0) ** (1.0 / n)
 
 
@@ -206,20 +200,6 @@ def _link_terms(mus, lo, hi):
         f_hh += g_mm - 2.0 * b * g_mu + b * b * g_uu
     r = 1.0 / len(mus)
     return f * r, f_lo * r, f_hi * r, f_ll * r, f_lh * r, f_hh * r
-
-
-def _arcs(a, b):
-    """Arccos width w = th_a - th_b and sum th_a + th_b of the intervals [a, b], elementwise.
-
-    w comes from b - a = 2 sin((th_a + th_b) / 2) sin(w / 2), not from the
-    difference of two arccos values, which loses log10(1/w) digits on a
-    thin interval; w = 0 where b <= a.
-    """
-    s = np.arccos(a) + np.arccos(b)
-    # sin(w / 2) is within an ulp or two of 1 on an interval spanning
-    # nearly all of [-1, 1]; min keeps rounding out of arcsin's domain
-    w = 2.0 * np.arcsin(np.minimum(np.maximum(b - a, 0.0) / (2.0 * np.sin(0.5 * s)), 1.0))
-    return w, s
 
 
 def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
@@ -424,6 +404,7 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
 
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
+    d.validate_for(e)
     interior = list(interior)
     if len(interior) != max(0, e.n - 2):
         raise DomainError(
@@ -433,13 +414,8 @@ def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
     for g, (a, b) in zip(interior, e.intervals[1:-1]):
         if not a < g < b:
             raise DomainError(f"interior point {g} outside component ({a}, {b})")
-    pts = [-1.0]
-    for i, delta in enumerate(d.deltas):
-        pts.append(delta)
-        if i < len(interior):
-            pts.append(interior[i])
-    pts.append(1.0)
-    return Partition(tuple(pts))
+    # -1, d_1, g_1, d_2, ..., g_{n-2}, d_{n-1}, 1
+    return Partition((-1.0, *(t for pair in zip(d.deltas, [*interior, 1.0]) for t in pair)))
 
 
 def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
@@ -449,7 +425,6 @@ def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
     (none are needed for two intervals).
     """
     _require_unit_hull(e)
-    d.validate_for(e)
     return partition_lower(e, _solynin_points(e, d, interior))
 
 
@@ -480,9 +455,7 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     _require_unit_hull(e)
 
     def bound(t):
-        d = GapPoints(tuple(t[::2]))
-        d.validate_for(e)
-        p = _solynin_points(e, d, t[1::2])
+        p = _solynin_points(e, GapPoints(tuple(t[::2])), t[1::2])
         return partition_lower(e, p), p
 
     return _chain_max(*_solynin_chain(e), bound)
@@ -504,7 +477,6 @@ def uniform_measure_partition(n_cells: int) -> Partition:
     if n_cells < 1:
         raise DomainError("need at least one cell")
     pts = [math.cos(math.pi * (n_cells - k) / n_cells) for k in range(n_cells + 1)]
-    pts[0], pts[-1] = -1.0, 1.0
     return Partition(tuple(pts))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .bounds import all_bounds
 from .errors import DomainError, LogcapError, ParseError, ValidationError
 from .exact import AKHIEZER, WIDOM, capacity
-from .sets import IntervalUnion, make_interval_union
+from .sets import IntervalUnion, _check_two_interval, make_interval_union
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -131,22 +131,14 @@ class SweepSpec:
 
     def set_at(self, x: float) -> IntervalUnion:
         w, c = self.width, self.center
-        if self.family == "moving_gap":
-            alpha, beta = x, x + w
-            if not (-1.0 < alpha < beta < 1.0):
-                raise DomainError(f"gap [{alpha}, {beta}] must stay inside (-1, 1)")
-            return make_interval_union([(-1.0, alpha), (beta, 1.0)])
-        if self.family == "spreading_gap":
-            alpha, beta = c - 0.5 * x, c + 0.5 * x
-            if x <= 0.0 or not (-1.0 < alpha < beta < 1.0):
-                raise DomainError(f"gap width {x} at center {c} leaves (-1, 1)")
-            return make_interval_union([(-1.0, alpha), (beta, 1.0)])
-        t = x
-        if not (0.5 * w < t < 1.0 - 0.5 * w):
-            raise DomainError(f"gap position {t} with width {w} infeasible")
-        return make_interval_union(
-            [(-1.0, -t - 0.5 * w), (-t + 0.5 * w, t - 0.5 * w), (t + 0.5 * w, 1.0)]
-        )
+        if self.family == "moving_two_gaps":
+            ends = [-1.0, -x - 0.5 * w, -x + 0.5 * w, x - 0.5 * w, x + 0.5 * w, 1.0]
+            if not all(lo < hi for lo, hi in zip(ends, ends[1:])):
+                raise DomainError(f"gap position {x} with width {w} infeasible")
+            return make_interval_union(zip(ends[::2], ends[1::2]))
+        alpha, beta = (x, x + w) if self.family == "moving_gap" else (c - 0.5 * x, c + 0.5 * x)
+        _check_two_interval(alpha, beta)
+        return make_interval_union([(-1.0, alpha), (beta, 1.0)])
 
     def parameters(self) -> list[float]:
         start, stop, count = self.grid
@@ -155,15 +147,18 @@ class SweepSpec:
 
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(args.family, _parse_grid(args.grid), args.width, args.center)
-    rows = []
+    rows, names = [], []
     for x in spec.parameters():
         e = spec.set_at(x)
-        rows.append((x, capacity(e).value, all_bounds(e)))
-    # every set of a family has the same n, so the same bounds
-    lines = ["param,exact," + ",".join(rep.name for rep in rows[0][2])]
-    for x, exact, reports in rows:
-        cells = [f"{x:.17g}", f"{exact:.17g}"] + [f"{rep.value:.17g}" for rep in reports]
-        lines.append(",".join(cells))
+        exact, reports = capacity(e).value, all_bounds(e)
+        # rows whose gap is 1 ulp wide lack bounds: merge the names in row order
+        for i, rep in enumerate(reports):
+            if rep.name not in names:
+                names.insert(names.index(reports[i - 1].name) + 1 if i else 0, rep.name)
+        rows.append((x, exact, {rep.name: f"{rep.value:.17g}" for rep in reports}))
+    lines = ["param,exact," + ",".join(names)]
+    for x, exact, values in rows:
+        lines.append(",".join([f"{x:.17g}", f"{exact:.17g}", *(values.get(n, "") for n in names)]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, DomainError
-from .sets import IntervalUnion, normalize_to_unit
+from .sets import IntervalUnion, _check_two_interval, normalize_to_unit
 from .special import (
     _LADDER,
     EllipticParams,
@@ -63,13 +63,6 @@ class WidomModel:
     coeffs: tuple[float, ...]
     gap_residuals: tuple[float, ...]
     moment_nodes: int
-
-
-def _check_two_interval(alpha: float, beta: float) -> None:
-    if not (-1.0 < alpha < beta < 1.0):
-        raise DomainError(
-            f"need -1 < alpha < beta < 1 for [-1,alpha] u [beta,1], got ({alpha}, {beta})"
-        )
 
 
 def akhiezer_params(alpha: float, beta: float) -> EllipticParams:

@@ -5,7 +5,9 @@ closed intervals.  For subsets of ``[-1, 1]`` the module provides the
 arccos-weighted measure ``chebyshev_measure`` (integral of dx/sqrt(1-x^2)),
 the symmetric circle preimage, and the canonical projection sets obtained
 from rotationally symmetric arc families.  All values are immutable and
-every operation is a pure function.
+every operation is a pure function.  Every check of a set's shape (the
+``_require_*`` and ``_check_*`` helpers, ``GapPoints.validate_for``) and
+the arccos width ``_arcs`` live here, for the other modules to call.
 """
 
 from __future__ import annotations
@@ -214,13 +216,49 @@ def _require_unit_subset(e: IntervalUnion) -> None:
         raise DomainError(f"set must lie inside [-1, 1], hull is [{a1}, {bn}]")
 
 
+def _require_unit_hull(e: IntervalUnion) -> None:
+    if not e.is_unit_hull():
+        raise DomainError("bound requires a_1 = -1 and b_n = 1 exactly")
+    if e.n < 2:
+        raise DomainError("bound needs at least two intervals")
+
+
+def _check_two_interval(alpha: float, beta: float) -> None:
+    if not (-1.0 < alpha < beta < 1.0):
+        raise DomainError(
+            f"need -1 < alpha < beta < 1 for [-1,alpha] u [beta,1], got ({alpha}, {beta})"
+        )
+
+
+def _check_arc_family(l: float, n: int) -> None:
+    if not 0.0 < l < TWO_PI:
+        raise DomainError(f"total arc length must lie in (0, 2*pi), got {l}")
+    if n < 1:
+        raise DomainError("need a positive number of arcs")
+
+
+def _arcs(a, b):
+    """Arccos width w = th_a - th_b and sum th_a + th_b of the intervals [a, b], elementwise.
+
+    w comes from b - a = 2 sin((th_a + th_b) / 2) sin(w / 2), not from the
+    difference of two arccos values, which loses log10(1/w) digits on a
+    thin interval; w = 0 where b <= a.
+    """
+    s = np.arccos(a) + np.arccos(b)
+    # sin(w / 2) is within an ulp or two of 1 on an interval spanning
+    # nearly all of [-1, 1]; min keeps rounding out of arcsin's domain
+    w = 2.0 * np.arcsin(np.minimum(np.maximum(b - a, 0.0) / (2.0 * np.sin(0.5 * s)), 1.0))
+    return w, s
+
+
 def chebyshev_measure(e: IntervalUnion) -> float:
     """Measure of e under dx/sqrt(1-x^2); half the length of its circle preimage.
 
-    Equals sum_i [arccos(a_i) - arccos(b_i)] and lies in [0, pi].
+    Equals sum_i [arccos(a_i) - arccos(b_i)], each width taken by
+    :func:`_arcs`, and lies in [0, pi].
     """
     _require_unit_subset(e)
-    return sum(math.acos(a) - math.acos(b) for a, b in e.intervals)
+    return float(_arcs(*np.array(e.intervals).T)[0].sum())
 
 
 def intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion | None:
@@ -283,10 +321,7 @@ def canonical_set(l: float, n: int) -> IntervalUnion:
 
     These are the sets on which the partition and gap-division bounds are tight.
     """
-    if not 0.0 < l < TWO_PI:
-        raise DomainError(f"total arc length must lie in (0, 2*pi), got {l}")
-    if n < 1:
-        raise DomainError("need a positive number of arcs")
+    _check_arc_family(l, n)
     h = l / (2.0 * n)
     pairs = []
     for j in range(n):

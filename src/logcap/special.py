@@ -53,17 +53,29 @@ def complete_K(k: float) -> float:
     return _complete_K_of_kp(math.sqrt((1.0 - k) * (1.0 + k)))
 
 
+def _agm(kp: float, s: float = 0.0) -> tuple[float, float]:
+    """AGM(1, k') and s + sum_j 2^(j-1) c_j^2, c_j = (a_{j-1} - g_{j-1}) / 2.
+
+    Stops when a step leaves a unchanged; _AGM_MAX_ITERS is a safety cap.
+    """
+    a, g, pw = 1.0, kp, 1.0
+    for _ in range(_AGM_MAX_ITERS):
+        a_next = 0.5 * (a + g)
+        if a_next == a:
+            break
+        c = 0.5 * (a - g)
+        s += pw * c * c
+        a, g = a_next, math.sqrt(a * g)
+        pw *= 2.0
+    return a, s
+
+
 def _complete_K_of_kp(kp: float) -> float:
     """K(k) = pi / (2 AGM(1, k')) from the complementary modulus k' in (0, 1].
 
     Taking k' directly keeps its digits when k is within rounding of 1.
     """
-    a, g = 1.0, kp
-    for _ in range(_AGM_MAX_ITERS):
-        if abs(a - g) < 1e-16 * a:
-            break
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm(kp)[0])
 
 
 def complete_E(k: float) -> float:
@@ -72,16 +84,7 @@ def complete_E(k: float) -> float:
         raise DomainError(f"modulus must lie in [0, 1], got {k}")
     if k == 1.0:
         return 1.0
-    a, g = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    s = 0.5 * k * k
-    pw = 1.0
-    for _ in range(_AGM_MAX_ITERS):
-        c = 0.5 * (a - g)
-        if c < 1e-17 * a:
-            break
-        s += pw * c * c
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-        pw *= 2.0
+    a, s = _agm(math.sqrt((1.0 - k) * (1.0 + k)), 0.5 * k * k)
     return math.pi / (2.0 * a) * (1.0 - s)
 
 

@@ -16,7 +16,6 @@ from logcap import (
     beurling_arc_capacity,
     canonical_set,
     capacity,
-    chebyshev_measure,
     circle_preimage,
     classical_bounds,
     gap_division_lower,
@@ -207,13 +206,15 @@ def test_partition_lower_equality_on_canonical_sets():
 def partition_lower_loop(e, p):
     """Scalar per-cell transcription of the partition bound, as an oracle.
 
-    The measure of a cell's part of e comes from the exact intersection.
+    The measure of a cell's part of e comes from the exact intersection,
+    as a difference of arccos values, independent of ``sets._arcs``.
     """
     log_total = 0.0
     for lo, hi in p.cells():
         cell_mu = math.acos(lo) - math.acos(hi)
         inter = intersect(e, make_interval_union([(lo, hi)]))
-        inter_mu = 0.0 if inter is None else chebyshev_measure(inter)
+        inter_mu = 0.0 if inter is None else sum(
+            math.acos(a) - math.acos(b) for a, b in inter.intervals)
         if inter_mu <= 0.0:
             return 0.0
         s = math.sin(math.pi * inter_mu / (2.0 * cell_mu))

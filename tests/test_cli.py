@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from logcap import all_bounds
 from logcap.cli import SweepSpec, format_inline_set, main, parse_inline_set
 from logcap.errors import DomainError, ParseError
 from logcap.sets import make_interval_union
@@ -213,6 +214,25 @@ def test_sweep_moving_two_gaps(capsys):
     assert "schiefermayr_lower" not in header
 
 
+def test_sweep_columns_stay_aligned_where_a_gap_is_one_ulp_wide(capsys):
+    # at -0.5 and 0.25 the gap is 1 ulp wide and all_bounds leaves out
+    # the Solynin and gap-division bounds
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "moving_gap", "--grid", "-0.5:0.25:4", "--width", "6e-17"
+    )
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    spec = SweepSpec("moving_gap", (-0.5, 0.25, 4), width=6e-17)
+    assert header == ["param", "exact"] + [rep.name for rep in all_bounds(spec.set_at(0.0))]
+    assert len(rows) == 4
+    for x, row in zip(spec.parameters(), rows):
+        assert len(row) == len(header)
+        reports = {rep.name: rep.value for rep in all_bounds(spec.set_at(x))}
+        for name, cell in zip(header[2:], row[2:]):
+            assert cell == ("" if name not in reports else f"{reports[name]:.17g}")
+    assert [row[header.index("solynin_lower")] == "" for row in rows] == [True, False, False, True]
+
+
 def test_sweep_unwritable_path_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--family", "moving_gap", "--grid", "-0.5:0.5:3",
@@ -236,6 +256,11 @@ def test_sweep_spec_validation():
         SweepSpec("moving_gap", (0.0, 0.1, 1))
     with pytest.raises(DomainError):
         SweepSpec("moving_gap", (-0.9, 0.99, 5), width=0.4)  # beta would exceed 1
+    # gaps of width <= 0, or too thin to survive rounding, would merge the
+    # three intervals into [-1, 1]
+    for width in (-0.1, 0.0, 1e-300):
+        with pytest.raises(DomainError):
+            SweepSpec("moving_two_gaps", (0.2, 0.8, 3), width=width)
 
 
 def test_verify_zero_count_trivial_pass(capsys):

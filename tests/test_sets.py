@@ -124,6 +124,16 @@ def test_mu_symmetric_pair():
     assert got == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, width", [(0.3, 1e-12), (0.5, 1e-14), (-0.99, 1e-10)])
+def test_mu_thin_interval_keeps_its_digits(a, width):
+    """A width from two arccos values would lose log10(1/width) digits."""
+    e = make_interval_union([(a, a + width)])
+    (lo, hi), = e.intervals
+    with mpmath.workdps(40):
+        want = mpmath.acos(mpmath.mpf(lo)) - mpmath.acos(mpmath.mpf(hi))
+        assert abs(chebyshev_measure(e) / want - 1) <= 4e-15
+
+
 def test_mu_domain_error():
     with pytest.raises(DomainError):
         chebyshev_measure(make_interval_union([(0.0, 1.5)]))

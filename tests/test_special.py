@@ -66,6 +66,47 @@ def test_complete_E_values():
         assert complete_E(k) == pytest.approx(e_integral_oracle(k), rel=1e-11)
 
 
+def agm_K_reference(k):
+    """The former K loop: stops at |a - g| < 1e-16 a or after 40 steps; also returns the steps."""
+    a, g = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+    for step in range(40):
+        if abs(a - g) < 1e-16 * a:
+            return math.pi / (2.0 * a), step
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+    return math.pi / (2.0 * a), 40
+
+
+def agm_E_reference(k):
+    """The former E loop: stops at c = (a - g) / 2 < 1e-17 a or after 40 steps."""
+    if k == 1.0:
+        return 1.0
+    a, g = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+    s, pw = 0.5 * k * k, 1.0
+    for _ in range(40):
+        c = 0.5 * (a - g)
+        if c < 1e-17 * a:
+            break
+        s += pw * c * c
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+        pw *= 2.0
+    return math.pi / (2.0 * a) * (1.0 - s)
+
+
+def test_complete_K_and_E_match_the_tolerance_loops_bit_for_bit():
+    rng = random.Random(18)
+    ks = [i / 4000 for i in range(4000)]
+    ks += [1.0 - 10.0 ** rng.uniform(-16, -1) for _ in range(500)]
+    ks += [rng.random() for _ in range(1000)]
+    capped = 0
+    for k in ks:
+        want_K, steps = agm_K_reference(k)
+        capped += steps == 40
+        assert complete_K(k) == want_K, k
+        assert complete_E(k) == agm_E_reference(k), k
+    # the moduli where the old K loop never met its tolerance are covered
+    assert capped > 500
+
+
 def test_incomplete_F_values():
     assert incomplete_F(0.0, 0.3) == 0.0
     for k in (0.0, 0.4, 0.8):
