@@ -12,7 +12,10 @@ once per range instead of once per gap.  The nodes are the
 Chebyshev-Lobatto nodes that ``special._lobatto_nodes`` caches per
 interval count, and each call returns both the rule it was asked for and
 the nested rule of half as many intervals, the pair a convergence test
-compares.
+compares.  Its arrays, the differences t - e (an endpoint by a node) and
+the power table (a power by a node), grow with m; the moment ladder starts
+at m = 32, where nearly every gap passes, so most calls build them at a
+quarter of the size they would have at 128.
 """
 
 from __future__ import annotations

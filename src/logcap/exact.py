@@ -120,14 +120,16 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap.
 
     Also returns the largest Lobatto interval count m any gap needed.  The
-    ladder, ``special._LADDER``, climbs level by level: one kernel call per
-    run of consecutive gaps still pending, then one test of all of them.
-    A call covers at most ``_LADDER[-1] // m`` gaps, so it holds no more
-    nodes than one gap at the cap.  Raises ConvergenceError, naming the
-    lowest such gap, when a gap's m-interval and m/2-interval rules still
-    disagree at the cap.  A node that rounds onto an endpoint makes a level
-    inf or nan, which the test never accepts, so numpy's divide and invalid
-    warnings are silenced for the whole ladder.
+    ladder, ``special._LADDER``, climbs level by level from m = 32, where
+    nearly every gap of a smooth set already passes, to the cap at 4096:
+    one kernel call per run of consecutive gaps still pending, then one
+    test of all of them.  A call covers at most ``_LADDER[-1] // m`` gaps
+    (128 at m = 32), so it holds no more nodes than one gap at the cap.
+    Raises ConvergenceError, naming the lowest such gap, when a gap's
+    m-interval and m/2-interval rules still disagree at the cap.  A node
+    that rounds onto an endpoint makes a level inf or nan, which the test
+    never accepts, so numpy's divide and invalid warnings are silenced for
+    the whole ladder.
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n

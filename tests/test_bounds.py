@@ -722,6 +722,42 @@ def test_optimizers_return_local_maxima(optimizer):
         assert math.exp(-res.fun) <= val * (1.0 + 1e-12)
 
 
+# three sets on which the Newton ascent of solynin_lower_max stops short:
+# L-BFGS-B, run as above, raises it by 2.3e-4, 3.5e-5 and 9.4e-6 relative,
+# and on the first the ascent spends all 30 of its steps;
+# gap_division_lower_max is a local maximum on all three
+SOLYNIN_SHORT_SETS = [
+    [(-1.0, -0.993475), (-0.80172, -0.694607), (-0.547577, -0.381191), (-0.174204, -0.162129),
+     (-0.040587, 0.201589), (0.362609, 0.47974), (0.577006, 0.660432), (0.678002, 0.696589),
+     (0.955077, 1.0)],
+    [(-1.0, -0.752838), (-0.595397, -0.464106), (-0.266066, 0.04336), (0.318534, 0.48113),
+     (0.495887, 0.65258), (0.96863, 1.0)],
+    [(-1.0, -0.808927), (-0.800297, -0.726007), (0.038447, 1.0)],
+]
+
+
+@pytest.mark.parametrize("optimizer", [
+    pytest.param(solynin_lower_max, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+    gap_division_lower_max,
+])
+@pytest.mark.parametrize("k", range(len(SOLYNIN_SHORT_SETS)))
+def test_optimizers_reach_the_maximum_where_solynin_stops_short(optimizer, k):
+    e = make_interval_union(SOLYNIN_SHORT_SETS[k])
+    val, t, boxes, public = _optimizer_problem(e, optimizer)
+
+    def neg_log(x):
+        t = np.cos(x).tolist()
+        if not all(lo < ti < hi for ti, (lo, hi) in zip(t, boxes)):
+            return 1e3
+        v = public(t)
+        return -math.log(v) if v > 0.0 else 1e3
+
+    res = minimize(neg_log, np.arccos(t), method="L-BFGS-B", jac="3-point",
+                   bounds=[(math.acos(hi) + 1e-12, math.acos(lo) - 1e-12) for lo, hi in boxes],
+                   options={"ftol": 1e-15, "gtol": 1e-12})
+    assert math.exp(-res.fun) <= val * (1.0 + 1e-12)
+
+
 def _hard_sets():
     """Near-full canonical sets, sets with a component of width 1e-9 or less, and n = 16."""
     sets = [canonical_set(2.0 * math.pi - delta, arcs)
