@@ -8,15 +8,17 @@ bound.  Products of powers are evaluated in the log domain; a vanishing
 factor short-circuits to 0.  The checks of a set's shape are ``sets.py``'s;
 this module checks only its bounds' own parameters.
 
-Every factor is one formula, the partition cell term, written once as a
-vectorized function for the public bounds, with its scalar derivatives
-beside it for the optimizers.  It serves the partition, Solynin and
-sector-product bounds, and the gap-division bound too: the factor
-(cos p - cos q) / 2 of a component equals sin((q - p) / 2)
-sin((p + q) / 2), so its log is the mean of two cell terms of the same
-cell.  Every arccos width of a part of the set, a component or its
-intersection with a partition cell, comes from ``sets._arcs``, which
-keeps the digits of a thin component.
+Every factor is one formula, the partition cell term, written once as
+:func:`_cell_log` for the public bounds, with its closed-form
+derivatives in :func:`_link_terms` for the optimizers.  It serves the
+partition, Solynin and sector-product bounds, and the gap-division bound
+too: the factor (cos p - cos q) / 2 of a component equals
+sin((q - p) / 2) sin((p + q) / 2), so its log is the mean of two cell
+terms of the same cell.  Every arccos width of a part of the set, a
+component or its intersection with a partition cell, comes from
+``sets._arcs``, which keeps the digits of a thin component.  The bounds
+compute on Python floats with ``math``: a set has a handful of
+components, and a numpy call on so few costs more than its arithmetic.
 The Solynin and gap-division bounds have free division points.  Both are
 chains: each factor depends only on its two neighbouring points, and
 each chain sum is concave in the arccos angles of the points.  Their
@@ -29,8 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .sets import (
@@ -45,7 +45,11 @@ from .sets import (
     _require_unit_subset,
     normalize_to_unit,
 )
-from .special import complete_E, complete_K
+from .special import (
+    _agm,
+    complete_E,  # noqa: F401  unused; perfbench/tracing.py hooks these two names here
+    complete_K,  # noqa: F401
+)
 
 LOWER = "lower"
 UPPER = "upper"
@@ -97,16 +101,17 @@ def schiefermayr_upper(alpha: float, beta: float) -> float:
     """Elliptic-integral upper bound for [-1,alpha] u [beta,1].
 
     Stated for alpha + beta >= 0; otherwise the reflected set
-    [-1,-beta] u [-alpha,1] of equal capacity is used.
+    [-1,-beta] u [-alpha,1] of equal capacity is used.  The modulus is
+    k = 2 (beta - alpha) / ((1 - alpha) (1 + beta)) = 1 - t, so
+    k' = sqrt(t (2 - t)) keeps its digits on a thin outer component,
+    where k rounds to 1, and E/K = 1 - s comes from the AGM's partial sums.
     """
     _check_two_interval(alpha, beta)
     if alpha + beta < 0.0:
         alpha, beta = -beta, -alpha
-    k = 2.0 * (beta - alpha) / ((1.0 - alpha) * (1.0 + beta))
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"modulus outside (0, 1): {k}")
-    ratio = complete_E(k) / complete_K(k)
     t = (1.0 + alpha) * (1.0 - beta) / ((1.0 - alpha) * (1.0 + beta))
+    k = 1.0 - t
+    ratio = 1.0 - _agm(math.sqrt(t * (2.0 - t)), 0.5 * k * k)[1]
     log_term = math.log((math.sqrt(2.0) + math.sqrt(1.0 - alpha)) / math.sqrt(1.0 + alpha))
     return (1.0 + alpha) / (2.0 * (1.0 + beta)) * math.exp(2.0 * (ratio - t) * log_term ** 2)
 
@@ -128,71 +133,70 @@ def haliste_arcs_capacity(l: float, n: int) -> float:
     return math.sin(l / 4.0) ** (1.0 / n)
 
 
-def _cell_log(cell_mu, *inter_mu):
-    """Mean of the log partition cell terms sin(pi mu / (2 M)) ** (2 M^2 / pi^2), elementwise.
+# the cell term is c M^2 log sin(h mu / M); its derivatives take c h and -c h^2
+_C = 2.0 / math.pi ** 2
+_H = 0.5 * math.pi
+_CH = _C * _H
+_CHH = -_C * _H * _H
+
+
+def _cell_log(cell_mu: float, *inter_mu: float) -> float:
+    """Mean of the log partition cell terms sin(pi mu / (2 M)) ** (2 M^2 / pi^2).
 
     M = ``cell_mu`` is the arccos measure of the cell and each mu in
-    ``inter_mu`` that of a part of the set in it; -inf where the product
-    of the sines is <= 0.  With one mu this is the cell term of the
-    partition, Solynin and sector-product bounds.  With mu = w, the
-    component's arccos width, and mu = th_a + th_b - 2 th_hi, it is the
-    gap-division factor of a component [th_b, th_a] in the cell
+    ``inter_mu`` that of a part of the set in it; -inf where M <= 0 or
+    the product of the sines is <= 0.  With one mu this is the cell term
+    of the partition, Solynin and sector-product bounds.  With mu = w,
+    the component's arccos width, and mu = th_a + th_b - 2 th_hi, it is
+    the gap-division factor of a component [th_b, th_a] in the cell
     [th_hi, th_hi + M], since (cos p - cos q) / 2 = sin((q - p) / 2)
     sin((p + q) / 2).
     """
-    # an empty cell (M = 0) divides by zero; fmax sends a product <= 0,
-    # and nan, to log(0) = -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sin((0.5 * math.pi) * inter_mu[0] / cell_mu)
-        for mu in inter_mu[1:]:
-            s = s * np.sin((0.5 * math.pi) * mu / cell_mu)
-        return (2.0 / math.pi ** 2 / len(inter_mu)) * cell_mu * cell_mu * np.log(np.fmax(s, 0.0))
+    if not cell_mu > 0.0:
+        return -math.inf
+    s = 1.0
+    for mu in inter_mu:
+        s *= math.sin(_H * mu / cell_mu)
+    if not s > 0.0:
+        return -math.inf
+    return _C / len(inter_mu) * cell_mu * cell_mu * math.log(s)
 
 
 _INFEASIBLE = (-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def _cell_terms(cell_mu, inter_mu):
-    """Scalar one-mu :func:`_cell_log` and its derivatives in (M, mu).
-
-    Returns (f, f_M, f_mu, f_MM, f_Mmu, f_mumu) with M = ``cell_mu`` and
-    mu = ``inter_mu``; f = -inf, and no derivatives, where the term is 0.
-    With u = pi mu / (2 M) and c = 2 / pi^2, f = c M^2 log sin u.
-    """
-    if not (inter_mu > 0.0 and cell_mu > 0.0):
-        return _INFEASIBLE
-    u = (0.5 * math.pi) * inter_mu / cell_mu
-    s = math.sin(u)
-    if not s > 0.0:
-        return _INFEASIBLE
-    c = 2.0 / math.pi ** 2
-    log_s = math.log(s)
-    cot = math.cos(u) / s
-    csc2 = 1.0 + cot * cot
-    h = 0.5 * math.pi
-    return (c * cell_mu * cell_mu * log_s,
-            c * cell_mu * (2.0 * log_s - u * cot),
-            c * h * cell_mu * cot,
-            c * (2.0 * log_s - 2.0 * u * cot - u * u * csc2),
-            c * h * (cot + u * csc2),
-            -c * h * h * csc2)
 
 
 def _link_terms(mus, lo, hi):
     """One chain link as a function of its arccos angles lo > hi: value and derivatives.
 
     The link is :func:`_cell_log` of the cell M = lo - hi with one
-    mu = a lo + b hi + c per (a, b, c) in ``mus``.  Returns
-    (f, f_lo, f_hi, f_ll, f_lh, f_hh) by the chain rule from
-    :func:`_cell_terms`; f = -inf, and no derivatives, where a term is 0.
+    mu = a lo + b hi + off per (a, b, off) in ``mus``.  Returns
+    (f, f_lo, f_hi, f_ll, f_lh, f_hh) by the chain rule from each term's
+    closed-form derivatives in (M, mu), with u = h mu / M; f = -inf,
+    and no derivatives, where a term is 0.
     """
     cell = lo - hi
+    if not cell > 0.0:
+        return _INFEASIBLE
+    cm = _C * cell
     f = f_lo = f_hi = f_ll = f_lh = f_hh = 0.0
-    for a, b, c in mus:
-        g, g_m, g_u, g_mm, g_mu, g_uu = _cell_terms(cell, a * lo + b * hi + c)
-        if g == -math.inf:
+    for a, b, off in mus:
+        mu = a * lo + b * hi + off
+        if not mu > 0.0:
             return _INFEASIBLE
-        f += g
+        u = _H * mu / cell
+        s = math.sin(u)
+        if not s > 0.0:
+            return _INFEASIBLE
+        log_s = math.log(s)
+        cot = math.cos(u) / s
+        csc2 = 1.0 + cot * cot
+        # the term's derivatives in M and mu
+        g_m = cm * (2.0 * log_s - u * cot)
+        g_u = _CH * cell * cot
+        g_mm = _C * (2.0 * log_s - 2.0 * u * cot - u * u * csc2)
+        g_mu = _CH * (cot + u * csc2)
+        g_uu = _CHH * csc2
+        f += cm * cell * log_s
         f_lo += g_m + a * g_u
         f_hi += -g_m + b * g_u
         f_ll += g_mm + 2.0 * a * g_mu + a * a * g_uu
@@ -211,42 +215,61 @@ def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     the partition cell term with M = beta_k * pi / 2 and mu = mes / 2.
     An empty intersection forces the bound to 0.
     """
-    angles = np.fromiter(sector_angles, dtype=float)
+    angles = [float(phi) for phi in sector_angles]
     if len(angles) < 2:
         raise DomainError("need at least one sector")
-    if not np.all(angles[:-1] < angles[1:]):
+    if not all(lo < hi for lo, hi in zip(angles, angles[1:])):
         raise DomainError("sector angles must strictly increase")
     if abs((angles[-1] - angles[0]) - 2.0 * math.pi) > 1e-9:
         raise DomainError("sector angles must cover exactly one full turn")
-    mes = f.length_within(angles[:-1], angles[1:])
-    return math.exp(_cell_log(0.5 * np.diff(angles), 0.5 * mes).sum())
+    mes = f.length_within(angles[:-1], angles[1:]).tolist()
+    log_total = 0.0
+    for lo, hi, m in zip(angles, angles[1:], mes):
+        log_total += _cell_log(0.5 * (hi - lo), 0.5 * m)
+    return math.exp(log_total)
 
 
 def partition_lower(e: IntervalUnion, p: Partition) -> float:
     """Partition lower bound: 1/2 prod_k sin(pi mu_k / (2 M_k)) ** (2 M_k^2 / pi^2).
 
     M_k is the arccos measure of cell k and mu_k that of its intersection
-    with the set; a cell missing the set entirely gives bound 0.
+    with the set; a cell missing the set entirely gives bound 0.  Cells
+    and components are both sorted, so one walk over the two finds each
+    cell's parts of the set.
     """
     _require_unit_subset(e)
-    pts, (a, b) = np.array(p.points), np.array(e.intervals).T
-    # cell j meets component k in [max(a_k, t_j), min(b_k, t_{j+1})]
-    inter_mu, _ = _arcs(np.maximum(a, pts[:-1, None]), np.minimum(b, pts[1:, None]))
-    cut = np.arccos(pts)
-    return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], inter_mu.sum(axis=1)).sum())
+    comps, n = e.intervals, e.n
+    pts = p.points
+    cut = [math.acos(t) for t in pts]
+    log_total, k = 0.0, 0
+    for j in range(len(pts) - 1):
+        lo, hi = pts[j], pts[j + 1]
+        # components ending at or before the cell starts meet no later cell
+        while k < n and comps[k][1] <= lo:
+            k += 1
+        mu, i = 0.0, k
+        while i < n and comps[i][0] < hi:
+            a, b = comps[i]
+            mu += _arcs(max(a, lo), min(b, hi))[0]
+            i += 1
+        log_total += _cell_log(cut[j] - cut[j + 1], mu)
+    return 0.5 * math.exp(log_total)
 
 
 def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     """Lower bound from one division point per gap (hull must be [-1, 1]).
 
     Each component contributes a cosine-difference factor raised to the
-    squared relative arccos span of its enclosing division cell.
+    squared relative arccos span of its enclosing division cell: the links
+    of :func:`_gap_division_chain` at the arccos angles of the points.
     """
     _require_unit_hull(e)
     d.validate_for(e)
-    w, total = _arcs(*np.array(e.intervals).T)
-    cut = np.arccos((-1.0, *d.deltas, 1.0))
-    return 0.5 * math.exp(_cell_log(cut[:-1] - cut[1:], w, total - 2.0 * cut[1:]).sum())
+    x = [math.acos(t) for t in (-1.0, *d.deltas, 1.0)]
+    log_total = 0.0
+    for mus, lo, hi in zip(_gap_division_chain(e)[1], x, x[1:]):
+        log_total += _cell_log(lo - hi, *(a * lo + b * hi + off for a, b, off in mus))
+    return 0.5 * math.exp(log_total)
 
 
 def _chain_eval(links, x):
@@ -296,18 +319,20 @@ def _tridiag_solve(diag, off, rhs):
 def _newton_step(grad, diag, off, x, boxes):
     """Newton step of a chain sum at the angles ``x`` in the open angle ``boxes``.
 
-    A coordinate that the Newton step would take out of its box goes
-    _TO_EDGE of the way to that edge instead, and the other coordinates
-    solve again with it held there, so an optimum on an edge is
-    approached geometrically.  Returns the step and the rise the
-    quadratic model predicts for it, or None unless the Hessian is
-    negative definite.
+    A coordinate that the Newton step would take out of its box, in the
+    direction in which its gradient points, goes _TO_EDGE of the way to
+    that edge instead, and the other coordinates solve again with it held
+    there, so an optimum on an edge is approached geometrically.  One
+    that would leave against its gradient is not held: the trial clips
+    it.  Returns the step and the rise the quadratic model predicts for
+    it, or None unless the Hessian is negative definite.
     """
     d = _tridiag_solve(diag, off, [-g for g in grad])
     if d is None:
         return None
     held = {i: _TO_EDGE * ((hi if di > 0.0 else lo) - xi)
-            for i, (xi, di, (lo, hi)) in enumerate(zip(x, d, boxes)) if not lo < xi + di < hi}
+            for i, (xi, di, g, (lo, hi)) in enumerate(zip(x, d, grad, boxes))
+            if not lo < xi + di < hi and (g > 0.0) == (di > 0.0)}
     if held:
         rhs, diag_h, off_h = [-g for g in grad], list(diag), list(off)
         for i, s in held.items():
@@ -320,48 +345,13 @@ def _newton_step(grad, diag, off, x, boxes):
         for i, s in held.items():
             diag_h[i], rhs[i] = -1.0, -s
         d = _tridiag_solve(diag_h, off_h, rhs)
-    curv = (sum(h * di * di for h, di in zip(diag, d))
-            + 2.0 * sum(o * di * dj for o, di, dj in zip(off, d, d[1:])))
-    return d, sum(g * di for g, di in zip(grad, d)) + 0.5 * curv
-
-
-def _clip(t, lo, hi):
-    """t, or the float strictly inside (lo, hi) next to the end that t is on or past."""
-    return min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-
-
-def _chain_newton(links, boxes, t):
-    """Damped Newton ascent of a chain sum in the arccos angles, from t_1 ... t_m.
-
-    A step is taken only if the sum rises, halving it up to _HALVINGS
-    times; a t_i that rounds onto or past an end of its open box goes to
-    the float next to that end, so a box a few ulp wide cannot stall the
-    other coordinates.  The ascent stops once the predicted rise is at
-    most _NEWTON_TOL of the sum (for an interior step, 1/2 g.d).
-    Returns the last accepted t (``t`` itself if no step was taken).
-    """
-    x = [math.pi, *map(math.acos, t), 0.0]
-    angle_boxes = [(math.acos(hi), math.acos(lo)) for lo, hi in boxes]
-    total, grad, diag, off = _chain_eval(links, x)
-    for _ in range(_NEWTON_STEPS):
-        newton = _newton_step(grad, diag, off, x[1:-1], angle_boxes)
-        if newton is None or not newton[1] > _NEWTON_TOL * abs(total):
-            break
-        d, step = newton[0], 1.0
-        for _ in range(_HALVINGS + 1):
-            x_new = [xi + step * di for xi, di in zip(x[1:-1], d)]
-            t_new = [_clip(math.cos(xi), *box) for xi, box in zip(x_new, boxes)]
-            x_new = [math.pi, *(xi if lo < math.cos(xi) < hi else math.acos(ti)
-                                for xi, ti, (lo, hi) in zip(x_new, t_new, boxes)), 0.0]
-            trial = _chain_eval(links, x_new)
-            if trial[0] > total:
-                break
-            step *= 0.5
-        else:
-            break
-        x, t = x_new, t_new
-        total, grad, diag, off = trial
-    return t
+    g_d = h_dd = o_dd = 0.0
+    for g, h, di in zip(grad, diag, d):
+        g_d += g * di
+        h_dd += h * di * di
+    for o, di, dj in zip(off, d, d[1:]):
+        o_dd += o * di * dj
+    return d, g_d + 0.5 * (h_dd + 2.0 * o_dd)
 
 
 def _chain_max(boxes, links, bound):
@@ -372,19 +362,63 @@ def _chain_max(boxes, links, bound):
     its value and its first and second derivatives in the arccos angles
     of its two points.  The sum is concave in those angles, so damped
     Newton steps from the centres of the angle boxes reach its maximum.
+    A step is taken only if the sum rises, halving it up to _HALVINGS
+    times; a t_i that rounds onto or past an end of its open box goes to
+    the float next to that end, so a box a few ulp wide cannot stall the
+    other coordinates.  The ascent stops once the predicted rise is at
+    most _NEWTON_TOL of the sum (for an interior step, 1/2 g.d).
     ``bound(t)`` returns the public bound and its parameters at
-    t_1 ... t_m, and the result is ``bound`` at the Newton point.
+    t_1 ... t_m, and the result is ``bound`` at the last accepted t.
     """
+    angle_boxes = [(math.acos(hi), math.acos(lo)) for lo, hi in boxes]
+    # the floats next to the box ends, where a t_i on or past an end goes
+    inner = [(math.nextafter(lo, hi), math.nextafter(hi, lo)) for lo, hi in boxes]
     # the centre of a box a few ulp wide can round onto one of its ends
-    t = [_clip(math.cos(0.5 * (math.acos(lo) + math.acos(hi))), lo, hi) for lo, hi in boxes]
-    return bound(_chain_newton(links, boxes, t))
+    t = [min(max(math.cos(0.5 * (x0 + x1)), t_lo), t_hi)
+         for (x0, x1), (t_lo, t_hi) in zip(angle_boxes, inner)]
+    x = [math.pi, *map(math.acos, t), 0.0]
+    total, grad, diag, off = _chain_eval(links, x)
+    for _ in range(_NEWTON_STEPS):
+        newton = _newton_step(grad, diag, off, x[1:-1], angle_boxes)
+        if newton is None or not newton[1] > _NEWTON_TOL * abs(total):
+            break
+        d, step = newton[0], 1.0
+        for _ in range(_HALVINGS + 1):
+            x_new, t_new = [math.pi], []
+            for xi, di, (t_lo, t_hi) in zip(x[1:-1], d, inner):
+                xi += step * di
+                ti = math.cos(xi)
+                if not t_lo <= ti <= t_hi:
+                    ti = min(max(ti, t_lo), t_hi)
+                    xi = math.acos(ti)
+                x_new.append(xi)
+                t_new.append(ti)
+            x_new.append(0.0)
+            trial = _chain_eval(links, x_new)
+            if trial[0] > total:
+                break
+            step *= 0.5
+        else:
+            break
+        x, t = x_new, t_new
+        total, grad, diag, off = trial
+    return bound(t)
 
 
 def _gap_division_chain(e: IntervalUnion):
-    """The gap-division bound as a chain for :func:`_chain_max`: link k is factor k."""
-    w, total = _arcs(*np.array(e.intervals).T)
-    links = [((0.0, 0.0, w_k), (0.0, -2.0, total_k))
-             for w_k, total_k in zip(w.tolist(), total.tolist())]
+    """The gap-division bound as a chain for :func:`_chain_max`: link k is factor k.
+
+    Factor k is :func:`_cell_log` of its cell with mu = w_k and
+    mu = th_a + th_b - 2 th_hi.  In the first cell, whose low end is pi,
+    the second mu is within rounding of 2 M on a thin first component;
+    its mirror 2 M - mu = pi - th_b = arccos(-b_1) has the same sine and
+    keeps the digits.
+    """
+    links = []
+    for a, b in e.intervals:
+        w, total = _arcs(a, b)
+        links.append(((0.0, 0.0, w), (0.0, -2.0, total)))
+    links[0] = (links[0][0], (0.0, 0.0, math.acos(-e.intervals[0][1])))
     return e.gaps(), links
 
 
@@ -436,7 +470,7 @@ def _solynin_chain(e: IntervalUnion):
         boxes += [comp, gap]
     # cell k meets its component at endpoint k + 1: an even cell from the
     # cell's left end to b, an odd one from a to the cell's right end
-    end = np.arccos(e.endpoints())[1:-1].tolist()
+    end = [math.acos(x) for x in e.endpoints()[1:-1]]
     links = [((0.0, -1.0, end_k),) if k % 2 else ((1.0, 0.0, -end_k),)
              for k, end_k in enumerate(end)]
     return boxes, links
