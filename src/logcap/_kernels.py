@@ -8,21 +8,44 @@ reads, which is why a call covers a half-open range of gaps rather than an
 arbitrary set of them.  One call evaluates every gap of the range at one
 ladder level in a fixed handful of array operations plus one
 multiplication per power, so the fixed cost of each numpy call is paid
-once per range instead of once per gap.  The nodes are the
-Chebyshev-Lobatto nodes that ``special._lobatto_nodes`` caches per
-interval count, and each call returns both the rule it was asked for and
-the nested rule of half as many intervals, the pair a convergence test
-compares.  Its arrays, the differences t - e (an endpoint by a node) and
-the power table (a power by a node), grow with m; the moment ladder starts
-at m = 32, where nearly every gap passes, so most calls build them at a
-quarter of the size they would have at 128.
+once per range instead of once per gap; at the first level of the ladder
+one call covers every gap of a set of up to 129 intervals.  The nodes are
+the Chebyshev-Lobatto nodes that ``special._lobatto_nodes`` caches per
+interval count.  The gather indices of a call depend only on the number
+of endpoints and the range, so ``_layout`` caches them per shape the same
+way, read-only, and a call builds no index array; the gathered values,
+and with them every rounding, are the same as if it did.  Each call
+returns both the rule it was asked for and the nested rule of half as
+many intervals, the pair a convergence test compares.  Its arrays, the
+differences t - e (an endpoint by a node) and the power table (a power by
+a node), grow with m; the moment ladder starts at m = 32, where nearly
+every gap passes, so most calls build them at a quarter of the size they
+would have at 128.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .special import _lobatto_nodes
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(size: int, gap: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices of a call on ``size`` endpoints and gaps [gap, stop) (shared, read-only).
+
+    The lo and hi endpoint of each gap as columns, and each gap's other
+    endpoints, in order, as a column per gap.
+    """
+    lo_i = 2 * np.arange(gap, stop)[:, None] + 1
+    k = np.arange(size - 2)[:, None]
+    others = k + 2 * (k >= lo_i.T)
+    layout = lo_i, lo_i + 1, others
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int,
@@ -48,12 +71,10 @@ def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int,
     j + 1 is power j times t, and each sum runs along a contiguous row.
     """
     endpoints = np.asarray(endpoints, dtype=float)
-    lo_i = 2 * np.arange(gap, gap + 1 if stop is None else stop) + 1
-    lo, hi = endpoints[lo_i, None], endpoints[lo_i + 1, None]
+    lo_i, hi_i, others_i = _layout(endpoints.size, gap, gap + 1 if stop is None else stop)
+    lo, hi = endpoints[lo_i], endpoints[hi_i]
     t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _lobatto_nodes(m)
-    # each gap's other endpoints, in order, a column per gap
-    k = np.arange(endpoints.size - 2)[:, None]
-    others = endpoints[k + 2 * (k >= lo_i)]
+    others = endpoints[others_i]
     # q(t) restricted to the non-singular factors is negative on the gap
     w = -np.multiply.reduce(t - others[:, :, None], axis=0)
     # one multiplication per power: an accumulate down axis 0 would run as a

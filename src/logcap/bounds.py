@@ -233,14 +233,14 @@ def partition_lower(e: IntervalUnion, p: Partition) -> float:
     """Partition lower bound: 1/2 prod_k sin(pi mu_k / (2 M_k)) ** (2 M_k^2 / pi^2).
 
     M_k is the arccos measure of cell k and mu_k that of its intersection
-    with the set; a cell missing the set entirely gives bound 0.  Cells
-    and components are both sorted, so one walk over the two finds each
-    cell's parts of the set.
+    with the set, both widths taken by ``sets._arcs``, so a cell inside a
+    component, however thin, has mu_k = M_k and factor 1; a cell missing
+    the set entirely gives bound 0.  Cells and components are both sorted,
+    so one walk over the two finds each cell's parts of the set.
     """
     _require_unit_subset(e)
     comps, n = e.intervals, e.n
     pts = p.points
-    cut = [math.acos(t) for t in pts]
     log_total, k = 0.0, 0
     for j in range(len(pts) - 1):
         lo, hi = pts[j], pts[j + 1]
@@ -252,7 +252,7 @@ def partition_lower(e: IntervalUnion, p: Partition) -> float:
             a, b = comps[i]
             mu += _arcs(max(a, lo), min(b, hi))[0]
             i += 1
-        log_total += _cell_log(cut[j] - cut[j + 1], mu)
+        log_total += _cell_log(_arcs(lo, hi)[0], mu)
     return 0.5 * math.exp(log_total)
 
 

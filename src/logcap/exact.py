@@ -125,6 +125,9 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     one kernel call per run of consecutive gaps still pending, then one
     test of all of them.  A call covers at most ``_LADDER[-1] // m`` gaps
     (128 at m = 32), so it holds no more nodes than one gap at the cap.
+    While every gap is pending, as at the first level, the runs are the
+    whole range, and a level where all of them pass returns the kernel's
+    rows as they are.
     Raises ConvergenceError, naming the lowest such gap, when a gap's
     m-interval and m/2-interval rules still disagree at the cap.  A node
     that rounds onto an endpoint makes a level inf or nan, which the test
@@ -137,11 +140,17 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     pending = np.arange(n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in _LADDER:
-            runs = _gap_runs(pending.tolist(), _LADDER[-1] // m)
-            sums = [_kernels.gap_moment_sums(ep, start, m, n - 1, stop) for start, stop in runs]
-            fine, coarse = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
+            every = pending.size == n - 1
+            if every and n - 1 <= _LADDER[-1] // m:
+                fine, coarse = _kernels.gap_moment_sums(ep, 0, m, n - 1, n - 1)
+            else:
+                runs = _gap_runs(pending.tolist(), _LADDER[-1] // m)
+                sums = [_kernels.gap_moment_sums(ep, start, m, n - 1, stop) for start, stop in runs]
+                fine, coarse = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
             done = (abs(fine - coarse).max(axis=1)
                     < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
+            if every and done.all():
+                return fine, m
             out[pending[done]] = fine[done]
             pending = pending[~done]
             if not pending.size:
@@ -184,7 +193,9 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     a finite value.
     """
     ep = np.asarray(model.E.endpoints(), dtype=float)
-    base, others = ep[skip], np.concatenate((ep[:skip], ep[skip + 1:]))
+    # the other endpoints as a column: the product over them runs down
+    # axis 0, one vector multiplication per endpoint, in endpoint order
+    base, others = ep[skip], np.concatenate((ep[:skip], ep[skip + 1:]))[:, None]
     # p's coefficients, highest first, as 0-d arrays: numpy adds one to a
     # vector in about half the time it takes to add a Python float
     p = np.array((1.0, *model.coeffs[::-1]))
@@ -196,7 +207,7 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
         for c in p[1:]:
             y *= t
             y += c
-        root = np.prod(np.sqrt(np.abs(t[:, None] - others)), axis=-1)
+        root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
         off = abs(t - base)
         return np.where(root < np.inf, y / root, np.nan) - sign * np.sqrt(off) / (1.0 + off)
 

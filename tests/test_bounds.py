@@ -405,6 +405,19 @@ def test_partition_matches_scalar_oracles_at_cuts_on_and_beside_endpoints():
             assert partition_lower(e, p) == pytest.approx(want, rel=1e-14, abs=0.0), p.points
 
 
+def test_partition_cell_a_few_ulp_inside_a_component_has_factor_one():
+    # the cell's M is a width from hi - lo, like its mu, not a difference
+    # of two arccos values, which reads 0 on a cell 1 ulp wide
+    e = make_interval_union([(-1.0, -0.5), (0.2, 0.3), (0.5, 1.0)])
+    hi = 0.25
+    for _ in range(3):
+        hi = math.nextafter(hi, 1.0)
+        p = Partition((-1.0, 0.25, hi, 1.0))
+        with mpmath.workdps(60):
+            want = float(partition_lower_mp(e, p))
+        assert partition_lower(e, p) == pytest.approx(want, rel=1e-14, abs=0.0), hi
+
+
 @pytest.mark.parametrize("width", [1e-6, 1e-9, 1e-12])
 def test_gap_division_keeps_its_digits_on_a_thin_component(width):
     # mpmath keeps 40 digits beyond the log10(1/w) that acos(a) - acos(b) cancels

@@ -431,22 +431,27 @@ def loop_gap_moment_sums(endpoints, gap, m, jmax):
 
 
 def test_gap_moment_sums_match_power_loop_bit_for_bit():
-    # every gap of a range call, and a single-gap call, as alone in the loop
+    # every gap of a range call, and a single-gap call, as alone in the loop;
+    # two sets of each shape, so the second set's calls run on the index
+    # layout cached by the first's
     rng = random.Random(8)
     for n in (2, 5, 11, 20):
         for shift in (False, True):
-            ep = np.asarray(random_unit_interval_union(rng, n).endpoints(), dtype=float)
-            if shift:
-                ep = 3.0 * ep + 0.7  # off the unit hull
-            for m in (64, 128, 256):
-                want = [loop_gap_moment_sums(ep, gap, m, n - 1) for gap in range(n - 1)]
-                for start, stop in ((0, n - 1), (n // 3, n // 3 + 1), ((n - 1) // 2, n - 1)):
-                    got = gap_moment_sums(ep, start, m, n - 1, stop)
-                    assert got.shape == (2, stop - start, n)
-                    for gap in range(start, stop):
-                        assert got[:, gap - start].tobytes() == want[gap].tobytes()
-                gap = n // 2 - 1
-                assert gap_moment_sums(ep, gap, m, n - 1)[:, 0].tobytes() == want[gap].tobytes()
+            for _ in range(2):
+                ep = np.asarray(random_unit_interval_union(rng, n).endpoints(), dtype=float)
+                if shift:
+                    ep = 3.0 * ep + 0.7  # off the unit hull
+                for m in (64, 128, 256):
+                    want = [loop_gap_moment_sums(ep, gap, m, n - 1) for gap in range(n - 1)]
+                    for start, stop in ((0, n - 1), (n // 3, n // 3 + 1), ((n - 1) // 2, n - 1)):
+                        got = gap_moment_sums(ep, start, m, n - 1, stop)
+                        assert got.shape == (2, stop - start, n)
+                        for gap in range(start, stop):
+                            assert got[:, gap - start].tobytes() == want[gap].tobytes()
+                    gap = n // 2 - 1
+                    assert gap_moment_sums(ep, gap, m, n - 1)[:, 0].tobytes() == want[gap].tobytes()
+            layout = kernels_module._layout(2 * n, 0, n - 1)
+            assert not any(a.flags.writeable for a in layout)
 
 
 def _chebyshev_weight_integral(c, r, j):
@@ -632,6 +637,49 @@ def test_green_integrand_is_not_finite_where_the_endpoint_product_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         vals = f(t)
     assert np.isfinite(vals).tolist() == [True, True, False, False]
+
+
+def loop_green_integrand(model, skip, sign, t):
+    """The regular part of p/sqrt|q| at endpoint ``skip``, node by node on Python floats.
+
+    Horner's rule in np.polyval's order, from 0, and the product of the
+    roots sqrt|t - e| in endpoint order.
+    """
+    ep = model.E.endpoints()
+    p = (1.0, *model.coeffs[::-1])
+    out = []
+    for x in t.tolist():
+        y = 0.0
+        for c in p:
+            y = y * x + c
+        root = 1.0
+        for k, e in enumerate(ep):
+            if k != skip:
+                root *= math.sqrt(abs(x - e))
+        off = abs(x - ep[skip])
+        out.append((y / root if root < math.inf else math.nan) - sign * math.sqrt(off) / (1.0 + off))
+    return np.array(out)
+
+
+def test_green_integrand_matches_a_scalar_loop_bit_for_bit():
+    # at the tail's nodes right of b_n, at nodes left of a_1 and at nodes
+    # across the hull, on sets on and off the unit hull
+    rng = random.Random(43)
+    nodes = np.random.default_rng(43)
+    for n in (3, 10, 20):
+        for shift in (False, True):
+            e = random_unit_interval_union(rng, n)
+            if shift:
+                e = make_interval_union([(3.0 * a + 0.7, 3.0 * b + 0.7) for a, b in e.intervals])
+            model = widom_polynomial(e)
+            a1, bn = e.hull
+            width = bn - a1
+            tan2 = width * np.tan(np.linspace(0.01, 1.5, 41)) ** 2
+            inside = nodes.uniform(a1 - 0.5 * width, bn + 0.5 * width, 64)
+            for skip, sign, t in ((2 * n - 1, 1.0, bn + tan2), (0, -1.0, a1 - tan2),
+                                  (n, 0.0, inside), (2 * n - 1, 0.0, inside)):
+                got = exact_module._green_integrand(model, skip, sign)(t)
+                assert got.tobytes() == loop_green_integrand(model, skip, sign, t).tobytes()
 
 
 def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_accepted(monkeypatch):
