@@ -22,9 +22,12 @@ components, and a numpy call on so few costs more than its arithmetic.
 The Solynin and gap-division bounds have free division points.  Both are
 chains: each factor depends only on its two neighbouring points, and
 each chain sum is concave in the arccos angles of the points.  Their
-maximizers climb from the centres of the angle boxes by damped Newton
-steps, on a tridiagonal Hessian that the chain rule takes from the cell
-term's closed-form derivatives.
+maximizers climb by damped Newton steps, on a tridiagonal Hessian that
+the chain rule takes from the cell term's closed-form derivatives.  The
+gap points start at the centres of their angle boxes, and Solynin's
+interior split points at the optimum of their two cells for small
+gaps.  The last step, once the rises shrink quadratically, is checked by
+the chain sum's value alone.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ _NEWTON_STEPS = 30
 _NEWTON_TOL = 1e-15
 _HALVINGS = 4
 _TO_EDGE = 0.9
+_LAST_RISE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -264,10 +268,15 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     of :func:`_gap_division_chain` at the arccos angles of the points.
     """
     _require_unit_hull(e)
+    return _gap_division_value(e, _gap_division_chain(e)[1], d)
+
+
+def _gap_division_value(e: IntervalUnion, links, d: GapPoints) -> float:
+    """:func:`gap_division_lower` at ``d`` from the ``links`` of e's chain."""
     d.validate_for(e)
     x = [math.acos(t) for t in (-1.0, *d.deltas, 1.0)]
     log_total = 0.0
-    for mus, lo, hi in zip(_gap_division_chain(e)[1], x, x[1:]):
+    for mus, lo, hi in zip(links, x, x[1:]):
         log_total += _cell_log(lo - hi, *(a * lo + b * hi + off for a, b, off in mus))
     return 0.5 * math.exp(log_total)
 
@@ -293,6 +302,27 @@ def _chain_eval(links, x):
             if k:
                 off[k - 1] = f_lh
     return total, grad, diag, off
+
+
+def _chain_value(links, x):
+    """The chain sum of :func:`_chain_eval` alone, by the same arithmetic; -inf where infeasible."""
+    total = 0.0
+    for mus, lo, hi in zip(links, x, x[1:]):
+        cell = lo - hi
+        if not cell > 0.0:
+            return -math.inf
+        cm = _C * cell
+        f = 0.0
+        for a, b, off in mus:
+            mu = a * lo + b * hi + off
+            if not mu > 0.0:
+                return -math.inf
+            s = math.sin(_H * mu / cell)
+            if not s > 0.0:
+                return -math.inf
+            f += cm * cell * math.log(s)
+        total += f * (1.0 / len(mus))
+    return total
 
 
 def _tridiag_solve(diag, off, rhs):
@@ -323,9 +353,10 @@ def _newton_step(grad, diag, off, x, boxes):
     direction in which its gradient points, goes _TO_EDGE of the way to
     that edge instead, and the other coordinates solve again with it held
     there, so an optimum on an edge is approached geometrically.  One
-    that would leave against its gradient is not held: the trial clips
-    it.  Returns the step and the rise the quadratic model predicts for
-    it, or None unless the Hessian is negative definite.
+    that would leave against its gradient is not held: the trial of
+    :func:`_chain_max` stops it short of the edge.  Returns the step and
+    the rise the quadratic model predicts for it, or None unless the
+    Hessian is negative definite.
     """
     d = _tridiag_solve(diag, off, [-g for g in grad])
     if d is None:
@@ -354,53 +385,76 @@ def _newton_step(grad, diag, off, x, boxes):
     return d, g_d + 0.5 * (h_dd + 2.0 * o_dd)
 
 
-def _chain_max(boxes, links, bound):
+def _box_centre(lo, hi):
+    """The cosine of the centre of the arccos angle box of (lo, hi), strictly inside (lo, hi).
+
+    The centre of a box a few ulp wide can round onto one of its ends; it
+    goes to the float next to that end.
+    """
+    t = math.cos(0.5 * (math.acos(hi) + math.acos(lo)))
+    return min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+
+
+def _chain_max(boxes, links, bound, start=None):
     """Maximize a chain sum over -1 = t_0 < t_1 < ... < t_m < t_{m+1} = 1.
 
     Coordinate t_i ranges over the open box ``boxes[i - 1]``, and
     ``links[k]`` lists link k's mu's for :func:`_link_terms`, which gives
     its value and its first and second derivatives in the arccos angles
     of its two points.  The sum is concave in those angles, so damped
-    Newton steps from the centres of the angle boxes reach its maximum.
-    A step is taken only if the sum rises, halving it up to _HALVINGS
-    times; a t_i that rounds onto or past an end of its open box goes to
-    the float next to that end, so a box a few ulp wide cannot stall the
-    other coordinates.  The ascent stops once the predicted rise is at
-    most _NEWTON_TOL of the sum (for an interior step, 1/2 g.d).
-    ``bound(t)`` returns the public bound and its parameters at
-    t_1 ... t_m, and the result is ``bound`` at the last accepted t.
+    Newton steps from ``start`` (by default the centres of the angle
+    boxes) reach its maximum.  A step is taken only if the sum rises,
+    halving it up to _HALVINGS times.  A t_i that a trial carries onto or
+    past an end of its open box goes _TO_EDGE of the way to that end
+    instead: beside the end its cell term has a log singularity, from
+    which each Newton step would only double its distance.  Where that
+    too rounds onto or past the end, t_i goes to the float next to it, so
+    a box a few ulp wide cannot stall the other coordinates.  The ascent
+    stops once the predicted rise is at most _NEWTON_TOL of the sum (for
+    an interior step, 1/2 g.d).  Near the maximum Newton's rises shrink
+    quadratically, so a step whose rise r is at most _LAST_RISE of the
+    sum, and r (r / r_prev)^2 at most _NEWTON_TOL of it, is the last: its
+    trials check the sum's value alone, by :func:`_chain_value`, with no
+    derivatives and no solve at the point it returns.  ``bound(t)``
+    returns the public bound and its parameters at t_1 ... t_m, and the
+    result is ``bound`` at the last accepted t.
     """
     angle_boxes = [(math.acos(hi), math.acos(lo)) for lo, hi in boxes]
     # the floats next to the box ends, where a t_i on or past an end goes
     inner = [(math.nextafter(lo, hi), math.nextafter(hi, lo)) for lo, hi in boxes]
-    # the centre of a box a few ulp wide can round onto one of its ends
-    t = [min(max(math.cos(0.5 * (x0 + x1)), t_lo), t_hi)
-         for (x0, x1), (t_lo, t_hi) in zip(angle_boxes, inner)]
+    t = start or [_box_centre(lo, hi) for lo, hi in boxes]
     x = [math.pi, *map(math.acos, t), 0.0]
     total, grad, diag, off = _chain_eval(links, x)
+    rise = math.inf
     for _ in range(_NEWTON_STEPS):
         newton = _newton_step(grad, diag, off, x[1:-1], angle_boxes)
         if newton is None or not newton[1] > _NEWTON_TOL * abs(total):
             break
-        d, step = newton[0], 1.0
+        prev, (d, rise) = rise, newton
+        last = (rise <= _LAST_RISE * abs(total)
+                and rise * (rise / prev) ** 2 <= _NEWTON_TOL * abs(total))
+        step = 1.0
         for _ in range(_HALVINGS + 1):
             x_new, t_new = [math.pi], []
-            for xi, di, (t_lo, t_hi) in zip(x[1:-1], d, inner):
-                xi += step * di
-                ti = math.cos(xi)
+            for xi, di, (t_lo, t_hi), (x_lo, x_hi) in zip(x[1:-1], d, inner, angle_boxes):
+                x_try = xi + step * di
+                ti = math.cos(x_try)
                 if not t_lo <= ti <= t_hi:
+                    ti = math.cos(xi + _TO_EDGE * ((x_hi if di > 0.0 else x_lo) - xi))
                     ti = min(max(ti, t_lo), t_hi)
-                    xi = math.acos(ti)
-                x_new.append(xi)
+                    x_try = math.acos(ti)
+                x_new.append(x_try)
                 t_new.append(ti)
             x_new.append(0.0)
-            trial = _chain_eval(links, x_new)
-            if trial[0] > total:
+            trial = _chain_value(links, x_new) if last else _chain_eval(links, x_new)
+            if (trial if last else trial[0]) > total:
                 break
             step *= 0.5
         else:
             break
         x, t = x_new, t_new
+        if last:
+            break
         total, grad, diag, off = trial
     return bound(t)
 
@@ -426,15 +480,17 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
     """Maximize the gap-division bound over the division points.
 
     Factor k depends only on the division points on either side of
-    component k, so the Newton steps solve a tridiagonal system.
+    component k, so the Newton steps solve a tridiagonal system.  The
+    public bound at the returned points is taken from the same links.
     """
     _require_unit_hull(e)
+    boxes, links = _gap_division_chain(e)
 
     def bound(t):
         d = GapPoints(tuple(t))
-        return gap_division_lower(e, d), d
+        return _gap_division_value(e, links, d), d
 
-    return _chain_max(*_gap_division_chain(e), bound)
+    return _chain_max(boxes, links, bound)
 
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
@@ -476,15 +532,45 @@ def _solynin_chain(e: IntervalUnion):
     return boxes, links
 
 
+def _solynin_start(boxes):
+    """Start points for the Solynin ascent on the chain boxes of :func:`_solynin_chain`.
+
+    A gap point starts at the centre of its angle box.  An interior split
+    point starts at the small-gap optimum of its two cells: with gamma the
+    arccos part of a gap in a cell of arccos measure M, the cell term is
+    M^2 log sin(pi/2 (1 - gamma/M)) ~ -pi^2 gamma^2/8 - pi^4 gamma^4/(192 M^2),
+    so the cells' sum at fixed M_1 + M_2 peaks at
+    M_1/M_2 = (gamma_1/gamma_2)^(4/3), each gamma taken from the component
+    to the start of the gap point beside it.  A split point whose t falls
+    within 1% of its box width from an end, or whose gammas both round to
+    0, stays at the box centre.
+    """
+    t = [_box_centre(lo, hi) for lo, hi in boxes]
+    x = [math.acos(ti) for ti in t]
+    for i in range(1, len(boxes) - 1, 2):
+        a, b = boxes[i]
+        w1 = (x[i - 1] - math.acos(a)) ** (4.0 / 3.0)
+        w2 = (math.acos(b) - x[i + 1]) ** (4.0 / 3.0)
+        if not w1 + w2 > 0.0:
+            continue
+        ti = math.cos(x[i - 1] - (x[i - 1] - x[i + 1]) * w1 / (w1 + w2))
+        margin = 0.01 * (b - a)
+        if a + margin < ti < b - margin:
+            t[i] = ti
+    return t
+
+
 def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     """Maximize the tailored-partition bound over gap and interior split points.
 
     The cells [t_k, t_{k+1}] of the chain -1, d_1, g_1, d_2, ..., d_{n-1}, 1
     each meet component (k+1)//2 at one known end, so the measure of the
     intersection is a closed form in one endpoint, and the Newton steps
-    solve a tridiagonal system.  Raises DomainError, as ``solynin_lower``
-    does, where a gap or an interior component is 1 ulp wide, so that no
-    split point fits inside it.
+    solve a tridiagonal system.  They start from :func:`_solynin_start`:
+    each split point g_i at the small-gap optimum of its two cells, each
+    d_i at the centre of its angle box.  Raises DomainError, as
+    ``solynin_lower`` does, where a gap or an interior component is 1 ulp
+    wide, so that no split point fits inside it.
     """
     _require_unit_hull(e)
 
@@ -492,7 +578,8 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
         p = _solynin_points(e, GapPoints(tuple(t[::2])), t[1::2])
         return partition_lower(e, p), p
 
-    return _chain_max(*_solynin_chain(e), bound)
+    boxes, links = _solynin_chain(e)
+    return _chain_max(boxes, links, bound, _solynin_start(boxes))
 
 
 def projection_upper(e: IntervalUnion) -> float:
