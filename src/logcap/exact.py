@@ -10,6 +10,7 @@ two-interval sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,6 +182,20 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
 
 
+@functools.lru_cache(maxsize=16)
+def _offset_terms(base: float, sign: float, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(off) and sign sqrt(off)/(1 + off), off = |t - base|, at float64 nodes t (shared, read-only).
+
+    Keyed by the nodes' bytes: every Robin tail gets the same nodes from the
+    half-line ladder, so these are computed once per level.
+    """
+    off = abs(np.frombuffer(nodes) - base)
+    root = np.sqrt(off)
+    term = sign * root / (1.0 + off)
+    root.flags.writeable = term.flags.writeable = False
+    return root, term
+
+
 def _green_integrand(model: WidomModel, skip: int, sign: float):
     """Evaluator of the regular part of p/sqrt|q| at endpoint ``skip``, in product form.
 
@@ -190,7 +205,8 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     formed, and the base root is left out, so a node that rounds onto
     e_skip still has a finite value.  Where the product overflows, p / inf
     would read 0: the value is nan instead, so an overflow never passes for
-    a finite value.
+    a finite value.  The comparison term depends only on t, e_skip and
+    sign, and comes from ``_offset_terms``.
     """
     ep = np.asarray(model.E.endpoints(), dtype=float)
     # the other endpoints as a column: the product over them runs down
@@ -208,16 +224,18 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
             y *= t
             y += c
         root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
-        off = abs(t - base)
-        return np.where(root < np.inf, y / root, np.nan) - sign * np.sqrt(off) / (1.0 + off)
+        term = _offset_terms(base, sign, t.tobytes())[1]
+        return np.where(root < np.inf, y / root, np.nan) - term
 
     return f
 
 
 def _robin_quad(model: WidomModel, tol: float = 1e-10) -> QuadratureResult:
+    # the tail's nodes lie right of b_n, where sqrt(t - b_n) is the root of _offset_terms
     a1, bn = model.E.hull
     f = _green_integrand(model, 2 * model.E.n - 1, 1.0)
-    return tail_integral(lambda t: f(t) / np.sqrt(t - bn), bn, tol, width=bn - a1)
+    return tail_integral(lambda t: f(t) / _offset_terms(bn, 1.0, t.tobytes())[0], bn, tol,
+                         width=bn - a1)
 
 
 def robin_constant(model: WidomModel, tol: float = 1e-10) -> float:
@@ -259,7 +277,9 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     is p/sqrt|q| - sign/(1 + |t - base|) and sign log1p(span) is added
     back, so far points converge.  Raises ConvergenceError when that
     quadrature does not reach ``tol`` at the cap of its ladder; its
-    ``partial`` is the quadrature's, without the sign log1p(span).
+    ``partial`` is the quadrature's, without the sign log1p(span).  Raises
+    DomainError, before any evaluation, when tol is not positive; an x on
+    the set's boundary needs no quadrature and is not checked.
     """
     e = model.E
     n = e.n
@@ -284,7 +304,8 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
         return abs(float(before))
     # the sign of p/sqrt|q| outside the hull is the branch of its end; 0 inside it
     sign = 0.0 if ep[0] < x < ep[-1] else float(branch)
-    quad = _half_line(_green_integrand(model, k, sign), ep[k], x, tol, ep[-1] - ep[0],
+    integrand = _green_integrand(model, k, sign)
+    quad = _half_line(lambda t, root: integrand(t), ep[k], x, tol, ep[-1] - ep[0],
                       "Green function quadrature")
     return abs(float(before + branch * (quad.value + sign * math.log1p(span))))
 

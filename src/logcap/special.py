@@ -218,28 +218,41 @@ def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _lobatto_nodes(m)[1:-1], weights
 
 
+@functools.lru_cache(maxsize=16)
+def _ladder_nodes(lo: float, hi: float, m: int) -> np.ndarray:
+    """The nodes of the Fejer ladder's level m on (lo, hi) that level m/2 lacks (shared, read-only).
+
+    At the first level, m = ``_FEJER_FIRST``, these are all m - 1 nodes.
+    """
+    nodes = _fejer_rule(m)[0]
+    theta = 0.5 * (lo + hi) + 0.5 * (hi - lo) * (nodes if m == _FEJER_FIRST else nodes[::2])
+    theta.flags.writeable = False
+    return theta
+
+
 def _fejer_ladder(g, lo: float, hi: float, tol: float, what: str) -> QuadratureResult:
     """Integral of g over (lo, hi) by the nested ladder of Fejer rules, m = 128, ..., 4096.
 
     It starts at the ladder's 128 rung, not at ``_LADDER[0]``; the comment
     beside ``_LADDER`` says why.
 
-    g maps a 1-D array of nodes to its values.  Each level calls it once, on
-    the nodes the m/2 rule lacks, and is accepted when its value I_m is
-    finite and |I_m - I_{m/2}| <= max(tol, floor), where the rounding floor
-    is 1e-14 (hi - lo)/2 sum w_k |g_k|; ``est_error`` is the larger of the
+    g maps a 1-D array of nodes to its values.  Each level calls it once, in
+    ladder order, on the nodes the m/2 rule lacks, ``_ladder_nodes(lo, hi,
+    m)``, and is accepted when its value I_m is finite and
+    |I_m - I_{m/2}| <= max(tol, floor), where the rounding floor is
+    1e-14 (hi - lo)/2 sum w_k |g_k|; ``est_error`` is the larger of the
     two, ``nodes_used`` the evaluations made (m - 1).  Raises
     ConvergenceError, naming ``what``, when the cap is reached; its
     ``partial`` sums the finite values of the last level.
     """
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    half = 0.5 * (hi - lo)
     vals = np.empty(0)
     for m in _LADDER[_LADDER.index(_FEJER_FIRST):]:
-        nodes, weights = _fejer_rule(m)
+        weights = _fejer_rule(m)[1]
         # a node that rounds onto a singular endpoint gives an inf or nan
         # value; a level holding one is never accepted
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fresh = g(mid + half * (nodes[::2] if vals.size else nodes))
+            fresh = g(_ladder_nodes(lo, hi, m))
             if vals.size:
                 both = np.empty(m - 1)
                 both[::2], both[1::2] = fresh, vals
@@ -255,25 +268,50 @@ def _fejer_ladder(g, lo: float, hi: float, tol: float, what: str) -> QuadratureR
     raise ConvergenceError(f"{what} did not converge with {vals.size} nodes", partial=partial)
 
 
+@functools.lru_cache(maxsize=16)
+def _half_line_level(b: float, step: float, w: float, top: float, m: int) -> tuple[np.ndarray, ...]:
+    """Nodes t, roots sqrt|t - b| and Jacobian factors of ``_half_line``'s level m (shared, read-only).
+
+    They depend only on the map and the level, not on the integrand.  The
+    Robin tail runs on the image of the set with hull [-1, 1], so every
+    tail makes the same map, b = 1 and w = 2, and reads them from here.
+    """
+    t = b + step * np.tan(_ladder_nodes(0.0, top, m)) ** 2
+    off = abs(t - b)
+    out = t, np.sqrt(off), 2.0 * math.sqrt(w) * (1.0 + off / w)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> QuadratureResult:
     """Integral of f(t) / sqrt|t - b| from b towards x (x may be +-inf), for f regular at b.
 
     The map t = b +- w tan^2(theta), w = min(|x - b|, width), runs theta
     over (0, atan(sqrt(|x - b| / w))) and removes the singularity: its
     Jacobian over sqrt|t - b| is 2 sqrt(w)(1 + off/w), taken at the offset
-    off = |t - b| of the node t as it rounds.  f maps a 1-D array of t to
-    its values; the integral over theta goes to ``_fejer_ladder``.
+    off = |t - b| of the node t as it rounds.  f(t, root) maps a 1-D array
+    of t, and of their roots sqrt|t - b|, to the values of f; the integral
+    over theta goes to ``_fejer_ladder``.  The nodes, roots and Jacobian
+    factors of each level come read-only from ``_half_line_level``, keyed by
+    the map and the level, so f must not write to them.  Raises DomainError,
+    before any evaluation, unless tol > 0 and b and width are finite, width > 0.
     """
+    if not (tol > 0.0 and math.isfinite(b) and 0.0 < width < math.inf):
+        raise DomainError(f"need tol > 0, b finite and 0 < width < inf, got {tol}, {b}, {width}")
     span = abs(x - b)
     w = min(span, width)
     step = w if x > b else -w
-    jac = 2.0 * math.sqrt(w)
+    top = math.atan(math.sqrt(span / w))
+    # _fejer_ladder calls g once per level, in ladder order, on the nodes
+    # _ladder_nodes(0, top, m) that _half_line_level maps
+    levels = iter(_LADDER[_LADDER.index(_FEJER_FIRST):])
 
     def g(theta):
-        t = b + step * np.tan(theta) ** 2
-        return f(t) * (jac * (1.0 + abs(t - b) / w))
+        t, root, jac = _half_line_level(b, step, w, top, next(levels))
+        return f(t, root) * jac
 
-    return _fejer_ladder(g, 0.0, math.atan(math.sqrt(span / w)), tol, what)
+    return _fejer_ladder(g, 0.0, top, tol, what)
 
 
 def tail_integral(h, b: float, tol: float, width: float = 2.0) -> QuadratureResult:
@@ -281,14 +319,12 @@ def tail_integral(h, b: float, tol: float, width: float = 2.0) -> QuadratureResu
 
     An inverse-square-root singularity of h at t = b is allowed: the
     integral goes to ``_half_line`` as that of h(t) sqrt(t - b) / sqrt(t - b),
-    over theta in (0, pi/2) with t = b + width tan^2(theta).
+    over theta in (0, pi/2) with t = b + width tan^2(theta).  h gets each
+    level's nodes as a shared read-only array.  Raises DomainError, before
+    any evaluation, unless tol > 0 and b and width are finite, width > 0.
     """
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
-    if width <= 0.0:
-        raise DomainError("split width must be positive")
     hv = _vectorized(h)
-    return _half_line(lambda t: hv(t) * np.sqrt(t - b), b, math.inf, tol, width, "tail integral")
+    return _half_line(lambda t, root: hv(t) * root, b, math.inf, tol, width, "tail integral")
 
 
 def solve_dense(mat, rhs) -> np.ndarray:

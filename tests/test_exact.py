@@ -711,3 +711,202 @@ def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_ac
     within = [c for c, used in zip(calls, nodes, strict=True) if used == 127]
     assert all(c == 1 for c in within)
     assert len(within) > len(calls) / 2
+
+
+TAIL_CACHES = (special_module._ladder_nodes, special_module._half_line_level, exact_module._offset_terms)
+
+
+def clear_tail_caches():
+    for cache in TAIL_CACHES:
+        cache.cache_clear()
+
+
+def uncached_ladder_nodes(lo, hi, m):
+    """The nodes the ladder's level m evaluates on (lo, hi), computed afresh."""
+    nodes = special_module._fejer_rule(m)[0]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * (nodes if m == 128 else nodes[::2])
+
+
+def uncached_half_line(f, b, x, tol, width):
+    """The half-line integral of f(t) / sqrt|t - b| with its map and Jacobian formed on every call."""
+    span = abs(x - b)
+    w = min(span, width)
+    step = w if x > b else -w
+    jac = 2.0 * math.sqrt(w)
+
+    def g(theta):
+        t = b + step * np.tan(theta) ** 2
+        return f(t) * (jac * (1.0 + abs(t - b) / w))
+
+    return special_module._fejer_ladder(g, 0.0, math.atan(math.sqrt(span / w)), tol, "reference")
+
+
+def uncached_green_integrand(model, skip, sign):
+    """``_green_integrand`` with its comparison term formed on every call."""
+    ep = np.asarray(model.E.endpoints(), dtype=float)
+    base, others = ep[skip], np.concatenate((ep[:skip], ep[skip + 1:]))[:, None]
+    p = np.array((1.0, *model.coeffs[::-1]))
+    p = [p[i, ...] for i in range(p.size)]
+
+    def f(t):
+        y = np.full_like(t, p[0], dtype=float)
+        for c in p[1:]:
+            y *= t
+            y += c
+        root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
+        off = abs(t - base)
+        return np.where(root < np.inf, y / root, np.nan) - sign * np.sqrt(off) / (1.0 + off)
+
+    return f
+
+
+def uncached_robin_quad(model, tol=1e-10):
+    """The Robin tail with the round trip through sqrt(t - b_n) formed on both sides."""
+    a1, bn = model.E.hull
+    f = uncached_green_integrand(model, 2 * model.E.n - 1, 1.0)
+
+    def h(t):
+        return f(t) / np.sqrt(t - bn)
+
+    return uncached_half_line(lambda t: np.asarray(h(t), dtype=float) * np.sqrt(t - bn),
+                              bn, math.inf, tol, bn - a1)
+
+
+def recorded_ladder(monkeypatch):
+    """Make every half-line ladder record the integrand values of its levels; returns the record."""
+    levels = []
+    ladder = special_module._fejer_ladder
+
+    def recorded(g, lo, hi, tol, what):
+        def kept(theta):
+            vals = g(theta)
+            levels.append(vals.tobytes())
+            return vals
+
+        return ladder(kept, lo, hi, tol, what)
+
+    monkeypatch.setattr(special_module, "_fejer_ladder", recorded)
+    return levels
+
+
+def fingerprint(levels, res):
+    """The recorded level values and the result, as bytes; clears the record."""
+    out = b"".join(levels) + np.array([res.value, res.est_error, res.nodes_used]).tobytes()
+    levels.clear()
+    return out
+
+
+def test_ladder_nodes_are_the_uncached_nodes_bit_for_bit():
+    for lo, hi in ((0.0, math.pi / 2), (0.0, 0.3), (0.0, 1.4999), (-1.0, 2.5)):
+        for m in _LADDER[_LADDER.index(128):]:
+            nodes = special_module._ladder_nodes(lo, hi, m)
+            assert nodes.tobytes() == uncached_ladder_nodes(lo, hi, m).tobytes()
+            assert not nodes.flags.writeable
+
+
+def test_cached_robin_tail_matches_the_uncached_arithmetic_bit_for_bit(monkeypatch):
+    levels = recorded_ladder(monkeypatch)
+    rng = random.Random(47)
+    clear_tail_caches()
+    for n in range(3, 21):
+        for _ in range(2):
+            model = widom_polynomial(random_unit_interval_union(rng, n))
+            want = fingerprint(levels, uncached_robin_quad(model))
+            assert fingerprint(levels, exact_module._robin_quad(model)) == want, n
+    # off the unit hull, b_n != 1 and the width is not 2: a map of its own
+    for n in (3, 7, 12):
+        e = random_unit_interval_union(rng, n)
+        for scale, shift in ((3.0, 0.7), (0.2, -0.4), (2.0, -3.0)):
+            model = widom_polynomial(make_interval_union([(scale * a + shift, scale * b + shift)
+                                                          for a, b in e.intervals]))
+            want = uncached_robin_quad(model)
+            want_levels = fingerprint(levels, want)
+            assert fingerprint(levels, exact_module._robin_quad(model)) == want_levels
+            assert np.array([robin_constant(model)]).tobytes() == np.array([want.value]).tobytes()
+            levels.clear()
+
+
+def test_cached_green_values_match_the_uncached_arithmetic_bit_for_bit(monkeypatch):
+    levels = recorded_ladder(monkeypatch)
+    model = widom_polynomial(make_interval_union([(-1.0, -0.5), (-0.2, 0.1), (0.5, 1.0)]))
+    # left of the hull, inside each gap (nearer either end) and right of it
+    points = (-7.0, -1.3, -1.0 - 1e-9, -0.45, -0.25, 0.15, 0.4, 1.0 + 1e-7, 1.6, 40.0)
+
+    def reference_half_line(f, b, x, tol, width, what):
+        return uncached_half_line(lambda t: f(t, None), b, x, tol, width)
+
+    def values():
+        out = np.array([green_value(model, x) for x in points]).tobytes() + b"".join(levels)
+        levels.clear()
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(exact_module, "_green_integrand", uncached_green_integrand)
+        patched.setattr(exact_module, "_half_line", reference_half_line)
+        want = values()
+    clear_tail_caches()
+    cold = values()
+    warm = values()
+    clear_tail_caches()
+    cleared = values()
+    assert cold == want and warm == want and cleared == want
+
+
+def test_tail_caches_are_read_only_and_bounded():
+    model = widom_polynomial(random_unit_interval_union(random.Random(53), 4))
+    clear_tail_caches()
+    assert exact_module._robin_quad(model).nodes_used == 127
+    t, root, jac = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)
+    offsets = exact_module._offset_terms(1.0, 1.0, t.tobytes())
+    for a in (special_module._ladder_nodes(0.0, math.pi / 2, 128), t, root, jac, *offsets):
+        assert not a.flags.writeable
+    # the first level of the Robin tail was computed once, then read from the caches
+    assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1, 1]
+    for x in np.linspace(1.001, 30.0, 1000):
+        green_value(model, float(x))
+    for cache in TAIL_CACHES:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize <= 16
+
+
+def decaying(t):
+    return 1.0 / (1.0 + t * t)
+
+
+# each runs to the ladder's cap, or returns, without the check
+BAD_HALF_LINE_CALLS = {
+    "tail-tol-nan": lambda model, h: exact_module.tail_integral(h, 1.0, math.nan),
+    "tail-tol-0": lambda model, h: exact_module.tail_integral(h, 1.0, 0.0),
+    "tail-b-nan": lambda model, h: exact_module.tail_integral(h, math.nan, 1e-10),
+    "tail-b-inf": lambda model, h: exact_module.tail_integral(h, math.inf, 1e-10),
+    "tail-b-minus-inf": lambda model, h: exact_module.tail_integral(h, -math.inf, 1e-10),
+    "tail-width-nan": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=math.nan),
+    "tail-width-inf": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=math.inf),
+    "tail-width-minus-inf": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=-math.inf),
+    "tail-width-0": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=0.0),
+    "robin-tol-nan": lambda model, h: robin_constant(model, tol=math.nan),
+    "robin-tol-0": lambda model, h: robin_constant(model, tol=0.0),
+    "green-tol-nan": lambda model, h: green_value(model, 3.0, tol=math.nan),
+    "green-tol-0": lambda model, h: green_value(model, 3.0, tol=0.0),
+    "green-tol-minus-1": lambda model, h: green_value(model, 3.0, tol=-1.0),
+    "green-gap-tol-0": lambda model, h: green_value(model, -0.3, tol=0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_HALF_LINE_CALLS))
+def test_half_line_arguments_are_checked_before_any_evaluation(monkeypatch, case):
+    model = widom_polynomial(make_interval_union([(-1.0, -0.5), (-0.2, 0.1), (0.5, 1.0)]))
+    count = [0]
+
+    def counted(f):
+        def g(t):
+            count[0] += 1
+            return f(t)
+
+        return g
+
+    make_integrand = exact_module._green_integrand
+    monkeypatch.setattr(exact_module, "_green_integrand", lambda *args: counted(make_integrand(*args)))
+    with pytest.raises(DomainError):
+        BAD_HALF_LINE_CALLS[case](model, counted(decaying))
+    assert count == [0]
