@@ -33,6 +33,7 @@ the chain sum's value alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -595,8 +596,8 @@ def projection_upper(e: IntervalUnion) -> float:
 
 def uniform_measure_partition(n_cells: int) -> Partition:
     """Partition of [-1, 1] into cells of equal arccos measure."""
-    if n_cells < 1:
-        raise DomainError("need at least one cell")
+    if not (isinstance(n_cells, numbers.Integral) and n_cells >= 1):
+        raise DomainError(f"need a positive whole number of cells, got {n_cells!r}")
     pts = [math.cos(math.pi * (n_cells - k) / n_cells) for k in range(n_cells + 1)]
     return Partition(tuple(pts))
 

@@ -256,7 +256,7 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     """
     if e.n == 1:
         a, b = e.intervals[0]
-        return CapacityResult(0.25 * (b - a), CLOSED_FORM, 0.0)
+        return CapacityResult(0.25 * b - 0.25 * a, CLOSED_FORM, 0.0)
     norm, scale = normalize_to_unit(e)
     model = widom_polynomial(norm)
     quad = _robin_quad(model)

@@ -13,6 +13,7 @@ the arccos width ``_arcs`` live here, for the other modules to call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,8 +234,8 @@ def _check_two_interval(alpha: float, beta: float) -> None:
 def _check_arc_family(l: float, n: int) -> None:
     if not 0.0 < l < TWO_PI:
         raise DomainError(f"total arc length must lie in (0, 2*pi), got {l}")
-    if n < 1:
-        raise DomainError("need a positive number of arcs")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"need a positive whole number of arcs, got {n!r}")
 
 
 def _arcs(a: float, b: float) -> tuple[float, float]:
@@ -294,8 +295,10 @@ def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
     at the hull's scale, so that its mapped ends coincide or cross.
     """
     a1, bn = e.hull
-    scale = 0.5 * (bn - a1)
-    center = 0.5 * (bn + a1)
+    # halves first, so that a hull beyond about 9e307 does not overflow;
+    # halving is exact in the normal range, so the result is the same there
+    scale = 0.5 * bn - 0.5 * a1
+    center = 0.5 * bn + 0.5 * a1
     ends = e.endpoints()
     mapped = [(x - center) / scale for x in ends]
     # the hull ends are forced exactly; interior endpoints stay as mapped

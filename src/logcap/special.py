@@ -33,10 +33,12 @@ class EllipticParams:
     omega: float
 
     def __post_init__(self):
-        if abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) > 1e-14:
+        if not abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) <= 1e-14:
             raise DomainError("moduli must satisfy k^2 + k'^2 = 1")
         if not 0.0 <= self.q < 1.0:
             raise DomainError(f"nome must lie in [0, 1), got {self.q}")
+        if not math.isfinite(self.omega):
+            raise DomainError(f"angle must be finite, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ def _theta(z: float, q: float, sign: float) -> float:
     # 1 + 2 sum_m sign^m q^(m^2) cos(2 m z); the +-1 factors are exact
     if not 0.0 <= q < 1.0:
         raise DomainError(f"nome must lie in [0, 1), got {q}")
+    if not math.isfinite(z):
+        raise DomainError(f"argument must be finite, got {z}")
     total = 1.0
     qm = q  # q^(m^2)
     qstep = q * q * q  # q^(2m+1)
@@ -195,8 +199,8 @@ def chebyshev_gauss(g, a: float, b: float, m: int) -> float:
     """
     if m < 1:
         raise DomainError(f"node count must be positive, got {m}")
-    if not a < b:
-        raise DomainError(f"need a < b, got ({a}, {b})")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"need finite a < b, got ({a}, {b})")
     t = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto_nodes(2 * m)[1::2]
     vals = _vectorized(g)(t)
     return float(vals.sum()) * math.pi / m
@@ -219,64 +223,19 @@ def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _ladder_nodes(lo: float, hi: float, m: int) -> np.ndarray:
-    """The nodes of the Fejer ladder's level m on (lo, hi) that level m/2 lacks (shared, read-only).
-
-    At the first level, m = ``_FEJER_FIRST``, these are all m - 1 nodes.
-    """
-    nodes = _fejer_rule(m)[0]
-    theta = 0.5 * (lo + hi) + 0.5 * (hi - lo) * (nodes if m == _FEJER_FIRST else nodes[::2])
-    theta.flags.writeable = False
-    return theta
-
-
-def _fejer_ladder(g, lo: float, hi: float, tol: float, what: str) -> QuadratureResult:
-    """Integral of g over (lo, hi) by the nested ladder of Fejer rules, m = 128, ..., 4096.
-
-    It starts at the ladder's 128 rung, not at ``_LADDER[0]``; the comment
-    beside ``_LADDER`` says why.
-
-    g maps a 1-D array of nodes to its values.  Each level calls it once, in
-    ladder order, on the nodes the m/2 rule lacks, ``_ladder_nodes(lo, hi,
-    m)``, and is accepted when its value I_m is finite and
-    |I_m - I_{m/2}| <= max(tol, floor), where the rounding floor is
-    1e-14 (hi - lo)/2 sum w_k |g_k|; ``est_error`` is the larger of the
-    two, ``nodes_used`` the evaluations made (m - 1).  Raises
-    ConvergenceError, naming ``what``, when the cap is reached; its
-    ``partial`` sums the finite values of the last level.
-    """
-    half = 0.5 * (hi - lo)
-    vals = np.empty(0)
-    for m in _LADDER[_LADDER.index(_FEJER_FIRST):]:
-        weights = _fejer_rule(m)[1]
-        # a node that rounds onto a singular endpoint gives an inf or nan
-        # value; a level holding one is never accepted
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fresh = g(_ladder_nodes(lo, hi, m))
-            if vals.size:
-                both = np.empty(m - 1)
-                both[::2], both[1::2] = fresh, vals
-                fresh = both
-            vals = fresh
-            fine = half * np.dot(weights, vals)
-            delta = abs(fine - half * np.dot(_fejer_rule(m // 2)[1], vals[1::2]))
-            floor = 1e-14 * half * np.dot(weights, np.abs(vals))
-        if math.isfinite(fine) and delta <= max(tol, floor):
-            return QuadratureResult(float(fine), float(max(delta, floor)), vals.size)
-    ok = np.isfinite(vals)
-    partial = QuadratureResult(float(half * np.dot(weights[ok], vals[ok])), math.inf, vals.size)
-    raise ConvergenceError(f"{what} did not converge with {vals.size} nodes", partial=partial)
-
-
-@functools.lru_cache(maxsize=16)
 def _half_line_level(b: float, step: float, w: float, top: float, m: int) -> tuple[np.ndarray, ...]:
     """Nodes t, roots sqrt|t - b| and Jacobian factors of ``_half_line``'s level m (shared, read-only).
 
-    They depend only on the map and the level, not on the integrand.  The
-    Robin tail runs on the image of the set with hull [-1, 1], so every
-    tail makes the same map, b = 1 and w = 2, and reads them from here.
+    The level's theta nodes map Fejer's m rule onto (0, top): all m - 1 of
+    them at the first level, m = ``_FEJER_FIRST``, and after that every
+    other one, those the m/2 rule lacks.  All of it depends only on the
+    map and the level, not on the integrand.  The Robin tail runs on
+    the image of the set with hull [-1, 1], so every tail makes the same
+    map, b = 1 and w = 2, and reads them from here.
     """
-    t = b + step * np.tan(_ladder_nodes(0.0, top, m)) ** 2
+    nodes = _fejer_rule(m)[0]
+    theta = 0.5 * top + 0.5 * top * (nodes if m == _FEJER_FIRST else nodes[::2])
+    t = b + step * np.tan(theta) ** 2
     off = abs(t - b)
     out = t, np.sqrt(off), 2.0 * math.sqrt(w) * (1.0 + off / w)
     for a in out:
@@ -288,14 +247,24 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     """Integral of f(t) / sqrt|t - b| from b towards x (x may be +-inf), for f regular at b.
 
     The map t = b +- w tan^2(theta), w = min(|x - b|, width), runs theta
-    over (0, atan(sqrt(|x - b| / w))) and removes the singularity: its
-    Jacobian over sqrt|t - b| is 2 sqrt(w)(1 + off/w), taken at the offset
-    off = |t - b| of the node t as it rounds.  f(t, root) maps a 1-D array
-    of t, and of their roots sqrt|t - b|, to the values of f; the integral
-    over theta goes to ``_fejer_ladder``.  The nodes, roots and Jacobian
-    factors of each level come read-only from ``_half_line_level``, keyed by
-    the map and the level, so f must not write to them.  Raises DomainError,
-    before any evaluation, unless tol > 0 and b and width are finite, width > 0.
+    over (0, top), top = atan(sqrt(|x - b| / w)), and removes the
+    singularity: its Jacobian over sqrt|t - b| is 2 sqrt(w)(1 + off/w),
+    taken at the offset off = |t - b| of the node t as it rounds.  The
+    integral over theta climbs the nested ladder of Fejer rules, m = 128,
+    ..., 4096; it starts at the ladder's 128 rung, not at ``_LADDER[0]``,
+    and the comment beside ``_LADDER`` says why.  Each level calls f(t,
+    root) once, on the level's new nodes t and their roots sqrt|t - b|,
+    which come read-only with the Jacobian factors from
+    ``_half_line_level``, keyed by the map and the level, so f must not
+    write to them.  A level is accepted when its value I_m is finite and
+    |I_m - I_{m/2}| <= max(tol, floor), where the rounding floor is
+    1e-14 top/2 sum w_k |g_k|, g_k the value of f times the Jacobian at
+    node k; a level holding an inf or nan value, as from a node that rounds
+    onto a singular endpoint, is never accepted.  ``est_error`` is the larger of the two,
+    ``nodes_used`` the evaluations made (m - 1).  Raises ConvergenceError,
+    naming ``what``, when the cap is reached; its ``partial`` sums the
+    finite values of the last level.  Raises DomainError, before any
+    evaluation, unless tol > 0 and b and width are finite, width > 0.
     """
     if not (tol > 0.0 and math.isfinite(b) and 0.0 < width < math.inf):
         raise DomainError(f"need tol > 0, b finite and 0 < width < inf, got {tol}, {b}, {width}")
@@ -303,15 +272,27 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     w = min(span, width)
     step = w if x > b else -w
     top = math.atan(math.sqrt(span / w))
-    # _fejer_ladder calls g once per level, in ladder order, on the nodes
-    # _ladder_nodes(0, top, m) that _half_line_level maps
-    levels = iter(_LADDER[_LADDER.index(_FEJER_FIRST):])
-
-    def g(theta):
-        t, root, jac = _half_line_level(b, step, w, top, next(levels))
-        return f(t, root) * jac
-
-    return _fejer_ladder(g, 0.0, top, tol, what)
+    half = 0.5 * top
+    vals = np.empty(0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for m in _LADDER[_LADDER.index(_FEJER_FIRST):]:
+            weights = _fejer_rule(m)[1]
+            t, root, jac = _half_line_level(b, step, w, top, m)
+            fresh = f(t, root) * jac
+            if vals.size:
+                # the m/2 rule's nodes are the odd-indexed ones of the m rule
+                both = np.empty(m - 1)
+                both[::2], both[1::2] = fresh, vals
+                fresh = both
+            vals = fresh
+            fine = half * np.dot(weights, vals)
+            delta = abs(fine - half * np.dot(_fejer_rule(m // 2)[1], vals[1::2]))
+            floor = 1e-14 * half * np.dot(weights, np.abs(vals))
+            if math.isfinite(fine) and delta <= max(tol, floor):
+                return QuadratureResult(float(fine), float(max(delta, floor)), vals.size)
+    ok = np.isfinite(vals)
+    partial = QuadratureResult(float(half * np.dot(weights[ok], vals[ok])), math.inf, vals.size)
+    raise ConvergenceError(f"{what} did not converge with {vals.size} nodes", partial=partial)
 
 
 def tail_integral(h, b: float, tol: float, width: float = 2.0) -> QuadratureResult:
@@ -319,9 +300,11 @@ def tail_integral(h, b: float, tol: float, width: float = 2.0) -> QuadratureResu
 
     An inverse-square-root singularity of h at t = b is allowed: the
     integral goes to ``_half_line`` as that of h(t) sqrt(t - b) / sqrt(t - b),
-    over theta in (0, pi/2) with t = b + width tan^2(theta).  h gets each
-    level's nodes as a shared read-only array.  Raises DomainError, before
-    any evaluation, unless tol > 0 and b and width are finite, width > 0.
+    over theta in (0, pi/2) with t = b + width tan^2(theta), and climbs its
+    Fejer ladder.  h is called once per level, on the level's new nodes as
+    a shared read-only array.  Raises ConvergenceError at the ladder's cap,
+    and DomainError, before any evaluation, unless tol > 0 and b and width
+    are finite, width > 0.
     """
     hv = _vectorized(h)
     return _half_line(lambda t, root: hv(t) * root, b, math.inf, tol, width, "tail integral")

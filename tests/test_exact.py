@@ -14,11 +14,13 @@ from logcap import (
     SingularMatrixError,
     akhiezer_capacity,
     akhiezer_params,
+    all_bounds,
     capacity,
     canonical_set,
     chebyshev_gauss,
     green_value,
     make_interval_union,
+    normalize_to_unit,
     robin_constant,
     widom_capacity,
     widom_polynomial,
@@ -28,7 +30,7 @@ from logcap import exact as exact_module
 from logcap import special as special_module
 from logcap._kernels import gap_moment_sums
 from logcap.exact import _LADDER, _MOMENT_TOL, _moment_vectors
-from logcap.verify import random_unit_interval_union
+from logcap.verify import SANDWICH_SLACK, random_unit_interval_union
 
 from gauss_moments import gauss_moment_ladder
 from preimages import polynomial_preimage
@@ -179,6 +181,38 @@ def test_scaling_law():
             assert widom_capacity(scaled).value == pytest.approx(
                 abs(factor) * base, abs=1e-9 * max(1.0, abs(factor))
             )
+
+
+# hulls beyond about 9e307, whose half-width or centre 0.5 (b_n -+ a_1) overflowed
+HUGE_SETS = {
+    "two-right": [(1e308, 1.2e308), (1.5e308, 1.7e308)],
+    "three-right": [(1e308, 1.2e308), (1.3e308, 1.4e308), (1.5e308, 1.7e308)],
+    "two-across-zero": [(-1.7e308, -1e308), (1e308, 1.7e308)],
+}
+
+
+@pytest.mark.parametrize("name", list(HUGE_SETS))
+def test_scaling_law_holds_near_the_largest_float(name):
+    pairs = HUGE_SETS[name]
+    e = make_interval_union(pairs)
+    small = make_interval_union([(a / 1e308, b / 1e308) for a, b in pairs])
+    half_width = normalize_to_unit(e)[1]
+    assert half_width == pytest.approx(1e308 * normalize_to_unit(small)[1], rel=1e-15)
+    for method in ("auto", "widom"):
+        got, want = capacity(e, method), capacity(small, method)
+        assert got.method == want.method
+        assert abs(got.value - 1e308 * want.value) <= got.est_error < math.inf, method
+    for rep in all_bounds(e):
+        if rep.kind == "lower":
+            assert rep.value <= got.value + SANDWICH_SLACK * half_width, rep.name
+        else:
+            assert rep.value >= got.value - SANDWICH_SLACK * half_width, rep.name
+
+
+def test_single_interval_near_the_largest_float_is_a_quarter_of_its_length():
+    e = make_interval_union([(-1.7e308, 1.7e308)])
+    assert capacity(e).value == 8.5e307
+    assert [rep.value for rep in all_bounds(e)] == [8.5e307, 8.5e307]
 
 
 def test_translation_invariance():
@@ -713,7 +747,7 @@ def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_ac
     assert len(within) > len(calls) / 2
 
 
-TAIL_CACHES = (special_module._ladder_nodes, special_module._half_line_level, exact_module._offset_terms)
+TAIL_CACHES = (special_module._half_line_level, exact_module._offset_terms)
 
 
 def clear_tail_caches():
@@ -721,24 +755,12 @@ def clear_tail_caches():
         cache.cache_clear()
 
 
-def uncached_ladder_nodes(lo, hi, m):
-    """The nodes the ladder's level m evaluates on (lo, hi), computed afresh."""
+def uncached_half_line_level(b, step, w, top, m):
+    """``_half_line_level`` formed afresh: the map's t, the roots and the Jacobian factors."""
     nodes = special_module._fejer_rule(m)[0]
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * (nodes if m == 128 else nodes[::2])
-
-
-def uncached_half_line(f, b, x, tol, width):
-    """The half-line integral of f(t) / sqrt|t - b| with its map and Jacobian formed on every call."""
-    span = abs(x - b)
-    w = min(span, width)
-    step = w if x > b else -w
-    jac = 2.0 * math.sqrt(w)
-
-    def g(theta):
-        t = b + step * np.tan(theta) ** 2
-        return f(t) * (jac * (1.0 + abs(t - b) / w))
-
-    return special_module._fejer_ladder(g, 0.0, math.atan(math.sqrt(span / w)), tol, "reference")
+    theta = 0.5 * top + 0.5 * top * (nodes if m == 128 else nodes[::2])
+    t = b + step * np.tan(theta) ** 2
+    return t, np.sqrt(abs(t - b)), 2.0 * math.sqrt(w) * (1.0 + abs(t - b) / w)
 
 
 def uncached_green_integrand(model, skip, sign):
@@ -760,32 +782,35 @@ def uncached_green_integrand(model, skip, sign):
     return f
 
 
-def uncached_robin_quad(model, tol=1e-10):
-    """The Robin tail with the round trip through sqrt(t - b_n) formed on both sides."""
+def uncached_robin_quad(model, monkeypatch, tol=1e-10):
+    """The Robin tail with its levels and the round trip through sqrt(t - b_n) formed afresh."""
     a1, bn = model.E.hull
     f = uncached_green_integrand(model, 2 * model.E.n - 1, 1.0)
 
     def h(t):
         return f(t) / np.sqrt(t - bn)
 
-    return uncached_half_line(lambda t: np.asarray(h(t), dtype=float) * np.sqrt(t - bn),
-                              bn, math.inf, tol, bn - a1)
+    with monkeypatch.context() as patched:
+        patched.setattr(special_module, "_half_line_level", uncached_half_line_level)
+        return special_module._half_line(lambda t, root: np.asarray(h(t), dtype=float) * np.sqrt(t - bn),
+                                         bn, math.inf, tol, bn - a1, "reference")
 
 
 def recorded_ladder(monkeypatch):
-    """Make every half-line ladder record the integrand values of its levels; returns the record."""
+    """Make every half-line integral record its integrand's values, level by level; returns the record."""
     levels = []
-    ladder = special_module._fejer_ladder
+    half_line = special_module._half_line
 
-    def recorded(g, lo, hi, tol, what):
-        def kept(theta):
-            vals = g(theta)
+    def recorded(f, b, x, tol, width, what):
+        def kept(t, root):
+            vals = f(t, root)
             levels.append(vals.tobytes())
             return vals
 
-        return ladder(kept, lo, hi, tol, what)
+        return half_line(kept, b, x, tol, width, what)
 
-    monkeypatch.setattr(special_module, "_fejer_ladder", recorded)
+    monkeypatch.setattr(special_module, "_half_line", recorded)
+    monkeypatch.setattr(exact_module, "_half_line", recorded)
     return levels
 
 
@@ -796,12 +821,35 @@ def fingerprint(levels, res):
     return out
 
 
-def test_ladder_nodes_are_the_uncached_nodes_bit_for_bit():
-    for lo, hi in ((0.0, math.pi / 2), (0.0, 0.3), (0.0, 1.4999), (-1.0, 2.5)):
+def test_half_line_levels_interleave_to_the_fejer_nodes_bit_for_bit():
+    # the ladder puts each level's new values at the even indices and the
+    # older ones at the odd: so interleaved, the t of levels 128..m must be
+    # the map of all m - 1 nodes of Fejer's m rule
+    for b, step, w in ((1.0, 2.0, 2.0), (-0.4, -0.3, 0.3)):
+        for top in (math.pi / 2, 0.3):
+            t = np.empty(0)
+            for m in _LADDER[_LADDER.index(128):_LADDER.index(1024) + 1]:
+                fresh = special_module._half_line_level(b, step, w, top, m)[0]
+                assert not fresh.flags.writeable
+                if t.size:
+                    both = np.empty(m - 1)
+                    both[::2], both[1::2] = fresh, t
+                    fresh = both
+                t = fresh
+                theta = 0.5 * top + 0.5 * top * special_module._fejer_rule(m)[0]
+                assert t.tobytes() == (b + step * np.tan(theta) ** 2).tobytes(), (b, top, m)
+
+
+def test_half_line_levels_match_the_uncached_arithmetic_bit_for_bit():
+    # the Robin tail's map, maps off the unit hull and the Green edges' maps
+    # of short spans, whose top is pi/4
+    for b, step, w, top in ((1.0, 2.0, 2.0, math.pi / 2), (3.7, 6.0, 6.0, math.pi / 2),
+                            (-0.4, 0.4, 0.4, math.pi / 2), (-1.0, -0.3, 0.3, math.pi / 4),
+                            (0.1, 0.15, 0.15, math.pi / 4)):
         for m in _LADDER[_LADDER.index(128):]:
-            nodes = special_module._ladder_nodes(lo, hi, m)
-            assert nodes.tobytes() == uncached_ladder_nodes(lo, hi, m).tobytes()
-            assert not nodes.flags.writeable
+            got = special_module._half_line_level(b, step, w, top, m)
+            want = uncached_half_line_level(b, step, w, top, m)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (b, w, top, m)
 
 
 def test_cached_robin_tail_matches_the_uncached_arithmetic_bit_for_bit(monkeypatch):
@@ -811,7 +859,7 @@ def test_cached_robin_tail_matches_the_uncached_arithmetic_bit_for_bit(monkeypat
     for n in range(3, 21):
         for _ in range(2):
             model = widom_polynomial(random_unit_interval_union(rng, n))
-            want = fingerprint(levels, uncached_robin_quad(model))
+            want = fingerprint(levels, uncached_robin_quad(model, monkeypatch))
             assert fingerprint(levels, exact_module._robin_quad(model)) == want, n
     # off the unit hull, b_n != 1 and the width is not 2: a map of its own
     for n in (3, 7, 12):
@@ -819,7 +867,7 @@ def test_cached_robin_tail_matches_the_uncached_arithmetic_bit_for_bit(monkeypat
         for scale, shift in ((3.0, 0.7), (0.2, -0.4), (2.0, -3.0)):
             model = widom_polynomial(make_interval_union([(scale * a + shift, scale * b + shift)
                                                           for a, b in e.intervals]))
-            want = uncached_robin_quad(model)
+            want = uncached_robin_quad(model, monkeypatch)
             want_levels = fingerprint(levels, want)
             assert fingerprint(levels, exact_module._robin_quad(model)) == want_levels
             assert np.array([robin_constant(model)]).tobytes() == np.array([want.value]).tobytes()
@@ -832,9 +880,6 @@ def test_cached_green_values_match_the_uncached_arithmetic_bit_for_bit(monkeypat
     # left of the hull, inside each gap (nearer either end) and right of it
     points = (-7.0, -1.3, -1.0 - 1e-9, -0.45, -0.25, 0.15, 0.4, 1.0 + 1e-7, 1.6, 40.0)
 
-    def reference_half_line(f, b, x, tol, width, what):
-        return uncached_half_line(lambda t: f(t, None), b, x, tol, width)
-
     def values():
         out = np.array([green_value(model, x) for x in points]).tobytes() + b"".join(levels)
         levels.clear()
@@ -842,7 +887,7 @@ def test_cached_green_values_match_the_uncached_arithmetic_bit_for_bit(monkeypat
 
     with monkeypatch.context() as patched:
         patched.setattr(exact_module, "_green_integrand", uncached_green_integrand)
-        patched.setattr(exact_module, "_half_line", reference_half_line)
+        patched.setattr(special_module, "_half_line_level", uncached_half_line_level)
         want = values()
     clear_tail_caches()
     cold = values()
@@ -858,10 +903,10 @@ def test_tail_caches_are_read_only_and_bounded():
     assert exact_module._robin_quad(model).nodes_used == 127
     t, root, jac = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)
     offsets = exact_module._offset_terms(1.0, 1.0, t.tobytes())
-    for a in (special_module._ladder_nodes(0.0, math.pi / 2, 128), t, root, jac, *offsets):
+    for a in (t, root, jac, *offsets):
         assert not a.flags.writeable
     # the first level of the Robin tail was computed once, then read from the caches
-    assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1, 1]
+    assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1]
     for x in np.linspace(1.001, 30.0, 1000):
         green_value(model, float(x))
     for cache in TAIL_CACHES:

@@ -7,6 +7,7 @@ the defining integrals independently of the AGM/Carlson implementations.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -16,18 +17,21 @@ from logcap import (
     ConvergenceError,
     DomainError,
     SingularMatrixError,
+    canonical_set,
     chebyshev_gauss,
     complete_E,
     complete_K,
+    haliste_arcs_capacity,
     incomplete_F,
     solve_dense,
     tail_integral,
     theta3,
     theta4,
+    uniform_measure_partition,
 )
 from logcap import exact as exact_module
 from logcap import widom_polynomial
-from logcap.special import EllipticParams, _fejer_ladder, _fejer_rule
+from logcap.special import EllipticParams, _fejer_rule, _half_line, _half_line_level
 from logcap.verify import random_unit_interval_union
 
 
@@ -207,6 +211,45 @@ def test_chebyshev_gauss_argument_errors():
         chebyshev_gauss(lambda t: t, 1, 0, 4)
 
 
+def never_called(t):
+    raise AssertionError("evaluated before its arguments were checked")
+
+
+# each returned nan or a value, warned, or raised a bare ValueError or
+# TypeError, before its arguments were checked
+NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
+    "theta3-z-inf": lambda: theta3(math.inf, 0.1),
+    "theta3-z-minus-inf": lambda: theta3(-math.inf, 0.1),
+    "theta3-z-nan": lambda: theta3(math.nan, 0.1),
+    "theta4-z-inf": lambda: theta4(math.inf, 0.1),
+    "theta4-z-minus-inf": lambda: theta4(-math.inf, 0.1),
+    "theta4-z-nan": lambda: theta4(math.nan, 0.1),
+    "elliptic-params-moduli-nan": lambda: EllipticParams(math.nan, math.nan, 0.5, 0.0),
+    "elliptic-params-omega-inf": lambda: EllipticParams(0.6, 0.8, 0.5, math.inf),
+    "elliptic-params-omega-nan": lambda: EllipticParams(0.6, 0.8, 0.5, math.nan),
+    "chebyshev-gauss-b-inf": lambda: chebyshev_gauss(never_called, 0.0, math.inf, 8),
+    "chebyshev-gauss-a-minus-inf": lambda: chebyshev_gauss(never_called, -math.inf, 0.0, 8),
+    "chebyshev-gauss-a-nan": lambda: chebyshev_gauss(never_called, math.nan, 1.0, 8),
+    "canonical-set-fractional-count": lambda: canonical_set(1.0, 2.5),
+    "uniform-partition-fractional-count": lambda: uniform_measure_partition(2.5),
+    "haliste-fractional-count": lambda: haliste_arcs_capacity(1.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_OR_FRACTIONAL_ARGUMENTS))
+def test_non_finite_or_fractional_arguments_raise_domain_error(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            NON_FINITE_OR_FRACTIONAL_ARGUMENTS[case]()
+
+
+def test_arc_and_cell_counts_may_be_numpy_integers():
+    assert canonical_set(1.0, np.int64(3)) == canonical_set(1.0, 3)
+    assert uniform_measure_partition(np.int64(3)) == uniform_measure_partition(3)
+    assert haliste_arcs_capacity(1.0, np.int64(3)) == haliste_arcs_capacity(1.0, 3)
+
+
 def test_tail_integral_inverse_square():
     r = tail_integral(lambda t: 1.0 / t ** 2, 1.0, 1e-10)
     assert abs(r.value - 1.0) <= max(r.est_error, 1e-13)
@@ -276,29 +319,31 @@ def test_fejer_rule_integrates_powers_below_m_exactly(m):
         assert 0.5 * np.dot(weights, theta ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
 
-def test_fejer_ladder_never_accepts_a_non_finite_level():
-    nodes = {m: 0.5 + 0.5 * _fejer_rule(m)[0] for m in (128, 512)}
-    # inf at a node of every level: the ladder runs to its cap
-    first = nodes[128][-1]
+def test_half_line_never_accepts_a_non_finite_level():
+    # f(t) / sqrt(t) over (0, 1): the map t = tan^2(theta), theta in (0, pi/4)
+    top = math.pi / 4
+    # inf at a node of the first level, which every level after holds too:
+    # the ladder runs to its cap
+    first = _half_line_level(0.0, 1.0, 1.0, top, 128)[0][-1]
 
-    def spike(theta):
-        return np.where(theta == first, np.inf, 1.0)
+    def spike(t, root):
+        return np.where(t == first, np.inf, root)
 
     # nan only from the m = 512 level on, where a kink has not converged yet
-    late = nodes[512][-1]
+    late = _half_line_level(0.0, 1.0, 1.0, top, 512)[0][-1]
 
-    def kink(theta):
-        return np.where(theta <= late, np.nan, np.abs(theta - 0.3))
+    def kink(t, root):
+        return np.where(t <= late, np.nan, root * np.abs(t - 0.3))
 
-    for g, want in ((spike, 1.0), (kink, 0.29)):
+    for f, want in ((spike, 1.0), (kink, 0.29)):
         with pytest.raises(ConvergenceError, match="test integral did not converge") as exc_info:
-            _fejer_ladder(g, 0.0, 1.0, 1e-10, "test integral")
+            _half_line(f, 0.0, 1.0, 1e-10, 1.0, "test integral")
         partial = exc_info.value.partial
         assert partial.nodes_used == 4095
         assert partial.value == pytest.approx(want, abs=1e-5)
 
 
-def test_fejer_ladder_reports_what_it_evaluates():
+def test_tail_integral_reports_what_it_evaluates():
     seen = []
 
     def h(t):
