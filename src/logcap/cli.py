@@ -56,7 +56,7 @@ def _load_set(args) -> IntervalUnion:
         with open(args.json, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParseError(f"invalid JSON in {args.json}: {exc}") from exc
         try:
             return IntervalUnion.from_json_dict(data)
@@ -170,6 +170,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 0:
+        raise ParseError(f"count must not be negative, got {args.count}")
     report, ok = run_verify(seed=args.seed, count=args.count)
     sys.stdout.write(report)
     return EXIT_OK if ok else EXIT_DOMAIN

@@ -268,25 +268,6 @@ def chebyshev_measure(e: IntervalUnion) -> float:
     return total
 
 
-def intersect(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion | None:
-    """Exact set intersection; returns None when the intersection is empty."""
-    out = []
-    i = j = 0
-    ia, ib = a.intervals, b.intervals
-    while i < len(ia) and j < len(ib):
-        lo = max(ia[i][0], ib[j][0])
-        hi = min(ia[i][1], ib[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if ia[i][1] < ib[j][1]:
-            i += 1
-        else:
-            j += 1
-    if not out:
-        return None
-    return IntervalUnion(tuple(out))
-
-
 def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
     """Affine image of e with hull exactly [-1, 1], plus the half-width scale.
 

@@ -2,10 +2,10 @@
 
 Everything is plain float64.  The complete integrals use the
 arithmetic-geometric mean, the incomplete integral of the first kind a
-Carlson symmetric form, and the singular integrals a Chebyshev-Gauss rule
-(inverse-square-root endpoint weight) and a nested ladder of Fejer rules
-for the half-line tail; dense systems go to LAPACK behind a
-singular-value guard (sigma_min > 1e-13 sigma_max, else SingularMatrixError).
+Carlson symmetric form, and the integrals with an inverse-square-root
+endpoint singularity (the Robin tail, the Green edges) a nested ladder of
+Fejer rules; dense systems go to LAPACK behind a singular-value guard
+(sigma_min > 1e-13 sigma_max, else SingularMatrixError).
 """
 
 from __future__ import annotations
@@ -152,21 +152,6 @@ def theta4(z: float, q: float) -> float:
     return _theta(z, q, -1.0)
 
 
-def _vectorized(f):
-    """Wrap a scalar-or-vector callable so it always maps 1-D arrays to 1-D arrays."""
-
-    def call(x: np.ndarray) -> np.ndarray:
-        try:
-            y = np.asarray(f(x), dtype=float)
-        except (TypeError, ValueError):
-            return np.array([float(f(xi)) for xi in x])
-        if y.shape != x.shape:
-            return np.array([float(f(xi)) for xi in x])
-        return y
-
-    return call
-
-
 # the quadrature ladder: rules of m = 32, 64, ..., 4096 intervals on the
 # Chebyshev-Lobatto nodes, each level accepted when it agrees with its
 # nested m/2 rule.  The gap moments climb all of it with the Lobatto rule
@@ -181,29 +166,10 @@ _FEJER_FIRST = 128
 
 @functools.lru_cache(maxsize=16)
 def _lobatto_nodes(m: int) -> np.ndarray:
-    """The m + 1 Chebyshev-Lobatto nodes cos(k pi / m), k = 0..m (shared, read-only).
-
-    The odd-indexed ones of the 2m-interval set are the m Chebyshev-Gauss
-    nodes cos((2r - 1) pi / 2m), r = 1..m.
-    """
+    """The m + 1 Chebyshev-Lobatto nodes cos(k pi / m), k = 0..m (shared, read-only)."""
     nodes = np.cos(np.arange(m + 1) * np.pi / m)
     nodes.flags.writeable = False
     return nodes
-
-
-def chebyshev_gauss(g, a: float, b: float, m: int) -> float:
-    """Integral of g(t) / sqrt((t - a)(b - t)) over (a, b) by the m-node Chebyshev rule.
-
-    Exact (up to rounding) whenever g pulled back to [-1, 1] is a polynomial
-    of degree < 2m.
-    """
-    if m < 1:
-        raise DomainError(f"node count must be positive, got {m}")
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got ({a}, {b})")
-    t = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto_nodes(2 * m)[1::2]
-    vals = _vectorized(g)(t)
-    return float(vals.sum()) * math.pi / m
 
 
 @functools.lru_cache(maxsize=8)
@@ -302,12 +268,11 @@ def tail_integral(h, b: float, tol: float, width: float = 2.0) -> QuadratureResu
     integral goes to ``_half_line`` as that of h(t) sqrt(t - b) / sqrt(t - b),
     over theta in (0, pi/2) with t = b + width tan^2(theta), and climbs its
     Fejer ladder.  h is called once per level, on the level's new nodes as
-    a shared read-only array.  Raises ConvergenceError at the ladder's cap,
-    and DomainError, before any evaluation, unless tol > 0 and b and width
-    are finite, width > 0.
+    a shared read-only array, and must return an array of their values.
+    Raises ConvergenceError at the ladder's cap, and DomainError, before
+    any evaluation, unless tol > 0 and b and width are finite, width > 0.
     """
-    hv = _vectorized(h)
-    return _half_line(lambda t, root: hv(t) * root, b, math.inf, tol, width, "tail integral")
+    return _half_line(lambda t, root: h(t) * root, b, math.inf, tol, width, "tail integral")
 
 
 def solve_dense(mat, rhs) -> np.ndarray:

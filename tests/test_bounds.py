@@ -23,7 +23,6 @@ from logcap import (
     gap_division_lower_max,
     gillis_upper,
     haliste_arcs_capacity,
-    intersect,
     make_interval_union,
     partition_lower,
     polarization_upper,
@@ -244,15 +243,15 @@ def test_partition_lower_equality_on_canonical_sets():
 def partition_lower_loop(e, p):
     """Scalar per-cell transcription of the partition bound, as an oracle.
 
-    The measure of a cell's part of e comes from the exact intersection,
-    as a difference of arccos values, independent of ``sets._arcs``.
+    The measure of a cell's part of e comes from clamping each component
+    to the cell, as a difference of arccos values, independent of
+    ``sets._arcs``.
     """
     log_total = 0.0
     for lo, hi in p.cells():
         cell_mu = math.acos(lo) - math.acos(hi)
-        inter = intersect(e, make_interval_union([(lo, hi)]))
-        inter_mu = 0.0 if inter is None else sum(
-            math.acos(a) - math.acos(b) for a, b in inter.intervals)
+        inter_mu = sum(math.acos(max(a, lo)) - math.acos(min(b, hi))
+                       for a, b in e.intervals if max(a, lo) < min(b, hi))
         if inter_mu <= 0.0:
             return 0.0
         s = math.sin(math.pi * inter_mu / (2.0 * cell_mu))

@@ -81,9 +81,13 @@ def test_cap_missing_set_exit_2(capsys):
 
 def test_cap_bad_json_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "cap", "--json", str(path))
-    assert code == 2
+    # not JSON, and JSON in bytes that are not UTF-8
+    for data in (b"{not json", b'\xff\xfe{"intervals": [[0, 1]]}'):
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "cap", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("data", [{"intervals": 3}, {"intervals": [1, 2]},
@@ -267,6 +271,13 @@ def test_verify_zero_count_trivial_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--count", "0")
     assert code == 0
     assert "RESULT: PASS" in out
+
+
+def test_verify_negative_count_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--count", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_deterministic_report(capsys):

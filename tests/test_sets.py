@@ -1,4 +1,4 @@
-"""Interval-union construction, measure, intersection, projection tests."""
+"""Interval-union construction, measure, normalization, projection tests."""
 
 import math
 import random
@@ -14,7 +14,6 @@ from logcap import (
     capacity,
     chebyshev_measure,
     circle_preimage,
-    intersect,
     make_interval_union,
     normalize_to_unit,
     project_to_real_axis,
@@ -151,37 +150,6 @@ def test_mu_additive_and_monotone():
         # monotone under droppping a component
         sub = make_interval_union(e.intervals[:-1])
         assert chebyshev_measure(sub) <= total + 1e-15
-
-
-def test_intersect_subset():
-    a = make_interval_union([(-1, 1)])
-    b = make_interval_union([(0, 0.5)])
-    assert intersect(a, b).intervals == ((0.0, 0.5),)
-
-
-def test_intersect_disjoint_is_none():
-    a = make_interval_union([(-1, -0.5), (0.5, 1)])
-    b = make_interval_union([(-0.2, 0.2)])
-    assert intersect(a, b) is None
-
-
-def test_intersect_two_pieces():
-    a = make_interval_union([(-1, 0), (0.3, 1)])
-    b = make_interval_union([(-0.5, 0.6)])
-    assert intersect(a, b).intervals == ((-0.5, 0.0), (0.3, 0.6))
-
-
-def test_intersect_matches_membership_grid():
-    rng = random.Random(11)
-    for _ in range(25):
-        a = random_unit_interval_union(rng, rng.choice([2, 3, 4]), min_seg=0.02)
-        b = random_unit_interval_union(rng, rng.choice([2, 3, 4]), min_seg=0.02)
-        c = intersect(a, b)
-        for _ in range(400):
-            x = rng.uniform(-1, 1)
-            expected = a.contains(x) and b.contains(x)
-            got = c is not None and c.contains(x)
-            assert got == expected
 
 
 def test_normalize_examples():

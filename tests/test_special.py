@@ -18,7 +18,6 @@ from logcap import (
     DomainError,
     SingularMatrixError,
     canonical_set,
-    chebyshev_gauss,
     complete_E,
     complete_K,
     haliste_arcs_capacity,
@@ -170,51 +169,6 @@ def test_theta_domain():
         theta4(0.0, -0.2)
 
 
-def test_chebyshev_gauss_examples():
-    assert chebyshev_gauss(lambda t: np.ones_like(t), -1, 1, 8) == pytest.approx(math.pi, rel=1e-15)
-    assert chebyshev_gauss(lambda t: t, -1, 1, 8) == pytest.approx(0.0, abs=1e-14)
-    # int_0^2 t^2/sqrt(t(2-t)) dt = 3*pi/2
-    assert chebyshev_gauss(lambda t: t * t, 0, 2, 8) == pytest.approx(1.5 * math.pi, rel=1e-14)
-
-
-def test_chebyshev_gauss_polynomial_exactness():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        m = int(rng.integers(2, 12))
-        deg = int(rng.integers(0, 2 * m))  # degree <= 2m - 1
-        coeffs = rng.standard_normal(deg + 1)
-        a = float(rng.uniform(-2, 0))
-        b = float(rng.uniform(0.5, 3))
-
-        def g(t):
-            return np.polyval(coeffs, t)
-
-        lo = chebyshev_gauss(g, a, b, m)
-        hi = chebyshev_gauss(g, a, b, 4 * m + 3)
-        assert lo == pytest.approx(hi, rel=1e-12, abs=1e-12)
-
-
-def test_chebyshev_gauss_scalar_callable():
-    got = chebyshev_gauss(lambda t: float(t) ** 2, 0, 2, 16)
-    assert got == pytest.approx(1.5 * math.pi, rel=1e-14)
-
-
-def test_chebyshev_gauss_constant_callable():
-    # a callable that ignores its array and returns one float is evaluated node by node
-    assert chebyshev_gauss(lambda t: 2.0, -1, 1, 8) == 2.0 * math.pi
-
-
-def test_chebyshev_gauss_argument_errors():
-    with pytest.raises(DomainError):
-        chebyshev_gauss(lambda t: t, 0, 1, 0)
-    with pytest.raises(DomainError):
-        chebyshev_gauss(lambda t: t, 1, 0, 4)
-
-
-def never_called(t):
-    raise AssertionError("evaluated before its arguments were checked")
-
-
 # each returned nan or a value, warned, or raised a bare ValueError or
 # TypeError, before its arguments were checked
 NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
@@ -227,9 +181,6 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     "elliptic-params-moduli-nan": lambda: EllipticParams(math.nan, math.nan, 0.5, 0.0),
     "elliptic-params-omega-inf": lambda: EllipticParams(0.6, 0.8, 0.5, math.inf),
     "elliptic-params-omega-nan": lambda: EllipticParams(0.6, 0.8, 0.5, math.nan),
-    "chebyshev-gauss-b-inf": lambda: chebyshev_gauss(never_called, 0.0, math.inf, 8),
-    "chebyshev-gauss-a-minus-inf": lambda: chebyshev_gauss(never_called, -math.inf, 0.0, 8),
-    "chebyshev-gauss-a-nan": lambda: chebyshev_gauss(never_called, math.nan, 1.0, 8),
     "canonical-set-fractional-count": lambda: canonical_set(1.0, 2.5),
     "uniform-partition-fractional-count": lambda: uniform_measure_partition(2.5),
     "haliste-fractional-count": lambda: haliste_arcs_capacity(1.0, 2.5),
@@ -254,8 +205,6 @@ def test_tail_integral_inverse_square():
     r = tail_integral(lambda t: 1.0 / t ** 2, 1.0, 1e-10)
     assert abs(r.value - 1.0) <= max(r.est_error, 1e-13)
     assert r.est_error >= abs(r.value - 1.0)
-    # a callable that takes only scalars gives the same result
-    assert tail_integral(lambda t: 1.0 / float(t) ** 2, 1.0, 1e-10) == r
 
 
 def test_tail_integral_with_endpoint_singularity():
