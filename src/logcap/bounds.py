@@ -9,29 +9,43 @@ factor short-circuits to 0.  The checks of a set's shape are ``sets.py``'s;
 this module checks only its bounds' own parameters.
 
 Every factor is one formula, the partition cell term, written once as
-:func:`_cell_log` for the public bounds, with its closed-form
-derivatives in :func:`_link_terms` for the optimizers.  It serves the
-partition, Solynin and sector-product bounds, and the gap-division bound
-too: the factor (cos p - cos q) / 2 of a component equals
+:func:`_cell_log` for the public bounds.  It serves the partition,
+Solynin and sector-product bounds, and the gap-division bound too: the
+factor (cos p - cos q) / 2 of a component equals
 sin((q - p) / 2) sin((p + q) / 2), so its log is the mean of two cell
 terms of the same cell.  Every arccos width of a part of the set, a
 component or its intersection with a partition cell, comes from
-``sets._arcs``, which keeps the digits of a thin component.  The bounds
-compute on Python floats with ``math``: a set has a handful of
+``sets._arcs``, which keeps the digits of a thin component.  Each
+Solynin cell meets one component at a known end, so Solynin's bound
+walks its cells directly, with two ``_arcs`` per cell, and gives the
+partition bound's bits; its optimizer takes its value at the points it
+returns from ``partition_lower``, which the benchmark traces.  The
+bounds compute on Python floats with ``math``: a set has a handful of
 components, and a numpy call on so few costs more than its arithmetic.
+
 The Solynin and gap-division bounds have free division points.  Both are
 chains: each factor depends only on its two neighbouring points, and
 each chain sum is concave in the arccos angles of the points.  Their
-maximizers climb by damped Newton steps, on a tridiagonal Hessian that
-the chain rule takes from the cell term's closed-form derivatives.  The
-gap points start at the centres of their angle boxes, and Solynin's
+maximizers climb by damped Newton steps, on a tridiagonal Hessian.
+:func:`_chain_eval` takes each link's value and derivatives by the chain
+rule from the cell term's closed-form derivatives, in one kernel per
+chain: Solynin's one mu anchored at the cell's low or high end, gap
+division's constant width and its mu = c - 2 th_hi.  Their coefficients
+0, +-1, +-2 and 4 multiply exactly, so each kernel gives the bits of the
+generic link formula that the tests keep as its reference.  The arccos
+angles of the set's interior endpoints are taken once per chain: they
+are the ends of its angle boxes, its start's anchors and Solynin's link
+constants.
+The gap points start at the centres of their angle boxes, and Solynin's
 interior split points at the optimum of their two cells for small
 gaps.  The last step, once the rises shrink quadratically, is checked by
-the chain sum's value alone.
+the chain sum's value alone.  At n = 2 the two chains are one function
+of the gap point, and ``all_bounds`` runs one ascent for both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -167,50 +181,6 @@ def _cell_log(cell_mu: float, *inter_mu: float) -> float:
     return _C / len(inter_mu) * cell_mu * cell_mu * math.log(s)
 
 
-_INFEASIBLE = (-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def _link_terms(mus, lo, hi):
-    """One chain link as a function of its arccos angles lo > hi: value and derivatives.
-
-    The link is :func:`_cell_log` of the cell M = lo - hi with one
-    mu = a lo + b hi + off per (a, b, off) in ``mus``.  Returns
-    (f, f_lo, f_hi, f_ll, f_lh, f_hh) by the chain rule from each term's
-    closed-form derivatives in (M, mu), with u = h mu / M; f = -inf,
-    and no derivatives, where a term is 0.
-    """
-    cell = lo - hi
-    if not cell > 0.0:
-        return _INFEASIBLE
-    cm = _C * cell
-    f = f_lo = f_hi = f_ll = f_lh = f_hh = 0.0
-    for a, b, off in mus:
-        mu = a * lo + b * hi + off
-        if not mu > 0.0:
-            return _INFEASIBLE
-        u = _H * mu / cell
-        s = math.sin(u)
-        if not s > 0.0:
-            return _INFEASIBLE
-        log_s = math.log(s)
-        cot = math.cos(u) / s
-        csc2 = 1.0 + cot * cot
-        # the term's derivatives in M and mu
-        g_m = cm * (2.0 * log_s - u * cot)
-        g_u = _CH * cell * cot
-        g_mm = _C * (2.0 * log_s - 2.0 * u * cot - u * u * csc2)
-        g_mu = _CH * (cot + u * csc2)
-        g_uu = _CHH * csc2
-        f += cm * cell * log_s
-        f_lo += g_m + a * g_u
-        f_hi += -g_m + b * g_u
-        f_ll += g_mm + 2.0 * a * g_mu + a * a * g_uu
-        f_lh += -g_mm + (b - a) * g_mu + a * b * g_uu
-        f_hh += g_mm - 2.0 * b * g_mu + b * b * g_uu
-    r = 1.0 / len(mus)
-    return f * r, f_lo * r, f_hi * r, f_ll * r, f_lh * r, f_hh * r
-
-
 def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     """Lower bound for the capacity of a circle subset from a sector partition.
 
@@ -266,84 +236,180 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
 
     Each component contributes a cosine-difference factor raised to the
     squared relative arccos span of its enclosing division cell: the links
-    of :func:`_gap_division_chain` at the arccos angles of the points.
+    of the gap-division chain at the arccos angles of the points.
     """
     _require_unit_hull(e)
-    return _gap_division_value(e, _gap_division_chain(e)[1], d)
+    return _gap_division_value(e, _gap_division_consts(e), d)
 
 
-def _gap_division_value(e: IntervalUnion, links, d: GapPoints) -> float:
-    """:func:`gap_division_lower` at ``d`` from the ``links`` of e's chain."""
+def _gap_division_value(e: IntervalUnion, consts, d: GapPoints) -> float:
+    """:func:`gap_division_lower` at ``d`` from the ``consts`` of e's chain."""
     d.validate_for(e)
-    x = [math.acos(t) for t in (-1.0, *d.deltas, 1.0)]
+    x = [math.pi, *map(math.acos, d.deltas), 0.0]
     log_total = 0.0
-    for mus, lo, hi in zip(links, x, x[1:]):
-        log_total += _cell_log(lo - hi, *(a * lo + b * hi + off for a, b, off in mus))
+    for k, (w, c) in enumerate(consts):
+        lo, hi = x[k], x[k + 1]
+        log_total += _cell_log(lo - hi, w, c - 2.0 * hi if k else c)
     return 0.5 * math.exp(log_total)
 
 
-def _chain_eval(links, x):
+_INFEASIBLE = (-math.inf, None, None, None)
+
+
+def _chain_eval(chain, x):
     """Chain sum at the angles ``x`` (ends included), its gradient and its Hessian.
 
-    Link k is :func:`_link_terms` of ``links[k]`` at x[k] > x[k + 1].
+    ``chain`` is (gap, consts): the gap-division chain of
+    :func:`_gap_division_chain` where ``gap`` is true, else the Solynin
+    chain of :func:`_solynin_chain`.  Link k, at its angles lo = x[k] >
+    hi = x[k + 1], is :func:`_cell_log` of its cell M = lo - hi with:
 
-    The Hessian is tridiagonal and comes as its diagonal and off-diagonal.
+    - Solynin: one mu = lo - end for even k, end - hi for odd k, where
+      end = consts[k] is the angle of the component end the cell meets;
+    - gap division: mu = w and mu = c - 2 hi, where (w, c) = consts[k];
+      in the first cell mu = c, the mirror of :func:`_gap_division_consts`.
+
+    Each link's value, gradient and Hessian come by the chain rule from
+    the cell term's closed-form derivatives in (M, mu), with u = h mu / M.
+    Each mu's coefficients in lo and hi are 0, +-1 or -2, so their
+    products with those derivatives are exact and the kernel gives the
+    bits of the generic formula for a mu = a lo + b hi + off.  The
+    Hessian is tridiagonal and comes as its diagonal and off-diagonal.
+    Where a link is 0 the sum is -inf and there are no derivatives.
     """
+    gap, consts = chain
+    sin, cos, log = math.sin, math.cos, math.log
     m = len(x) - 2
-    total, grad, diag, off = 0.0, [0.0] * m, [0.0] * m, [0.0] * (m - 1)
+    total, grad, diag, off = 0.0, [], [], []
     for k in range(m + 1):
-        f, f_lo, f_hi, f_ll, f_lh, f_hh = _link_terms(links[k], x[k], x[k + 1])
-        total += f
-        if k:
-            grad[k - 1] += f_lo
-            diag[k - 1] += f_ll
-        if k < m:
-            grad[k] += f_hi
-            diag[k] += f_hh
-            if k:
-                off[k - 1] = f_lh
+        lo, hi = x[k], x[k + 1]
+        cell = lo - hi
+        if not cell > 0.0:
+            return _INFEASIBLE
+        cm = _C * cell
+        # the end links, at lo = pi and hi = 0, move one point and need
+        # only f_lo and f_ll: the first link's f_hi and f_hh are -f_lo
+        # and f_ll, since its mu's do not move with hi
+        inner = 0 < k < m
+        if gap:
+            w, c = consts[k]
+            mu = c - 2.0 * hi if k else c
+            if not mu > 0.0:
+                return _INFEASIBLE
+            u, v = _H * w / cell, _H * mu / cell
+            s, r = sin(u), sin(v)
+            if not (s > 0.0 and r > 0.0):
+                return _INFEASIBLE
+            log_s, log_r = log(s), log(r)
+            cot_s, cot_r = cos(u) / s, cos(v) / r
+            csc_s, csc_r = 1.0 + cot_s * cot_s, 1.0 + cot_r * cot_r
+            cc = cm * cell
+            total += (cc * log_s + cc * log_r) * 0.5
+            # g_ are the w term's derivatives and h_ those of mu = c - 2 hi
+            g_m = cm * (2.0 * log_s - u * cot_s)
+            h_m = cm * (2.0 * log_r - v * cot_r)
+            g_mm = _C * (2.0 * log_s - 2.0 * u * cot_s - u * u * csc_s)
+            h_mm = _C * (2.0 * log_r - 2.0 * v * cot_r - v * v * csc_r)
+            # M is the w term's only variable; the second term adds its
+            # derivatives in mu to those in hi
+            f_lo = (g_m + h_m) * 0.5
+            f_ll = (g_mm + h_mm) * 0.5
+            if inner:
+                h_mu = _CH * (cot_r + v * csc_r)
+                f_hi = (-g_m + (-h_m - 2.0 * (_CH * cell * cot_r))) * 0.5
+                f_lh = (-g_mm + (-h_mm - 2.0 * h_mu)) * 0.5
+                f_hh = (g_mm + (h_mm + 4.0 * h_mu + 4.0 * (_CHH * csc_r))) * 0.5
+        else:
+            end = consts[k]
+            mu = end - hi if k & 1 else lo - end
+            if not mu > 0.0:
+                return _INFEASIBLE
+            u = _H * mu / cell
+            s = sin(u)
+            if not s > 0.0:
+                return _INFEASIBLE
+            log_s = log(s)
+            cot = cos(u) / s
+            csc2 = 1.0 + cot * cot
+            total += cm * cell * log_s
+            # the term's derivatives in M, all that an end link needs
+            f_lo = cm * (2.0 * log_s - u * cot)
+            f_ll = _C * (2.0 * log_s - 2.0 * u * cot - u * u * csc2)
+            if inner:
+                # mu moves with the end it is anchored at: lo for even k, hi for odd
+                g_m, g_mm = f_lo, f_ll
+                g_u = _CH * cell * cot
+                g_mu = _CH * (cot + u * csc2)
+                anchored = g_mm + 2.0 * g_mu + _CHH * csc2
+                if k & 1:
+                    f_hi, f_hh = -g_m - g_u, anchored
+                else:
+                    f_lo, f_hi, f_ll, f_hh = g_m + g_u, -g_m, anchored, g_mm
+                f_lh = -g_mm - g_mu
+        if not k:
+            f_hi, f_hh = -f_lo, f_ll
+        else:
+            grad.append(f_hi_prev + f_lo)
+            diag.append(f_hh_prev + f_ll)
+            if inner:
+                off.append(f_lh)
+        f_hi_prev, f_hh_prev = f_hi, f_hh
     return total, grad, diag, off
 
 
-def _chain_value(links, x):
+def _chain_value(chain, x):
     """The chain sum of :func:`_chain_eval` alone, by the same arithmetic; -inf where infeasible."""
+    gap, consts = chain
+    sin, log = math.sin, math.log
     total = 0.0
-    for mus, lo, hi in zip(links, x, x[1:]):
+    for k in range(len(x) - 1):
+        lo, hi = x[k], x[k + 1]
         cell = lo - hi
         if not cell > 0.0:
             return -math.inf
         cm = _C * cell
-        f = 0.0
-        for a, b, off in mus:
-            mu = a * lo + b * hi + off
+        if gap:
+            w, c = consts[k]
+            mu = c - 2.0 * hi if k else c
             if not mu > 0.0:
                 return -math.inf
-            s = math.sin(_H * mu / cell)
+            s, r = sin(_H * w / cell), sin(_H * mu / cell)
+            if not (s > 0.0 and r > 0.0):
+                return -math.inf
+            total += (cm * cell * log(s) + cm * cell * log(r)) * 0.5
+        else:
+            end = consts[k]
+            mu = end - hi if k & 1 else lo - end
+            if not mu > 0.0:
+                return -math.inf
+            s = sin(_H * mu / cell)
             if not s > 0.0:
                 return -math.inf
-            f += cm * cell * math.log(s)
-        total += f * (1.0 / len(mus))
+            total += cm * cell * log(s)
     return total
 
 
-def _tridiag_solve(diag, off, rhs):
-    """Solve H d = rhs for the symmetric tridiagonal H by one Thomas pass.
+def _tridiag_solve(diag, off, grad):
+    """Solve H d = -grad for the symmetric tridiagonal H by one Thomas pass.
 
     Returns None unless every pivot is negative, that is unless H is
     negative definite.
     """
-    m = len(rhs)
-    d, w = [0.0] * m, [0.0] * m
-    for i in range(m):
-        e = off[i - 1] if i else 0.0
-        piv = diag[i] - e * (w[i - 1] if i else 0.0)
+    piv = diag[0]
+    if not piv < 0.0:
+        return None
+    di = -grad[0] / piv
+    d, w = [di], []
+    for e, h, g in zip(off, diag[1:], grad[1:]):
+        wi = e / piv
+        piv = h - e * wi
         if not piv < 0.0:
             return None
-        d[i] = (rhs[i] - e * (d[i - 1] if i else 0.0)) / piv
-        if i < m - 1:
-            w[i] = off[i] / piv
-    for i in range(m - 2, -1, -1):
-        d[i] -= w[i] * d[i + 1]
+        di = (-g - e * di) / piv
+        d.append(di)
+        w.append(wi)
+    for i in range(len(w) - 1, -1, -1):
+        di = d[i] = d[i] - w[i] * di
     return d
 
 
@@ -359,24 +425,13 @@ def _newton_step(grad, diag, off, x, boxes):
     the rise the quadratic model predicts for it, or None unless the
     Hessian is negative definite.
     """
-    d = _tridiag_solve(diag, off, [-g for g in grad])
+    d = _tridiag_solve(diag, off, grad)
     if d is None:
         return None
-    held = {i: _TO_EDGE * ((hi if di > 0.0 else lo) - xi)
-            for i, (xi, di, g, (lo, hi)) in enumerate(zip(x, d, grad, boxes))
-            if not lo < xi + di < hi and (g > 0.0) == (di > 0.0)}
-    if held:
-        rhs, diag_h, off_h = [-g for g in grad], list(diag), list(off)
-        for i, s in held.items():
-            if i:
-                rhs[i - 1] -= off[i - 1] * s
-                off_h[i - 1] = 0.0
-            if i < len(off):
-                rhs[i + 1] -= off[i] * s
-                off_h[i] = 0.0
-        for i, s in held.items():
-            diag_h[i], rhs[i] = -1.0, -s
-        d = _tridiag_solve(diag_h, off_h, rhs)
+    for xi, di, (lo, hi) in zip(x, d, boxes):
+        if not lo < xi + di < hi:
+            d = _held_step(grad, diag, off, x, boxes, d)
+            break
     g_d = h_dd = o_dd = 0.0
     for g, h, di in zip(grad, diag, d):
         g_d += g * di
@@ -386,49 +441,73 @@ def _newton_step(grad, diag, off, x, boxes):
     return d, g_d + 0.5 * (h_dd + 2.0 * o_dd)
 
 
-def _box_centre(lo, hi):
-    """The cosine of the centre of the arccos angle box of (lo, hi), strictly inside (lo, hi).
+def _held_step(grad, diag, off, x, boxes, d):
+    """The step ``d`` of :func:`_newton_step` with the coordinates that leave their boxes held.
+
+    A held coordinate i steps by s_i: its row of H d = -grad becomes
+    -d_i = -s_i, and its neighbours' rows move off * s_i to the right.
+    """
+    held = {i: _TO_EDGE * ((hi if di > 0.0 else lo) - xi)
+            for i, (xi, di, g, (lo, hi)) in enumerate(zip(x, d, grad, boxes))
+            if not lo < xi + di < hi and (g > 0.0) == (di > 0.0)}
+    if not held:
+        return d
+    grad_h, diag_h, off_h = list(grad), list(diag), list(off)
+    for i, s in held.items():
+        if i:
+            grad_h[i - 1] += off[i - 1] * s
+            off_h[i - 1] = 0.0
+        if i < len(off):
+            grad_h[i + 1] += off[i] * s
+            off_h[i] = 0.0
+    for i, s in held.items():
+        diag_h[i], grad_h[i] = -1.0, s
+    return _tridiag_solve(diag_h, off_h, grad_h)
+
+
+def _box_centre(lo, hi, x_lo, x_hi):
+    """The cosine of the centre of the angle box (x_lo, x_hi) of (lo, hi), strictly inside (lo, hi).
 
     The centre of a box a few ulp wide can round onto one of its ends; it
     goes to the float next to that end.
     """
-    t = math.cos(0.5 * (math.acos(hi) + math.acos(lo)))
-    return min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    t = math.cos(0.5 * (x_lo + x_hi))
+    return t if lo < t < hi else min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
 
 
-def _chain_max(boxes, links, bound, start=None):
+def _chain_max(chain, boxes, angle_boxes, t, bound):
     """Maximize a chain sum over -1 = t_0 < t_1 < ... < t_m < t_{m+1} = 1.
 
-    Coordinate t_i ranges over the open box ``boxes[i - 1]``, and
-    ``links[k]`` lists link k's mu's for :func:`_link_terms`, which gives
-    its value and its first and second derivatives in the arccos angles
-    of its two points.  The sum is concave in those angles, so damped
-    Newton steps from ``start`` (by default the centres of the angle
-    boxes) reach its maximum.  A step is taken only if the sum rises,
-    halving it up to _HALVINGS times.  A t_i that a trial carries onto or
-    past an end of its open box goes _TO_EDGE of the way to that end
-    instead: beside the end its cell term has a log singularity, from
-    which each Newton step would only double its distance.  Where that
-    too rounds onto or past the end, t_i goes to the float next to it, so
-    a box a few ulp wide cannot stall the other coordinates.  The ascent
-    stops once the predicted rise is at most _NEWTON_TOL of the sum (for
-    an interior step, 1/2 g.d).  Near the maximum Newton's rises shrink
-    quadratically, so a step whose rise r is at most _LAST_RISE of the
-    sum, and r (r / r_prev)^2 at most _NEWTON_TOL of it, is the last: its
-    trials check the sum's value alone, by :func:`_chain_value`, with no
+    Coordinate t_i ranges over the open box ``boxes[i - 1]``, whose
+    arccos angles are ``angle_boxes[i - 1]``, and ``chain`` is a chain of
+    :func:`_chain_eval`, which gives its value and its first and second
+    derivatives in the arccos angles of the points.  The sum is concave
+    in those angles, so damped Newton steps from ``t`` reach its maximum.
+    A step is taken only if the sum rises, halving it up to _HALVINGS
+    times.  A t_i that a trial carries onto or past an end of its open
+    box goes _TO_EDGE of the way to that end instead: beside the end its
+    cell term has a log singularity, from which each Newton step would
+    only double its distance.  Where that too rounds onto or past the
+    end, t_i goes to the float next to it, so a box a few ulp wide cannot
+    stall the other coordinates.  The ascent stops once the predicted
+    rise is at most _NEWTON_TOL of the sum (for an interior step,
+    1/2 g.d).  Near the maximum Newton's rises shrink quadratically, so
+    a step whose rise r is at most _LAST_RISE of the sum, and
+    r (r / r_prev)^2 at most _NEWTON_TOL of it, is the last: its trials
+    check the sum's value alone, by :func:`_chain_value`, with no
     derivatives and no solve at the point it returns.  ``bound(t)``
     returns the public bound and its parameters at t_1 ... t_m, and the
-    result is ``bound`` at the last accepted t.
+    result is ``bound`` at the last accepted t (at the start where the
+    sum is -inf there).
     """
-    angle_boxes = [(math.acos(hi), math.acos(lo)) for lo, hi in boxes]
-    # the floats next to the box ends, where a t_i on or past an end goes
-    inner = [(math.nextafter(lo, hi), math.nextafter(hi, lo)) for lo, hi in boxes]
-    t = start or [_box_centre(lo, hi) for lo, hi in boxes]
-    x = [math.pi, *map(math.acos, t), 0.0]
-    total, grad, diag, off = _chain_eval(links, x)
+    cos = math.cos
+    x = list(map(math.acos, t))
+    total, grad, diag, off = _chain_eval(chain, [math.pi, *x, 0.0])
+    if grad is None:
+        return bound(t)
     rise = math.inf
     for _ in range(_NEWTON_STEPS):
-        newton = _newton_step(grad, diag, off, x[1:-1], angle_boxes)
+        newton = _newton_step(grad, diag, off, x, angle_boxes)
         if newton is None or not newton[1] > _NEWTON_TOL * abs(total):
             break
         prev, (d, rise) = rise, newton
@@ -436,18 +515,14 @@ def _chain_max(boxes, links, bound, start=None):
                 and rise * (rise / prev) ** 2 <= _NEWTON_TOL * abs(total))
         step = 1.0
         for _ in range(_HALVINGS + 1):
-            x_new, t_new = [math.pi], []
-            for xi, di, (t_lo, t_hi), (x_lo, x_hi) in zip(x[1:-1], d, inner, angle_boxes):
-                x_try = xi + step * di
-                ti = math.cos(x_try)
-                if not t_lo <= ti <= t_hi:
-                    ti = math.cos(xi + _TO_EDGE * ((x_hi if di > 0.0 else x_lo) - xi))
-                    ti = min(max(ti, t_lo), t_hi)
-                    x_try = math.acos(ti)
-                x_new.append(x_try)
-                t_new.append(ti)
-            x_new.append(0.0)
-            trial = _chain_value(links, x_new) if last else _chain_eval(links, x_new)
+            x_new = [xi + step * di for xi, di in zip(x, d)]
+            t_new = list(map(cos, x_new))
+            for ti, (lo, hi) in zip(t_new, boxes):
+                if not lo < ti < hi:
+                    _to_edge(x, d, boxes, angle_boxes, x_new, t_new)
+                    break
+            full = [math.pi, *x_new, 0.0]
+            trial = _chain_value(chain, full) if last else _chain_eval(chain, full)
             if (trial if last else trial[0]) > total:
                 break
             step *= 0.5
@@ -460,21 +535,47 @@ def _chain_max(boxes, links, bound, start=None):
     return bound(t)
 
 
-def _gap_division_chain(e: IntervalUnion):
-    """The gap-division bound as a chain for :func:`_chain_max`: link k is factor k.
+def _to_edge(x, d, boxes, angle_boxes, x_new, t_new):
+    """Put each trial t_i of :func:`_chain_max` on or past an end of its box _TO_EDGE of the way there.
 
-    Factor k is :func:`_cell_log` of its cell with mu = w_k and
-    mu = th_a + th_b - 2 th_hi.  In the first cell, whose low end is pi,
-    the second mu is within rounding of 2 M on a thin first component;
-    its mirror 2 M - mu = pi - th_b = arccos(-b_1) has the same sine and
-    keeps the digits.
+    The way is from x_i to the end's angle.  Where that too rounds onto
+    or past the end, t_i goes to the float next to it.  ``x_new`` and
+    ``t_new`` change in place.
     """
-    links = []
-    for a, b in e.intervals:
-        w, total = _arcs(a, b)
-        links.append(((0.0, 0.0, w), (0.0, -2.0, total)))
-    links[0] = (links[0][0], (0.0, 0.0, math.acos(-e.intervals[0][1])))
-    return e.gaps(), links
+    for i, ((lo, hi), (x_lo, x_hi)) in enumerate(zip(boxes, angle_boxes)):
+        if not lo < t_new[i] < hi:
+            xi, di = x[i], d[i]
+            ti = math.cos(xi + _TO_EDGE * ((x_hi if di > 0.0 else x_lo) - xi))
+            ti = min(max(ti, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+            x_new[i], t_new[i] = math.acos(ti), ti
+
+
+def _gap_division_consts(e: IntervalUnion):
+    """The constants (w, c) of the gap-division chain's links: link k is factor k.
+
+    Factor k is :func:`_cell_log` of its cell with mu = w_k, the arccos
+    width of component k, and mu = c_k - 2 th_hi, where c_k = th_a + th_b.
+    In the first cell, whose low end is pi, the second mu is within
+    rounding of 2 M on a thin first component; its mirror
+    2 M - mu = pi - th_b = arccos(-b_1) has the same sine and keeps the
+    digits, and it is constant: that link's c is the mirror itself.
+    """
+    consts = list(itertools.starmap(_arcs, e.intervals))
+    consts[0] = (consts[0][0], math.acos(-e.intervals[0][1]))
+    return consts
+
+
+def _gap_division_chain(e: IntervalUnion):
+    """The gap-division bound for :func:`_chain_max`: chain, boxes, angle boxes and start.
+
+    The boxes are the gaps, and the points start at the centres of their
+    angle boxes.
+    """
+    pts = e.endpoints()[1:-1]
+    th = list(map(math.acos, pts))
+    lo, hi, x_lo, x_hi = pts[::2], pts[1::2], th[1::2], th[::2]
+    start = list(map(_box_centre, lo, hi, x_lo, x_hi))
+    return (True, _gap_division_consts(e)), list(zip(lo, hi)), list(zip(x_lo, x_hi)), start
 
 
 def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
@@ -482,16 +583,16 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
 
     Factor k depends only on the division points on either side of
     component k, so the Newton steps solve a tridiagonal system.  The
-    public bound at the returned points is taken from the same links.
+    public bound at the returned points is taken from the same constants.
     """
     _require_unit_hull(e)
-    boxes, links = _gap_division_chain(e)
+    chain, boxes, angle_boxes, start = _gap_division_chain(e)
 
     def bound(t):
         d = GapPoints(tuple(t))
-        return _gap_division_value(e, links, d), d
+        return _gap_division_value(e, chain[1], d), d
 
-    return _chain_max(boxes, links, bound)
+    return _chain_max(chain, boxes, angle_boxes, start, bound)
 
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
@@ -506,7 +607,28 @@ def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
         if not a < g < b:
             raise DomainError(f"interior point {g} outside component ({a}, {b})")
     # -1, d_1, g_1, d_2, ..., g_{n-2}, d_{n-1}, 1
-    return Partition((-1.0, *(t for pair in zip(d.deltas, [*interior, 1.0]) for t in pair)))
+    return Partition((-1.0, *itertools.chain.from_iterable(zip(d.deltas, [*interior, 1.0]))))
+
+
+def _solynin_value(e: IntervalUnion, p: Partition) -> float:
+    """:func:`partition_lower` at the Solynin partition ``p`` of e, bit for bit.
+
+    Cell j of -1, d_1, g_1, ..., d_{n-1}, 1 meets the set in one part,
+    from its low end to endpoint j + 1 of e for even j and from that
+    endpoint to its high end for odd j, so each cell takes two ``_arcs``
+    and no walk over the components.
+    """
+    ends = e.endpoints()
+    pts = p.points
+    sin, log = math.sin, math.log
+    log_total = 0.0
+    for j in range(len(pts) - 1):
+        lo, hi = pts[j], pts[j + 1]
+        cell = _arcs(lo, hi)[0]
+        mu = _arcs(ends[j + 1], hi)[0] if j & 1 else _arcs(lo, ends[j + 1])[0]
+        s = sin(_H * mu / cell) if cell > 0.0 else 0.0
+        log_total += _C * cell * cell * log(s) if s > 0.0 else -math.inf
+    return 0.5 * math.exp(log_total)
 
 
 def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
@@ -516,27 +638,31 @@ def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
     (none are needed for two intervals).
     """
     _require_unit_hull(e)
-    return partition_lower(e, _solynin_points(e, d, interior))
+    return _solynin_value(e, _solynin_points(e, d, interior))
 
 
 def _solynin_chain(e: IntervalUnion):
-    """The tailored-partition bound as a chain for :func:`_chain_max`: link k is cell k."""
-    gaps = e.gaps()
-    boxes = [gaps[0]]
-    for comp, gap in zip(e.intervals[1:-1], gaps[1:]):
-        boxes += [comp, gap]
-    # cell k meets its component at endpoint k + 1: an even cell from the
-    # cell's left end to b, an odd one from a to the cell's right end
-    end = [math.acos(x) for x in e.endpoints()[1:-1]]
-    links = [((0.0, -1.0, end_k),) if k % 2 else ((1.0, 0.0, -end_k),)
-             for k, end_k in enumerate(end)]
-    return boxes, links
+    """The tailored-partition bound for :func:`_chain_max`: chain, boxes, angle boxes and start.
+
+    Link k is cell k, which meets its component at interior endpoint
+    k + 1 of e: an even cell from the cell's left end to b, an odd one
+    from a to the cell's right end.  The arccos angles of those endpoints
+    are the links' constants, the ends of the angle boxes and the start's
+    anchors.
+    """
+    pts = e.endpoints()[1:-1]
+    th = list(map(math.acos, pts))
+    # gap, component, gap, ..., gap: box i is (pts[i], pts[i + 1])
+    boxes = list(zip(pts, pts[1:]))
+    angle_boxes = list(zip(th[1:], th))
+    return (False, th), boxes, angle_boxes, _solynin_start(pts, th)
 
 
-def _solynin_start(boxes):
-    """Start points for the Solynin ascent on the chain boxes of :func:`_solynin_chain`.
+def _solynin_start(pts, th):
+    """Start points for the Solynin ascent in the boxes (pts[i], pts[i + 1]) of :func:`_solynin_chain`.
 
-    A gap point starts at the centre of its angle box.  An interior split
+    ``th`` are the arccos angles of ``pts``.  A gap point starts at the
+    centre of its angle box.  An interior split
     point starts at the small-gap optimum of its two cells: with gamma the
     arccos part of a gap in a cell of arccos measure M, the cell term is
     M^2 log sin(pi/2 (1 - gamma/M)) ~ -pi^2 gamma^2/8 - pi^4 gamma^4/(192 M^2),
@@ -546,12 +672,12 @@ def _solynin_start(boxes):
     within 1% of its box width from an end, or whose gammas both round to
     0, stays at the box centre.
     """
-    t = [_box_centre(lo, hi) for lo, hi in boxes]
-    x = [math.acos(ti) for ti in t]
-    for i in range(1, len(boxes) - 1, 2):
-        a, b = boxes[i]
-        w1 = (x[i - 1] - math.acos(a)) ** (4.0 / 3.0)
-        w2 = (math.acos(b) - x[i + 1]) ** (4.0 / 3.0)
+    t = list(map(_box_centre, pts, pts[1:], th[1:], th))
+    x = list(map(math.acos, t))
+    for i in range(1, len(t) - 1, 2):
+        a, b = pts[i], pts[i + 1]
+        w1 = (x[i - 1] - th[i]) ** (4.0 / 3.0)
+        w2 = (th[i + 1] - x[i + 1]) ** (4.0 / 3.0)
         if not w1 + w2 > 0.0:
             continue
         ti = math.cos(x[i - 1] - (x[i - 1] - x[i + 1]) * w1 / (w1 + w2))
@@ -571,7 +697,10 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     each split point g_i at the small-gap optimum of its two cells, each
     d_i at the centre of its angle box.  Raises DomainError, as
     ``solynin_lower`` does, where a gap or an interior component is 1 ulp
-    wide, so that no split point fits inside it.
+    wide, so that no split point fits inside it.  The value at the
+    returned points is ``partition_lower``'s, which the benchmark's
+    tracer counts as the optimizer's evaluation; the direct walk of
+    ``solynin_lower`` gives the same bits.
     """
     _require_unit_hull(e)
 
@@ -579,8 +708,7 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
         p = _solynin_points(e, GapPoints(tuple(t[::2])), t[1::2])
         return partition_lower(e, p), p
 
-    boxes, links = _solynin_chain(e)
-    return _chain_max(boxes, links, bound, _solynin_start(boxes))
+    return _chain_max(*_solynin_chain(e), bound)
 
 
 def projection_upper(e: IntervalUnion) -> float:
@@ -612,7 +740,9 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
     two-interval bounds for n = 2.  An optimized bound is left out where
     one of its open boxes holds no float: the gap-division bound where a
     gap is 1 ulp wide, and the Solynin bound also where an interior
-    component is.
+    component is.  At n = 2 the two chains are one function of the gap
+    point, so one ascent, gap division's, serves both: Solynin's bound is
+    ``solynin_lower`` at its point.
     """
     norm, scale = normalize_to_unit(e)
     n = norm.n
@@ -628,12 +758,16 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
         add("schiefermayr_lower", LOWER, schiefermayr_lower(alpha, beta))
     if n >= 2:
         gaps_open = all(math.nextafter(a, b) < b for a, b in norm.gaps())
-        if gaps_open and all(math.nextafter(a, b) < b for a, b in norm.intervals[1:-1]):
+        gap_max = gap_division_lower_max(norm) if gaps_open else None
+        if gap_max and n == 2:
+            p = Partition((-1.0, *gap_max[1].deltas, 1.0))
+            add("solynin_lower", LOWER, _solynin_value(norm, p), p)
+        elif gaps_open and all(math.nextafter(a, b) < b for a, b in norm.intervals[1:-1]):
             add("solynin_lower", LOWER, *solynin_lower_max(norm))
         upart = uniform_measure_partition(n)
         add("partition_uniform_lower", LOWER, partition_lower(norm, upart), upart)
-        if gaps_open:
-            add("gap_division_lower", LOWER, *gap_division_lower_max(norm))
+        if gap_max:
+            add("gap_division_lower", LOWER, *gap_max)
     add("classical_upper", UPPER, hi)
     if n == 2:
         add("polarization_upper", UPPER, polarization_upper(alpha, beta))

@@ -170,9 +170,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.count < 0:
-        raise ParseError(f"count must not be negative, got {args.count}")
-    report, ok = run_verify(seed=args.seed, count=args.count)
+    try:
+        report, ok = run_verify(seed=args.seed, count=args.count)
+    except DomainError as exc:
+        # run_verify checks the count before any suite runs, and its suites
+        # raise none on their seeded sets: the count is a bad argument
+        raise ParseError(str(exc)) from exc
     sys.stdout.write(report)
     return EXIT_OK if ok else EXIT_DOMAIN
 

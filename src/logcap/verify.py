@@ -8,6 +8,7 @@ runs with the same arguments emit byte-identical output.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -166,7 +167,13 @@ def dominance_suite(seed: int) -> SuiteResult:
 
 
 def run_verify(seed: int = 1, count: int = 200) -> tuple[str, bool]:
-    """Run all suites; returns (report text, all passed)."""
+    """Run all suites; returns (report text, all passed).
+
+    Raises DomainError, before any suite runs, unless ``count`` is a
+    whole number >= 0.
+    """
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise DomainError(f"count must be a whole number >= 0, got {count!r}")
     suites = [
         sandwich_suite(seed, count),
         equality_suite(),

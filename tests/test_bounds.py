@@ -37,12 +37,15 @@ from logcap import (
 )
 from logcap import bounds as bounds_module
 from logcap.bounds import (
+    _C,
+    _CH,
+    _CHH,
+    _H,
     _cell_log,
     _chain_eval,
     _chain_max,
     _chain_value,
     _gap_division_chain,
-    _link_terms,
     _solynin_chain,
 )
 from logcap.verify import (
@@ -558,6 +561,41 @@ def test_solynin_reduces_to_gap_division_for_two_intervals():
         assert v_sol == pytest.approx(v_eq2, rel=1e-12)
 
 
+def test_all_bounds_takes_solynin_at_the_gap_division_point_for_two_intervals():
+    """At n = 2 one ascent serves both chain bounds: Solynin's is taken at gap division's point.
+
+    The two bounds are one function of the gap point, so they agree to
+    1e-15 relative there (claim (i) of the paper).
+    """
+    rng = random.Random(211)
+    for _ in range(200):
+        e = random_unit_interval_union(rng, 2)
+        reports = {r.name: r for r in all_bounds(e)}
+        gap, sol = reports["gap_division_lower"], reports["solynin_lower"]
+        d = gap.params
+        assert sol.params == Partition((-1.0, d.deltas[0], 1.0))
+        assert sol.value == solynin_lower(e, d)
+        assert gap.value == gap_division_lower(e, d)
+        assert sol.value == pytest.approx(gap.value, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_solynin_walk_is_partition_lower_bit_for_bit(n):
+    """solynin_lower walks its cells directly, and gives partition_lower's bits."""
+    rng = random.Random(300 + n)
+    for _ in range(6):
+        e = random_unit_interval_union(rng, n, min(0.05, 0.5 / (2 * n - 1)))
+        for _ in range(4):
+            d = GapPoints(tuple(rng.uniform(lo, hi) for lo, hi in e.gaps()))
+            interior = [rng.uniform(a, b) for a, b in e.intervals[1:-1]]
+            pts = Partition((-1.0, *(t for pair in zip(d.deltas, [*interior, 1.0]) for t in pair)))
+            assert solynin_lower(e, d, interior) == partition_lower(e, pts)
+        # the optimizer's value, partition_lower's, at its own points
+        val, p = solynin_lower_max(e)
+        free = p.points[1:-1]
+        assert solynin_lower(e, GapPoints(free[0::2]), free[1::2]) == val
+
+
 def test_solynin_symmetric_equality():
     assert solynin_lower(sym_pair(0.5), GapPoints((0.0,))) == pytest.approx(SYM, abs=1e-13)
 
@@ -585,6 +623,128 @@ def test_solynin_validates_interior_points():
         solynin_lower(e, GapPoints((-0.4, 0.4)), [0.9])  # outside middle component
     with pytest.raises(DomainError):
         solynin_lower(e, GapPoints((-0.4, 0.4)), [])  # missing interior point
+
+
+# The generic chain link, the reference of the per-chain kernels of
+# bounds._chain_eval and bounds._chain_value: the link is _cell_log of its
+# cell M = lo - hi with one mu = a lo + b hi + off per (a, b, off).
+
+_REF_INFEASIBLE = (-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _link_terms(mus, lo, hi):
+    """(f, f_lo, f_hi, f_ll, f_lh, f_hh) of one link by the chain rule; f = -inf where a term is 0."""
+    cell = lo - hi
+    if not cell > 0.0:
+        return _REF_INFEASIBLE
+    cm = _C * cell
+    f = f_lo = f_hi = f_ll = f_lh = f_hh = 0.0
+    for a, b, off in mus:
+        mu = a * lo + b * hi + off
+        if not mu > 0.0:
+            return _REF_INFEASIBLE
+        u = _H * mu / cell
+        s = math.sin(u)
+        if not s > 0.0:
+            return _REF_INFEASIBLE
+        log_s = math.log(s)
+        cot = math.cos(u) / s
+        csc2 = 1.0 + cot * cot
+        # the term's derivatives in M and mu
+        g_m = cm * (2.0 * log_s - u * cot)
+        g_u = _CH * cell * cot
+        g_mm = _C * (2.0 * log_s - 2.0 * u * cot - u * u * csc2)
+        g_mu = _CH * (cot + u * csc2)
+        g_uu = _CHH * csc2
+        f += cm * cell * log_s
+        f_lo += g_m + a * g_u
+        f_hi += -g_m + b * g_u
+        f_ll += g_mm + 2.0 * a * g_mu + a * a * g_uu
+        f_lh += -g_mm + (b - a) * g_mu + a * b * g_uu
+        f_hh += g_mm - 2.0 * b * g_mu + b * b * g_uu
+    r = 1.0 / len(mus)
+    return f * r, f_lo * r, f_hi * r, f_ll * r, f_lh * r, f_hh * r
+
+
+def _reference_links(chain):
+    """The (a, b, off) descriptors of each link of a chain of bounds._chain_eval."""
+    gap, consts = chain
+    if gap:
+        links = [((0.0, 0.0, w), (0.0, -2.0, c)) for w, c in consts]
+        links[0] = ((0.0, 0.0, consts[0][0]), (0.0, 0.0, consts[0][1]))
+        return links
+    return [((0.0, -1.0, end),) if k % 2 else ((1.0, 0.0, -end),) for k, end in enumerate(consts)]
+
+
+def _reference_chain_eval(links, x):
+    """Chain sum, gradient, diagonal and off-diagonal of the Hessian from the generic links."""
+    m = len(x) - 2
+    total, grad, diag, off = 0.0, [0.0] * m, [0.0] * m, [0.0] * (m - 1)
+    for k in range(m + 1):
+        f, f_lo, f_hi, f_ll, f_lh, f_hh = _link_terms(links[k], x[k], x[k + 1])
+        total += f
+        if k:
+            grad[k - 1] += f_lo
+            diag[k - 1] += f_ll
+        if k < m:
+            grad[k] += f_hi
+            diag[k] += f_hh
+            if k:
+                off[k - 1] = f_lh
+    return total, grad, diag, off
+
+
+def _reference_chain_value(links, x):
+    """The chain sum alone from the generic links, as the ascent's value-only trial takes it."""
+    total = 0.0
+    for mus, lo, hi in zip(links, x, x[1:]):
+        cell = lo - hi
+        if not cell > 0.0:
+            return -math.inf
+        cm = _C * cell
+        f = 0.0
+        for a, b, off in mus:
+            mu = a * lo + b * hi + off
+            if not mu > 0.0:
+                return -math.inf
+            s = math.sin(_H * mu / cell)
+            if not s > 0.0:
+                return -math.inf
+            f += cm * cell * math.log(s)
+        total += f * (1.0 / len(mus))
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_chain_kernels_match_the_generic_link_formula_bit_for_bit(n):
+    """Each chain's kernel gives the generic link formula's value, gradient and Hessian exactly.
+
+    The points are the ascent's start, points drawn in the angle boxes,
+    and decreasing angles drawn anywhere in (0, pi), most of which make a
+    link 0 or negative: there both give -inf.
+    """
+    rng = random.Random(700 + n)
+    infeasible = 0
+    for _ in range(5):
+        e = random_unit_interval_union(rng, n, min(0.05, 0.5 / (2 * n - 1)))
+        for make_chain in (_gap_division_chain, _solynin_chain):
+            chain, boxes, angle_boxes, start = make_chain(e)
+            links = _reference_links(chain)
+            points = [[math.pi, *map(math.acos, start), 0.0]]
+            points += [[math.pi, *(rng.uniform(lo, hi) for lo, hi in angle_boxes), 0.0]
+                       for _ in range(4)]
+            points += [[math.pi, *sorted((rng.uniform(0.0, math.pi) for _ in boxes), reverse=True), 0.0]
+                       for _ in range(8)]
+            for x in points:
+                want = _reference_chain_eval(links, x)
+                got = _chain_eval(chain, x)
+                assert _chain_value(chain, x) == _reference_chain_value(links, x) == want[0] == got[0]
+                if want[0] == -math.inf:
+                    infeasible += 1
+                    assert got[1] is None
+                else:
+                    assert got == want
+    assert infeasible > 0
 
 
 def _brute_force_chain(tables):
@@ -647,16 +807,17 @@ def test_chain_argmax_matches_exhaustive_enumeration(m, kind):
     rng = random.Random(100 * m + len(kind))
     for _ in range(4):
         e = _chain_test_set(rng, m + 1, kind)
-        for chain in (_gap_division_chain, _solynin_chain):
-            boxes, links = chain(e)
-            t = _chain_max(boxes, links, lambda t: t)
+        for make_chain in (_gap_division_chain, _solynin_chain):
+            chain, boxes, angle_boxes, start = make_chain(e)
+            t = _chain_max(chain, boxes, angle_boxes, start, lambda t: t)
             assert all(lo < ti < hi for ti, (lo, hi) in zip(t, boxes, strict=True))
-            got = _chain_eval(links, [math.pi, *map(math.acos, t), 0.0])[0]
+            got = _chain_eval(chain, [math.pi, *map(math.acos, t), 0.0])[0]
             k = 33 if len(boxes) <= 3 else 11
             cands = [[math.pi]] + [_box_candidates(lo, hi, k) for lo, hi in boxes] + [[0.0]]
             cands[1:-1] = [list(map(math.acos, c)) for c in cands[1:-1]]
+            # each link's value by the reference formula, which the kernels equal bit for bit
             tables = [np.array([[_link_terms(mus, lo, hi)[0] for hi in his] for lo in los])
-                      for mus, los, his in zip(links, cands, cands[1:])]
+                      for mus, los, his in zip(_reference_links(chain), cands, cands[1:])]
             want, idx = _brute_force_chain(tables)
             assert got >= want - 1e-14 * abs(want)
             if kind in ("continuous", "ties"):
@@ -672,14 +833,14 @@ def test_chain_value_is_the_chain_eval_sum_bit_for_bit(n):
     rng = random.Random(60 + n)
     for _ in range(5):
         e = random_unit_interval_union(rng, n, 0.5 / (2 * n - 1))
-        for chain in (_gap_division_chain, _solynin_chain):
-            boxes, links = chain(e)
+        for make_chain in (_gap_division_chain, _solynin_chain):
+            chain, boxes = make_chain(e)[:2]
             for _ in range(4):
                 x = [math.pi, *(rng.uniform(math.acos(hi), math.acos(lo)) for lo, hi in boxes), 0.0]
-                assert _chain_value(links, x) == _chain_eval(links, x)[0]
+                assert _chain_value(chain, x) == _chain_eval(chain, x)[0]
             # two points on one angle: that cell is empty
             x[1] = x[2]
-            assert _chain_value(links, x) == _chain_eval(links, x)[0] == -math.inf
+            assert _chain_value(chain, x) == _chain_eval(chain, x)[0] == -math.inf
 
 
 def _reaches_closed_form(optimizer, l, n):
@@ -739,7 +900,8 @@ def test_all_bounds_chain_evaluations_stay_few(monkeypatch):
     On these 70 sets a climb of both optimizers from the box centres, each
     step checked by a full evaluation, made 640 full evaluations; with the
     value-checked last step alone it made 539, and with the Solynin start
-    alone 584.  Both together make 483 full and 101 value-only ones.
+    alone 584.  Both together made 483 full and 101 value-only ones; with
+    one ascent for both bounds at n = 2 they make 463 and 94.
     """
     calls = {"full": 0, "value": 0}
 
@@ -755,8 +917,8 @@ def test_all_bounds_chain_evaluations_stay_few(monkeypatch):
     for n in range(2, 9):
         for _ in range(10):
             all_bounds(random_unit_interval_union(rng, n))
-    assert calls["full"] <= 510
-    assert calls["full"] + calls["value"] <= 610
+    assert calls["full"] <= 490
+    assert calls["full"] + calls["value"] <= 580
 
 
 @pytest.mark.parametrize("optimizer", [solynin_lower_max, gap_division_lower_max])
@@ -825,57 +987,103 @@ def _link_geometry(rng, edge):
     return end + above, end, end - below
 
 
+def _mp_link(chain, k, x, parts):
+    """Link k of ``chain`` at the mpmath angles x, from the bound's own factor.
+
+    A Solynin link is the cell term 2 M^2 / pi^2 log sin(pi mu / (2 M)); a
+    gap-division link is M^2 / pi^2 log phi with phi = (cos(pi (th_b - hi) / M)
+    - cos(pi (th_a - hi) / M)) / 2 for the component [th_b, th_a] = parts[k].
+    """
+    lo, hi = x[k], x[k + 1]
+    span = lo - hi
+    if chain[0]:
+        th_b, th_a = map(mpmath.mpf, parts[k])
+        phi = (mpmath.cos(mpmath.pi * (th_b - hi) / span)
+               - mpmath.cos(mpmath.pi * (th_a - hi) / span)) / 2
+        return span ** 2 / mpmath.pi ** 2 * mpmath.log(phi)
+    end = mpmath.mpf(chain[1][k])
+    mu = end - hi if k % 2 else lo - end
+    return 2 / mpmath.pi ** 2 * span ** 2 * mpmath.log(mpmath.sin(mpmath.pi * mu / (2 * span)))
+
+
+def _derivative_chain(rng, kind, edge):
+    """A chain of four links whose link j has the geometry of :func:`_link_geometry`.
+
+    j is the even link 2 of a Solynin chain, its odd link 1, or link 1 of
+    a gap-division chain; the other links' mu's sit in the middle of their
+    cells.  Returns the chain, its angles x_0 > ... > x_4, j and, for
+    gap division, each link's component [th_b, th_a].
+    """
+    lo, end, hi = _link_geometry(rng, edge)
+    if kind == "gap":
+        # the component [th_b, th_a] lies inside the cell [hi, lo]
+        th_b, th_a = end, end + rng.uniform(0.01, 0.5)
+        lo += th_a - th_b
+        x = [lo + 0.5, lo, hi, hi - 0.5, hi - 1.0]
+        parts = [(lo + 0.1, lo + 0.3), (th_b, th_a), (hi - 0.4, hi - 0.2), (hi - 0.9, hi - 0.7)]
+        consts = [(th_a - th_b, th_a + th_b) for th_b, th_a in parts]
+        # the first link's second mu is the mirror 2 M - mu, constant in x_1
+        consts[0] = (consts[0][0], 2.0 * x[0] - parts[0][1] - parts[0][0])
+        return (True, consts), x, 1, parts
+    if kind == "even":
+        x = [lo + 0.8, lo + 0.4, lo, hi, hi - 0.4]
+        ends = [lo + 0.6, lo + 0.2, end, hi - 0.2]
+        return (False, ends), x, 2, None
+    x = [lo + 0.4, lo, hi, hi - 0.4, hi - 0.8]
+    ends = [lo + 0.2, end, hi - 0.2, hi - 0.6]
+    return (False, ends), x, 1, None
+
+
 @pytest.mark.parametrize("kind", ["even", "odd", "gap"])
 def test_chain_link_derivatives_match_mpmath(kind):
-    """Closed-form value, gradient and Hessian of one link against 40-digit mpmath.diff.
+    """Closed-form value, gradient and Hessian of a chain against 40-digit mpmath.diff.
 
-    Near an edge a term of a factor close to 1 rounds to an absolute
-    epsilon in the log, so the value is compared against span^2 and the
-    gradient against span at 1e-14, besides their own size; the Hessian
+    The chain has four links and three free angles, and the link under
+    test lies near an edge of its cell.  There a term of a factor close
+    to 1 rounds to an absolute epsilon in the log, so the value is
+    compared against span^2 and the gradient against span at 1e-14,
+    besides their own size, where span is that link's cell; the Hessian
     is compared against its largest entry.
     """
-    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    firsts = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    seconds = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1))
     rng = random.Random({"even": 11, "odd": 12, "gap": 13}[kind])
     for trial in range(12):
-        lo, end, hi = _link_geometry(rng, trial % 3)
-        if kind == "gap":
-            # the component [th_b, th_a] lies inside the cell [hi, lo]
-            th_b, th_a = end, end + rng.uniform(0.01, 0.5)
-            lo += th_a - th_b
-            got = _link_terms(((0.0, 0.0, th_a - th_b), (0.0, -2.0, th_a + th_b)), lo, hi)
-            want_np = float(_cell_log(np.float64(lo - hi), np.float64(th_a - th_b),
-                                      np.float64(th_a + th_b - 2.0 * hi)))
+        chain, x, j, parts = _derivative_chain(rng, kind, trial % 3)
+        total, grad, diag, off = _chain_eval(chain, x)
+        want_np = 0.0
+        for k, (lo, hi) in enumerate(zip(x, x[1:])):
+            if chain[0]:
+                w, c = chain[1][k]
+                mus = (w, c - 2.0 * hi if k else c)
+            else:
+                end = chain[1][k]
+                mus = (end - hi if k % 2 else lo - end,)
+            want_np += float(_cell_log(np.float64(lo - hi), *map(np.float64, mus)))
 
-            def f(x, y, th_a=mpmath.mpf(th_a), th_b=mpmath.mpf(th_b)):
-                span = x - y
-                phi = (mpmath.cos(mpmath.pi * (th_b - y) / span)
-                       - mpmath.cos(mpmath.pi * (th_a - y) / span)) / 2
-                return span ** 2 / mpmath.pi ** 2 * mpmath.log(phi)
-        else:
-            even = kind == "even"
-            got = _link_terms(((1.0, 0.0, -end),) if even else ((0.0, -1.0, end),), lo, hi)
-            want_np = float(_cell_log(np.float64(lo - hi), np.float64(lo - end if even else end - hi)))
+        def f(x1, x2, x3):
+            xs = [mpmath.mpf(x[0]), x1, x2, x3, mpmath.mpf(x[4])]
+            return sum(_mp_link(chain, k, xs, parts) for k in range(4))
 
-            def f(x, y, even=even, end=mpmath.mpf(end)):
-                mu = x - end if even else end - y
-                u = mpmath.pi * mu / (2 * (x - y))
-                return 2 / mpmath.pi ** 2 * (x - y) ** 2 * mpmath.log(mpmath.sin(u))
         with mpmath.workdps(40):
-            want = [float(mpmath.diff(f, (mpmath.mpf(lo), mpmath.mpf(hi)), o)) for o in orders]
-        span = lo - hi
-        assert abs(got[0] - want_np) <= 4 * np.finfo(float).eps * abs(want_np)
-        assert abs(got[0] - want[0]) <= 1e-12 * (abs(want[0]) + span * span)
-        scale = max(map(abs, want[1:3]))
-        assert max(abs(g - w) for g, w in zip(got[1:3], want[1:3])) <= 1e-10 * scale + 1e-14 * span
-        scale = max(map(abs, want[3:]))
-        assert max(abs(g - w) for g, w in zip(got[3:], want[3:])) <= 1e-10 * scale
+            at = tuple(map(mpmath.mpf, x[1:4]))
+            want = float(f(*at))
+            want_grad = [float(mpmath.diff(f, at, o)) for o in firsts]
+            want_hess = [float(mpmath.diff(f, at, o)) for o in seconds]
+        span = x[j] - x[j + 1]
+        assert abs(total - want_np) <= 4 * np.finfo(float).eps * abs(want_np)
+        assert abs(total - want) <= 1e-12 * (abs(want) + span * span)
+        scale = max(map(abs, want_grad))
+        assert max(abs(g - w) for g, w in zip(grad, want_grad)) <= 1e-10 * scale + 1e-14 * span
+        scale = max(map(abs, want_hess))
+        assert max(abs(g - w) for g, w in zip(diag + off, want_hess)) <= 1e-10 * scale
 
 
 def _optimizer_problem(e, optimizer):
     """The optimizer's value and points, the boxes of those points, and the public bound at t."""
     if optimizer is solynin_lower_max:
         val, p = optimizer(e)
-        boxes = _solynin_chain(e)[0]
+        boxes = _solynin_chain(e)[1]
         return val, p.points[1:-1], boxes, lambda t: partition_lower(e, Partition((-1.0, *t, 1.0)))
     val, d = optimizer(e)
     return val, d.deltas, e.gaps(), lambda t: gap_division_lower(e, GapPoints(tuple(t)))
@@ -1050,7 +1258,7 @@ def test_optimizers_never_fall_below_the_first_grid(optimizer, chain):
                                 HARD_SET_VALUES[optimizer], strict=True):
         val, t, _, _ = _optimizer_problem(e, optimizer)
         assert val >= max(grid, refined) * (1.0 - 1e-15), e.intervals
-        assert all(lo < ti < hi for ti, (lo, hi) in zip(t, chain(e)[0], strict=True))
+        assert all(lo < ti < hi for ti, (lo, hi) in zip(t, chain(e)[1], strict=True))
 
 
 def test_projection_upper_values():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from logcap import all_bounds
+from logcap import all_bounds, verify
 from logcap.cli import SweepSpec, format_inline_set, main, parse_inline_set
 from logcap.errors import DomainError, ParseError
 from logcap.sets import make_interval_union
@@ -278,6 +278,17 @@ def test_verify_negative_count_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("count", [-3, -1, 2.5, "7"])
+def test_run_verify_rejects_a_bad_count_before_any_suite(monkeypatch, count):
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    for name in ("sandwich_suite", "equality_suite", "dominance_suite", "cross_method_suite"):
+        monkeypatch.setattr(verify, name, no_suite)
+    with pytest.raises(DomainError, match="count"):
+        verify.run_verify(1, count)
 
 
 def test_verify_deterministic_report(capsys):
