@@ -15,11 +15,7 @@ factor (cos p - cos q) / 2 of a component equals
 sin((q - p) / 2) sin((p + q) / 2), so its log is the mean of two cell
 terms of the same cell.  Every arccos width of a part of the set, a
 component or its intersection with a partition cell, comes from
-``sets._arcs``, which keeps the digits of a thin component.  Each
-Solynin cell meets one component at a known end, so Solynin's bound
-walks its cells directly, with two ``_arcs`` per cell, and gives the
-partition bound's bits; its optimizer takes its value at the points it
-returns from ``partition_lower``, which the benchmark traces.  The
+``sets._arcs``, which keeps the digits of a thin component.  The
 bounds compute on Python floats with ``math``: a set has a handful of
 components, and a numpy call on so few costs more than its arithmetic.
 
@@ -45,7 +41,6 @@ of the gap point, and ``all_bounds`` runs one ascent for both.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -560,7 +555,7 @@ def _gap_division_consts(e: IntervalUnion):
     2 M - mu = pi - th_b = arccos(-b_1) has the same sine and keeps the
     digits, and it is constant: that link's c is the mirror itself.
     """
-    consts = list(itertools.starmap(_arcs, e.intervals))
+    consts = [_arcs(a, b) for a, b in e.intervals]
     consts[0] = (consts[0][0], math.acos(-e.intervals[0][1]))
     return consts
 
@@ -607,28 +602,7 @@ def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
         if not a < g < b:
             raise DomainError(f"interior point {g} outside component ({a}, {b})")
     # -1, d_1, g_1, d_2, ..., g_{n-2}, d_{n-1}, 1
-    return Partition((-1.0, *itertools.chain.from_iterable(zip(d.deltas, [*interior, 1.0]))))
-
-
-def _solynin_value(e: IntervalUnion, p: Partition) -> float:
-    """:func:`partition_lower` at the Solynin partition ``p`` of e, bit for bit.
-
-    Cell j of -1, d_1, g_1, ..., d_{n-1}, 1 meets the set in one part,
-    from its low end to endpoint j + 1 of e for even j and from that
-    endpoint to its high end for odd j, so each cell takes two ``_arcs``
-    and no walk over the components.
-    """
-    ends = e.endpoints()
-    pts = p.points
-    sin, log = math.sin, math.log
-    log_total = 0.0
-    for j in range(len(pts) - 1):
-        lo, hi = pts[j], pts[j + 1]
-        cell = _arcs(lo, hi)[0]
-        mu = _arcs(ends[j + 1], hi)[0] if j & 1 else _arcs(lo, ends[j + 1])[0]
-        s = sin(_H * mu / cell) if cell > 0.0 else 0.0
-        log_total += _C * cell * cell * log(s) if s > 0.0 else -math.inf
-    return 0.5 * math.exp(log_total)
+    return Partition((-1.0, *(t for pair in zip(d.deltas, [*interior, 1.0]) for t in pair)))
 
 
 def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
@@ -638,7 +612,7 @@ def solynin_lower(e: IntervalUnion, d: GapPoints, interior=()) -> float:
     (none are needed for two intervals).
     """
     _require_unit_hull(e)
-    return _solynin_value(e, _solynin_points(e, d, interior))
+    return partition_lower(e, _solynin_points(e, d, interior))
 
 
 def _solynin_chain(e: IntervalUnion):
@@ -697,10 +671,7 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     each split point g_i at the small-gap optimum of its two cells, each
     d_i at the centre of its angle box.  Raises DomainError, as
     ``solynin_lower`` does, where a gap or an interior component is 1 ulp
-    wide, so that no split point fits inside it.  The value at the
-    returned points is ``partition_lower``'s, which the benchmark's
-    tracer counts as the optimizer's evaluation; the direct walk of
-    ``solynin_lower`` gives the same bits.
+    wide, so that no split point fits inside it.
     """
     _require_unit_hull(e)
 
@@ -761,7 +732,7 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
         gap_max = gap_division_lower_max(norm) if gaps_open else None
         if gap_max and n == 2:
             p = Partition((-1.0, *gap_max[1].deltas, 1.0))
-            add("solynin_lower", LOWER, _solynin_value(norm, p), p)
+            add("solynin_lower", LOWER, partition_lower(norm, p), p)
         elif gaps_open and all(math.nextafter(a, b) < b for a, b in norm.intervals[1:-1]):
             add("solynin_lower", LOWER, *solynin_lower_max(norm))
         upart = uniform_measure_partition(n)

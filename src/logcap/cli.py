@@ -16,7 +16,7 @@ from .bounds import all_bounds
 from .errors import DomainError, LogcapError, ParseError, ValidationError
 from .exact import AKHIEZER, WIDOM, capacity
 from .sets import IntervalUnion, _check_two_interval, make_interval_union
-from .verify import run_verify
+from .verify import _check_count, run_verify
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -171,11 +171,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        report, ok = run_verify(seed=args.seed, count=args.count)
+        _check_count(args.count)
     except DomainError as exc:
-        # run_verify checks the count before any suite runs, and its suites
-        # raise none on their seeded sets: the count is a bad argument
         raise ParseError(str(exc)) from exc
+    report, ok = run_verify(seed=args.seed, count=args.count)
     sys.stdout.write(report)
     return EXIT_OK if ok else EXIT_DOMAIN
 

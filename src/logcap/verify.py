@@ -166,14 +166,19 @@ def dominance_suite(seed: int) -> SuiteResult:
     return res
 
 
+def _check_count(count) -> None:
+    """Raise DomainError unless ``count`` is a whole number >= 0."""
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise DomainError(f"count must be a whole number >= 0, got {count!r}")
+
+
 def run_verify(seed: int = 1, count: int = 200) -> tuple[str, bool]:
     """Run all suites; returns (report text, all passed).
 
     Raises DomainError, before any suite runs, unless ``count`` is a
     whole number >= 0.
     """
-    if not (isinstance(count, numbers.Integral) and count >= 0):
-        raise DomainError(f"count must be a whole number >= 0, got {count!r}")
+    _check_count(count)
     suites = [
         sandwich_suite(seed, count),
         equality_suite(),

@@ -579,23 +579,6 @@ def test_all_bounds_takes_solynin_at_the_gap_division_point_for_two_intervals():
         assert sol.value == pytest.approx(gap.value, rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_solynin_walk_is_partition_lower_bit_for_bit(n):
-    """solynin_lower walks its cells directly, and gives partition_lower's bits."""
-    rng = random.Random(300 + n)
-    for _ in range(6):
-        e = random_unit_interval_union(rng, n, min(0.05, 0.5 / (2 * n - 1)))
-        for _ in range(4):
-            d = GapPoints(tuple(rng.uniform(lo, hi) for lo, hi in e.gaps()))
-            interior = [rng.uniform(a, b) for a, b in e.intervals[1:-1]]
-            pts = Partition((-1.0, *(t for pair in zip(d.deltas, [*interior, 1.0]) for t in pair)))
-            assert solynin_lower(e, d, interior) == partition_lower(e, pts)
-        # the optimizer's value, partition_lower's, at its own points
-        val, p = solynin_lower_max(e)
-        free = p.points[1:-1]
-        assert solynin_lower(e, GapPoints(free[0::2]), free[1::2]) == val
-
-
 def test_solynin_symmetric_equality():
     assert solynin_lower(sym_pair(0.5), GapPoints((0.0,))) == pytest.approx(SYM, abs=1e-13)
 
@@ -1036,6 +1019,53 @@ def _derivative_chain(rng, kind, edge):
 
 @pytest.mark.parametrize("kind", ["even", "odd", "gap"])
 def test_chain_link_derivatives_match_mpmath(kind):
+    """Closed-form value, gradient and Hessian of one link against 40-digit mpmath.diff.
+
+    The link is the generic formula :func:`_link_terms`, which the chain
+    kernels equal bit for bit.  Near an edge a term of a factor close to 1 rounds to an absolute
+    epsilon in the log, so the value is compared against span^2 and the
+    gradient against span at 1e-14, besides their own size; the Hessian
+    is compared against its largest entry.
+    """
+    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    rng = random.Random({"even": 11, "odd": 12, "gap": 13}[kind])
+    for trial in range(12):
+        lo, end, hi = _link_geometry(rng, trial % 3)
+        if kind == "gap":
+            # the component [th_b, th_a] lies inside the cell [hi, lo]
+            th_b, th_a = end, end + rng.uniform(0.01, 0.5)
+            lo += th_a - th_b
+            got = _link_terms(((0.0, 0.0, th_a - th_b), (0.0, -2.0, th_a + th_b)), lo, hi)
+            want_np = float(_cell_log(np.float64(lo - hi), np.float64(th_a - th_b),
+                                      np.float64(th_a + th_b - 2.0 * hi)))
+
+            def f(x, y, th_a=mpmath.mpf(th_a), th_b=mpmath.mpf(th_b)):
+                span = x - y
+                phi = (mpmath.cos(mpmath.pi * (th_b - y) / span)
+                       - mpmath.cos(mpmath.pi * (th_a - y) / span)) / 2
+                return span ** 2 / mpmath.pi ** 2 * mpmath.log(phi)
+        else:
+            even = kind == "even"
+            got = _link_terms(((1.0, 0.0, -end),) if even else ((0.0, -1.0, end),), lo, hi)
+            want_np = float(_cell_log(np.float64(lo - hi), np.float64(lo - end if even else end - hi)))
+
+            def f(x, y, even=even, end=mpmath.mpf(end)):
+                mu = x - end if even else end - y
+                u = mpmath.pi * mu / (2 * (x - y))
+                return 2 / mpmath.pi ** 2 * (x - y) ** 2 * mpmath.log(mpmath.sin(u))
+        with mpmath.workdps(40):
+            want = [float(mpmath.diff(f, (mpmath.mpf(lo), mpmath.mpf(hi)), o)) for o in orders]
+        span = lo - hi
+        assert abs(got[0] - want_np) <= 4 * np.finfo(float).eps * abs(want_np)
+        assert abs(got[0] - want[0]) <= 1e-12 * (abs(want[0]) + span * span)
+        scale = max(map(abs, want[1:3]))
+        assert max(abs(g - w) for g, w in zip(got[1:3], want[1:3])) <= 1e-10 * scale + 1e-14 * span
+        scale = max(map(abs, want[3:]))
+        assert max(abs(g - w) for g, w in zip(got[3:], want[3:])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "gap"])
+def test_chain_eval_derivatives_match_mpmath(kind):
     """Closed-form value, gradient and Hessian of a chain against 40-digit mpmath.diff.
 
     The chain has four links and three free angles, and the link under

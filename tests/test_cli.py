@@ -291,6 +291,18 @@ def test_run_verify_rejects_a_bad_count_before_any_suite(monkeypatch, count):
         verify.run_verify(1, count)
 
 
+def test_verify_domain_error_in_a_suite_exit_1(capsys, monkeypatch):
+    """Only the count is a bad argument: a suite's DomainError keeps exit 1."""
+    def failing_suite(*args):
+        raise DomainError("a suite failed")
+
+    monkeypatch.setattr(verify, "sandwich_suite", failing_suite)
+    code, out, err = run_cli(capsys, "verify", "--count", "3")
+    assert code == 1
+    assert out == ""
+    assert "a suite failed" in err
+
+
 def test_verify_deterministic_report(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--count", "6", "--seed", "5")
     code2, out2, _ = run_cli(capsys, "verify", "--count", "6", "--seed", "5")
