@@ -34,9 +34,11 @@ are the ends of its angle boxes, its start's anchors and Solynin's link
 constants.
 The gap points start at the centres of their angle boxes, and Solynin's
 interior split points at the optimum of their two cells for small
-gaps.  The last step, once the rises shrink quadratically, is checked by
-the chain sum's value alone.  At n = 2 the two chains are one function
-of the gap point, and ``all_bounds`` runs one ascent for both.
+gaps.  Every trial point takes one :func:`_chain_eval`, and the ascent
+stops where Newton's predicted rise is at most _NEWTON_TOL of the sum;
+the public bound is then evaluated at the points it returns.  At n = 2
+the two chains are one function of the gap point, and ``all_bounds``
+runs one ascent for both.
 """
 
 from __future__ import annotations
@@ -72,10 +74,9 @@ _NEWTON_STEPS = 30
 _NEWTON_TOL = 1e-15
 _HALVINGS = 4
 _TO_EDGE = 0.9
-_LAST_RISE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     name: str
     kind: str  # "lower" or "upper"
@@ -192,10 +193,9 @@ def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
         raise DomainError("sector angles must strictly increase")
     if abs((angles[-1] - angles[0]) - 2.0 * math.pi) > 1e-9:
         raise DomainError("sector angles must cover exactly one full turn")
-    mes = f.length_within(angles[:-1], angles[1:]).tolist()
     log_total = 0.0
-    for lo, hi, m in zip(angles, angles[1:], mes):
-        log_total += _cell_log(0.5 * (hi - lo), 0.5 * m)
+    for lo, hi in zip(angles, angles[1:]):
+        log_total += _cell_log(0.5 * (hi - lo), 0.5 * f.length_within(lo, hi))
     return math.exp(log_total)
 
 
@@ -352,38 +352,6 @@ def _chain_eval(chain, x):
     return total, grad, diag, off
 
 
-def _chain_value(chain, x):
-    """The chain sum of :func:`_chain_eval` alone, by the same arithmetic; -inf where infeasible."""
-    gap, consts = chain
-    sin, log = math.sin, math.log
-    total = 0.0
-    for k in range(len(x) - 1):
-        lo, hi = x[k], x[k + 1]
-        cell = lo - hi
-        if not cell > 0.0:
-            return -math.inf
-        cm = _C * cell
-        if gap:
-            w, c = consts[k]
-            mu = c - 2.0 * hi if k else c
-            if not mu > 0.0:
-                return -math.inf
-            s, r = sin(_H * w / cell), sin(_H * mu / cell)
-            if not (s > 0.0 and r > 0.0):
-                return -math.inf
-            total += (cm * cell * log(s) + cm * cell * log(r)) * 0.5
-        else:
-            end = consts[k]
-            mu = end - hi if k & 1 else lo - end
-            if not mu > 0.0:
-                return -math.inf
-            s = sin(_H * mu / cell)
-            if not s > 0.0:
-                return -math.inf
-            total += cm * cell * log(s)
-    return total
-
-
 def _tridiag_solve(diag, off, grad):
     """Solve H d = -grad for the symmetric tridiagonal H by one Thomas pass.
 
@@ -470,7 +438,7 @@ def _box_centre(lo, hi, x_lo, x_hi):
     return t if lo < t < hi else min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
 
 
-def _chain_max(chain, boxes, angle_boxes, t, bound):
+def _chain_max(chain, boxes, angle_boxes, t):
     """Maximize a chain sum over -1 = t_0 < t_1 < ... < t_m < t_{m+1} = 1.
 
     Coordinate t_i ranges over the open box ``boxes[i - 1]``, whose
@@ -484,31 +452,22 @@ def _chain_max(chain, boxes, angle_boxes, t, bound):
     cell term has a log singularity, from which each Newton step would
     only double its distance.  Where that too rounds onto or past the
     end, t_i goes to the float next to it, so a box a few ulp wide cannot
-    stall the other coordinates.  The ascent stops once the predicted
-    rise is at most _NEWTON_TOL of the sum (for an interior step,
-    1/2 g.d).  Near the maximum Newton's rises shrink quadratically, so
-    a step whose rise r is at most _LAST_RISE of the sum, and
-    r (r / r_prev)^2 at most _NEWTON_TOL of it, is the last: its trials
-    check the sum's value alone, by :func:`_chain_value`, with no
-    derivatives and no solve at the point it returns.  ``bound(t)``
-    returns the public bound and its parameters at t_1 ... t_m, and the
-    result is ``bound`` at the last accepted t (at the start where the
+    stall the other coordinates.  The ascent stops once the rise that
+    Newton's model predicts at the accepted point is at most _NEWTON_TOL
+    of the sum (for an interior step, 1/2 g.d), or when no halving
+    rises.  Returns the last accepted t_1 ... t_m (the start where the
     sum is -inf there).
     """
     cos = math.cos
     x = list(map(math.acos, t))
     total, grad, diag, off = _chain_eval(chain, [math.pi, *x, 0.0])
     if grad is None:
-        return bound(t)
-    rise = math.inf
+        return t
     for _ in range(_NEWTON_STEPS):
         newton = _newton_step(grad, diag, off, x, angle_boxes)
         if newton is None or not newton[1] > _NEWTON_TOL * abs(total):
             break
-        prev, (d, rise) = rise, newton
-        last = (rise <= _LAST_RISE * abs(total)
-                and rise * (rise / prev) ** 2 <= _NEWTON_TOL * abs(total))
-        step = 1.0
+        d, step = newton[0], 1.0
         for _ in range(_HALVINGS + 1):
             x_new = [xi + step * di for xi, di in zip(x, d)]
             t_new = list(map(cos, x_new))
@@ -516,18 +475,15 @@ def _chain_max(chain, boxes, angle_boxes, t, bound):
                 if not lo < ti < hi:
                     _to_edge(x, d, boxes, angle_boxes, x_new, t_new)
                     break
-            full = [math.pi, *x_new, 0.0]
-            trial = _chain_value(chain, full) if last else _chain_eval(chain, full)
-            if (trial if last else trial[0]) > total:
+            trial = _chain_eval(chain, [math.pi, *x_new, 0.0])
+            if trial[0] > total:
                 break
             step *= 0.5
         else:
             break
         x, t = x_new, t_new
-        if last:
-            break
         total, grad, diag, off = trial
-    return bound(t)
+    return t
 
 
 def _to_edge(x, d, boxes, angle_boxes, x_new, t_new):
@@ -582,12 +538,8 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
     """
     _require_unit_hull(e)
     chain, boxes, angle_boxes, start = _gap_division_chain(e)
-
-    def bound(t):
-        d = GapPoints(tuple(t))
-        return _gap_division_value(e, chain[1], d), d
-
-    return _chain_max(chain, boxes, angle_boxes, start, bound)
+    d = GapPoints(tuple(_chain_max(chain, boxes, angle_boxes, start)))
+    return _gap_division_value(e, chain[1], d), d
 
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
@@ -674,12 +626,9 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     wide, so that no split point fits inside it.
     """
     _require_unit_hull(e)
-
-    def bound(t):
-        p = _solynin_points(e, GapPoints(tuple(t[::2])), t[1::2])
-        return partition_lower(e, p), p
-
-    return _chain_max(*_solynin_chain(e), bound)
+    t = _chain_max(*_solynin_chain(e))
+    p = _solynin_points(e, GapPoints(tuple(t[::2])), t[1::2])
+    return partition_lower(e, p), p
 
 
 def projection_upper(e: IntervalUnion) -> float:

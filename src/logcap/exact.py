@@ -41,7 +41,7 @@ CLOSED_FORM = "closed_form"
 _MOMENT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapacityResult:
     value: float
     method: str

@@ -16,8 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -121,16 +119,13 @@ class CircleArcSet:
     def total_length(self) -> float:
         return sum(e - s for s, e in self.arcs)
 
-    def length_within(self, lo, hi):
-        """Arc length of the set inside the sector [lo, hi] (angles, hi <= lo + 2*pi).
-
-        ``lo`` and ``hi`` may be arrays of sectors; the result has their shape.
-        """
-        s, e = np.array(self.arcs).T
-        shift = np.array([[-TWO_PI], [0.0], [TWO_PI]])  # each arc and its copies a turn away
-        s, e = (s + shift).ravel(), (e + shift).ravel()
-        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
-        return (np.clip(e, lo, hi) - np.clip(s, lo, hi)).sum(axis=-1)
+    def length_within(self, lo: float, hi: float) -> float:
+        """Arc length of the set inside the sector [lo, hi] (angles, hi <= lo + 2*pi)."""
+        total = 0.0
+        for shift in (-TWO_PI, 0.0, TWO_PI):  # each arc and its copies a turn away
+            for s, e in self.arcs:
+                total += min(max(e + shift, lo), hi) - min(max(s + shift, lo), hi)
+        return total
 
 
 @dataclass(frozen=True)

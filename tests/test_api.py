@@ -1,5 +1,9 @@
 """The package's public names: ``logcap.__all__`` and what it exports."""
 
+import dataclasses
+
+import pytest
+
 import logcap
 
 
@@ -15,3 +19,11 @@ def test_star_import_exports_exactly_all():
     exec("from logcap import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(logcap.__all__)
+
+
+def test_results_are_frozen_and_have_no_instance_dict():
+    e = logcap.make_interval_union([(-1.0, -0.5), (0.5, 1.0)])
+    for result in (logcap.capacity(e), logcap.all_bounds(e)[0]):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.value = 0.0
+        assert not hasattr(result, "__dict__")

@@ -18,7 +18,7 @@ from logcap import (
     normalize_to_unit,
     project_to_real_axis,
 )
-from logcap.sets import CircleArcSet, IntervalUnion, Partition
+from logcap.sets import TWO_PI, CircleArcSet, IntervalUnion, Partition
 from logcap.verify import equality_gap_points, random_unit_interval_union
 
 
@@ -282,6 +282,20 @@ def test_preimage_projection_round_trip():
         for (a, b), (a2, b2) in zip(e.intervals, back.intervals):
             assert abs(a - a2) < 1e-14
             assert abs(b - b2) < 1e-14
+
+
+def test_length_within_one_sector():
+    """Arc length in a sector that crosses 0, one that runs past 2 pi, and a full turn.
+
+    The arc [-0.2, 0.3] is stored split at 0, as (0, 0.3) and (2 pi - 0.2, 2 pi).
+    """
+    f = CircleArcSet(((0.0, 0.3), (1.0, 2.0), (TWO_PI - 0.2, TWO_PI)))
+    assert type(f.length_within(-0.5, 0.5)) is float
+    assert f.length_within(-0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert f.length_within(1.5, 2.5) == pytest.approx(0.5, abs=1e-15)
+    assert f.length_within(6.0, 7.5) == pytest.approx(0.5 + 7.5 - (1.0 + TWO_PI), abs=1e-15)
+    assert f.length_within(0.0, TWO_PI) == f.total_length()
+    assert f.length_within(1.5, 1.5 + TWO_PI) == pytest.approx(f.total_length(), abs=1e-15)
 
 
 def test_verify_generators_raise_domain_error():
