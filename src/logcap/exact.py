@@ -252,7 +252,8 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     """Capacity through the Schwarz-Christoffel route (any number of intervals).
 
     Runs on the affine image of e with hull [-1, 1]; value and error are
-    scaled back by the half-width.
+    scaled back by the half-width, and the error is at least one ulp of
+    the value; one interval has a closed form, with error 0.
     """
     if e.n == 1:
         a, b = e.intervals[0]
@@ -263,7 +264,8 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     cap = math.exp(-quad.value)
     resid = sum(abs(r) for r in model.gap_residuals)
     est = cap * (quad.est_error + 10.0 * resid) + 1e-15
-    return CapacityResult(scale * cap, WIDOM, scale * est)
+    value = scale * cap
+    return CapacityResult(value, WIDOM, max(scale * est, math.ulp(value)))
 
 
 def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
@@ -318,7 +320,8 @@ def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:
     ("widom") otherwise, which has a closed form for one interval; the
     theta formula requires exactly two intervals.  The route runs on the
     affine image of e with hull [-1, 1], and value and error are scaled
-    back by the half-width (cap(a e + b) = |a| cap(e)).
+    back by the half-width (cap(a e + b) = |a| cap(e)); but for the closed
+    form, the error is at least one ulp of the value.
     """
     if method == "auto":
         method = AKHIEZER if e.n == 2 else WIDOM
@@ -330,4 +333,5 @@ def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:
         raise DomainError("theta-quotient formula needs exactly two intervals")
     norm, scale = normalize_to_unit(e)
     res = akhiezer_capacity(norm.intervals[0][1], norm.intervals[1][0])
-    return CapacityResult(scale * res.value, AKHIEZER, scale * res.est_error)
+    value = scale * res.value
+    return CapacityResult(value, AKHIEZER, max(scale * res.est_error, math.ulp(value)))

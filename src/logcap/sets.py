@@ -270,13 +270,15 @@ def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
     ValidationError when a component or gap is narrower than the rounding
     at the hull's scale, so that its mapped ends coincide or cross.
     """
-    a1, bn = e.hull
-    # halves first, so that a hull beyond about 9e307 does not overflow;
-    # halving is exact in the normal range, so the result is the same there
-    scale = 0.5 * bn - 0.5 * a1
-    center = 0.5 * bn + 0.5 * a1
     ends = e.endpoints()
-    mapped = [(x - center) / scale for x in ends]
+    # scaled by 2**k, the hull's larger end lies in [1, 2): the half-width and
+    # centre neither overflow near 1e308 nor round off the last bits of a
+    # subnormal hull, and a hull [-1, 1] is not scaled at all
+    k = 1 - math.frexp(max(abs(ends[0]), abs(ends[-1])))[1]
+    lo, hi = math.ldexp(ends[0], k), math.ldexp(ends[-1], k)
+    half, center = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    mapped = [(math.ldexp(x, k) - center) / half for x in ends]
+    scale = math.ldexp(half, -k)
     # the hull ends are forced exactly; interior endpoints stay as mapped
     mapped[0], mapped[-1] = -1.0, 1.0
     for i in range(len(ends) - 1):

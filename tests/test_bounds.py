@@ -218,6 +218,8 @@ def test_sector_product_validation():
         sector_product_lower(f, [0.0, math.pi])  # does not cover the circle
     with pytest.raises(DomainError):
         sector_product_lower(f, [0.0, 0.0, 2 * math.pi])
+    with pytest.raises(DomainError, match="need at least one sector"):
+        sector_product_lower(f, [0.0])
 
 
 def test_partition_lower_trivial_cases():

@@ -1,6 +1,7 @@
 """CLI behavior: parsing, output formats, exit codes, determinism."""
 
 import json
+import shlex
 
 import pytest
 
@@ -36,47 +37,12 @@ def test_inline_round_trip():
     assert parse_inline_set(format_inline_set(e)) == e
 
 
-def test_cap_symmetric_pair(capsys):
-    code, out, _ = run_cli(capsys, "cap", "-e", "-1:-0.5,0.5:1")
-    assert code == 0
-    value, method = out.split()[:2]
-    assert float(value) == pytest.approx(0.4330127018922193, abs=1e-11)
-    assert method == "akhiezer"
-
-
-def test_cap_single_interval(capsys):
-    code, out, _ = run_cli(capsys, "cap", "-e", "-1:1")
-    assert code == 0
-    tokens = out.split()
-    assert float(tokens[0]) == 0.5
-    assert tokens[1] == "closed_form"
-
-
-def test_cap_forced_widom_agrees(capsys):
-    _, out_a, _ = run_cli(capsys, "cap", "-e", "-1:-0.5,0.5:1")
-    _, out_w, _ = run_cli(capsys, "cap", "-e", "-1:-0.5,0.5:1", "--method", "widom")
-    va, vw = float(out_a.split()[0]), float(out_w.split()[0])
-    assert abs(va - vw) <= 1e-8
-    assert out_w.split()[1] == "widom"
-
-
 def test_cap_json_input(tmp_path, capsys):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"intervals": [[-1, -0.5], [0.5, 1]]}))
     code, out, _ = run_cli(capsys, "cap", "--json", str(path))
     assert code == 0
     assert float(out.split()[0]) == pytest.approx(0.4330127018922193, abs=1e-11)
-
-
-def test_cap_parse_error_exit_2(capsys):
-    code, _, err = run_cli(capsys, "cap", "-e", "garbage")
-    assert code == 2
-    assert "error" in err
-
-
-def test_cap_missing_set_exit_2(capsys):
-    code, _, err = run_cli(capsys, "cap")
-    assert code == 2
 
 
 def test_cap_bad_json_exit_2(tmp_path, capsys):
@@ -110,10 +76,103 @@ def test_cap_set_and_json_together_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "not both" in err
 
 
-def test_bounds_domain_error_exit_1(capsys):
-    code, _, err = run_cli(capsys, "bounds", "-e", "-1:-0.6,-0.1:0.2,0.5:1", "--method", "akhiezer")
-    assert code == 1
-    assert "error" in err
+NINE_INTERVALS = (
+    "-1:-0.993475,-0.80172:-0.694607,-0.547577:-0.381191,-0.174204:-0.162129,-0.040587:0.201589,"
+    "0.362609:0.47974,0.577006:0.660432,0.678002:0.696589,0.955077:1"
+)
+TWENTY_COMPONENTS = (
+    "-1.00:-0.96,-0.90:-0.86,-0.80:-0.76,-0.70:-0.66,-0.60:-0.56,-0.50:-0.46,-0.40:-0.36,"
+    "-0.30:-0.26,-0.20:-0.16,-0.10:-0.06,0.00:0.04,0.10:0.14,0.20:0.24,0.30:0.34,0.40:0.44,"
+    "0.50:0.54,0.60:0.64,0.70:0.74,0.80:0.84,0.90:0.94"
+)
+
+# Each row is a command line, its exit code, and what it prints: on exit 0
+# either the whole stdout line or, for rows of the bounds table, the value
+# column by name (a str exactly, a float as a floor, None for a row left
+# out); on any other exit a prefix of stderr.  A change that moves a pinned
+# value records the old and the new one.
+CONSOLE_LINES = [
+    ('cap -e "-1:-0.5,0.5:1"', 0, "0.4330127018922193 akhiezer 5e-14"),
+    ('cap -e "-1:1"', 0, "0.5 closed_form 0"),
+    # two intervals on the Widom route, and three off the unit hull, which
+    # the route maps onto it
+    ('cap -e "-1:-0.5,0.5:1" --method widom', 0, "0.43301270189221963 widom 4.62e-15"),
+    ('cap -e "0:10,10.000005:20,30:40"', 0, "9.6590419499883922 widom 9.57e-14"),
+    # six gaps beside components 1e-5 wide climb the moment ladder
+    # together, in kernel calls split to the per-call node limit
+    ('cap -e "-1:-0.5,-0.4:-0.39999,-0.3:-0.29999,-0.2:-0.19999,-0.1:-0.09999,0:0.00001,0.2:1"',
+     0, "0.4826045927242501 widom 3.05e-13"),
+    # the first moment level in one kernel call on the cached index layout,
+    # the tail's root product endpoint-major
+    (f'cap -e "{TWENTY_COMPONENTS}"', 0, "0.47405175473890337 widom 1.26e-11"),
+    # hulls beyond about 9e307, and a subnormal hull, whose half-width
+    # neither overflows nor rounds; a subnormal value's est_error is its ulp
+    ('cap -e "1e308:1.2e308,1.5e308:1.7e308"', 0, "1.58113883008419e+307 akhiezer 1.78e+294"),
+    ('cap -e "1e308:1.2e308,1.3e308:1.4e308,1.5e308:1.7e308"', 0,
+     "1.7094034263253429e+307 widom 1.57e+293"),
+    ('cap -e "-1.7e308:1.7e308"', 0, "8.4999999999999997e+307 closed_form 0"),
+    ('cap -e "1e-310:2e-310,2.5e-310:2.7e-310,3e-310:4e-310"', 0,
+     "7.3430997502013353e-311 widom 4.94e-324"),
+    # the chain kernels of both optimized bounds, and the partition bound
+    ('bounds -e "-1:-0.6,-0.1:0.2,0.5:1"', 0, {
+        "solynin_lower": "0.47357416419262183",
+        "gap_division_lower": "0.4736533522813729",
+        "partition_uniform_lower": "0.41448901441104491",
+    }),
+    # two intervals: one ascent serves both optimized bounds
+    ('bounds -e "-1:-0.3,0.2:1"', 0, {
+        "solynin_lower": "0.48407921576208524",
+        "gap_division_lower": "0.48407921576208524",
+        "projection_upper": "0.48407976042743123",
+    }),
+    ('bounds -e "0:1,2:4"', 0, {}),
+    # an outer component 1 ulp wide: the elliptic modulus of Schiefermayr's
+    # upper bound rounds to 1
+    ('bounds -e "-1:-0.5,0.9999999999999999:1"', 0, {}),
+    # the uniform partition's middle point lies on a component end
+    ('bounds -e "-1:6.123233995736766e-17,0.5:1"', 0, {}),
+    # a gap 4 ulp wide: the centre of its angle box can round onto its ends
+    ('bounds -e "-1:-0.5,-0.49999999999999956:1"', 0, {}),
+    # a gap 1 ulp wide holds no division point
+    ('bounds -e "-1:-0.5,-0.49999999999999994:1"', 0,
+     {"solynin_lower": None, "gap_division_lower": None}),
+    # a component 1e-8 wide, beside which the Newton ascent runs
+    ('bounds -e "-1:-0.8,-0.6:-0.5,-0.49999:-0.49998999,-0.49998:0.1,0.2:0.3,0.4:0.5,0.6:0.7,0.8:1"',
+     0, {}),
+    # a climb from the centres of the angle boxes stopped at 0.448024; the
+    # split points' small-gap start reaches 0.448127
+    (f'bounds -e "{NINE_INTERVALS}"', 0, {"solynin_lower": 0.448127}),
+    ("sweep --family moving_two_gaps --grid 0.2:0.8:5 --width 0.15", 0, {}),
+    # a Lobatto node rounds onto an endpoint: the ladder's error, not a
+    # traceback from a numpy warning
+    ('cap -e "-1:-0.5,0:1e-20,0.6:1"', 1, "error: gap moments"),
+    ('bounds -e "-1:-0.6,-0.1:0.2,0.5:1" --method akhiezer', 1,
+     "error: theta-quotient formula needs exactly two intervals"),
+    ("cap -e garbage", 2, "error: expected 'a:b'"),
+    ("cap", 2, "error: no set given"),
+    ('cap -e "a:b"', 2, "error: not a number"),
+    ("sweep --family moving_gap --grid 0:1:x", 2, "error: bad grid"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, code, want", CONSOLE_LINES, ids=[row[0] for row in CONSOLE_LINES])
+def test_console_line(capsys, text, code, want):
+    got, out, err = run_cli(capsys, *shlex.split(text))
+    assert got == code
+    if code:
+        assert out == "" and err.startswith(want)
+        return
+    assert err == ""
+    if isinstance(want, str):
+        assert out == want + "\n"
+        return
+    table = {cells[0]: cells[2] for cells in map(str.split, out.splitlines()) if len(cells) == 4}
+    for name, value in want.items():
+        if isinstance(value, float):
+            assert float(table[name]) >= value
+        else:
+            assert table.get(name) == value
 
 
 TWO_INTERVAL_BOUNDS = [
@@ -301,6 +360,16 @@ def test_verify_domain_error_in_a_suite_exit_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "a suite failed" in err
+
+
+def test_suite_result_counts_failures_and_keeps_five_notes():
+    suite = verify.SuiteResult("demo")
+    for i, margin in enumerate([0.5, -1.0, -3.0, 2.0, -0.5, -2.0, -0.1, -0.2, -0.3]):
+        suite.record(margin, f"note {i}")
+    assert (suite.checks, suite.failures, suite.worst) == (9, 7, -3.0)
+    assert suite.notes == ["note 1", "note 2", "note 4", "note 5", "note 6"]
+    assert not suite.ok
+    assert suite.line() == "demo           FAIL: 2/9 checks passed (worst margin -3.000e+00)"
 
 
 def test_verify_deterministic_report(capsys):

@@ -214,6 +214,28 @@ def test_single_interval_near_the_largest_float_is_a_quarter_of_its_length():
     assert [rep.value for rep in all_bounds(e)] == [8.5e307, 8.5e307]
 
 
+# subnormal hulls on the Widom and the theta route: halving their ends
+# rounded, and scale * 1e-15 underflowed to an est_error of 0
+SUBNORMAL_SETS = {
+    "three-widom": [(1e-310, 2e-310), (2.5e-310, 2.7e-310), (3e-310, 4e-310)],
+    "two-theta": [(1e-310, 2e-310), (3e-310, 4e-310)],
+}
+
+
+@pytest.mark.parametrize("name", list(SUBNORMAL_SETS))
+def test_subnormal_hull_commutes_with_an_exact_power_of_two(name):
+    pairs = SUBNORMAL_SETS[name]
+    e = make_interval_union(pairs)
+    big = make_interval_union([(math.ldexp(a, 1030), math.ldexp(b, 1030)) for a, b in pairs])
+    (norm, scale), (norm_big, scale_big) = normalize_to_unit(e), normalize_to_unit(big)
+    assert norm == norm_big
+    assert scale == math.ldexp(scale_big, -1030)
+    got = capacity(e)
+    oracle = math.ldexp(capacity(big).value, -1030)
+    assert got.est_error > 0.0
+    assert abs(got.value - oracle) <= got.est_error + 0.5 * math.ulp(oracle)
+
+
 def test_translation_invariance():
     e = make_interval_union([(-1, -0.2), (0.3, 1)])
     base = widom_capacity(e).value

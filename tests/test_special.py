@@ -67,6 +67,9 @@ def test_complete_E_values():
     assert complete_E(0.6) == pytest.approx(1.4180833944487242, rel=1e-13)
     for k in (0.2, 0.6, 0.9):
         assert complete_E(k) == pytest.approx(e_integral_oracle(k), rel=1e-11)
+    for k in (1.5, -0.1):
+        with pytest.raises(DomainError, match="modulus must lie in"):
+            complete_E(k)
 
 
 def agm_K_reference(k):
@@ -308,6 +311,7 @@ def test_tail_integral_reports_what_it_evaluates():
 def test_solve_dense_identity_and_diagonal():
     assert np.allclose(solve_dense(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
     assert np.allclose(solve_dense([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0]), [1, 2])
+    assert solve_dense(np.empty((0, 0)), []).shape == (0,)
 
 
 def test_solve_dense_random_round_trip():
@@ -332,6 +336,8 @@ def test_solve_dense_residual_contract():
 def test_solve_dense_singular():
     with pytest.raises(SingularMatrixError):
         solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
+    with pytest.raises(SingularMatrixError, match="LAPACK: SVD did not converge"):
+        solve_dense(np.full((2, 2), math.nan), [1.0, 1.0])
 
 
 def test_solve_dense_guard_is_a_singular_value_ratio():
@@ -359,5 +365,7 @@ def test_gap_residuals_match_the_per_gap_loop():
 def test_elliptic_params_invariant():
     with pytest.raises(DomainError):
         EllipticParams(k=0.5, k_prime=0.5, q=0.1, omega=0.0)
+    with pytest.raises(DomainError, match="nome"):
+        EllipticParams(k=0.6, k_prime=0.8, q=1.0, omega=0.0)
     p = EllipticParams(k=0.6, k_prime=0.8, q=0.05, omega=1.0)
     assert p.k ** 2 + p.k_prime ** 2 == pytest.approx(1.0, abs=1e-14)
