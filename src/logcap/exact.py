@@ -183,17 +183,16 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
 
 
 @functools.lru_cache(maxsize=16)
-def _offset_terms(base: float, sign: float, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(off) and sign sqrt(off)/(1 + off), off = |t - base|, at float64 nodes t (shared, read-only).
+def _offset_terms(base: float, sign: float, nodes: bytes) -> np.ndarray:
+    """sign sqrt(off)/(1 + off), off = |t - base|, at float64 nodes t (shared, read-only).
 
     Keyed by the nodes' bytes: every Robin tail gets the same nodes from the
-    half-line ladder, so these are computed once per level.
+    half-line ladder, so the term is computed once per level.
     """
     off = abs(np.frombuffer(nodes) - base)
-    root = np.sqrt(off)
-    term = sign * root / (1.0 + off)
-    root.flags.writeable = term.flags.writeable = False
-    return root, term
+    term = sign * np.sqrt(off) / (1.0 + off)
+    term.flags.writeable = False
+    return term
 
 
 def _green_integrand(model: WidomModel, skip: int, sign: float):
@@ -224,28 +223,24 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
             y *= t
             y += c
         root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
-        term = _offset_terms(base, sign, t.tobytes())[1]
-        return np.where(root < np.inf, y / root, np.nan) - term
+        return np.where(root < np.inf, y / root, np.nan) - _offset_terms(base, sign, t.tobytes())
 
     return f
 
 
-def _robin_quad(model: WidomModel, tol: float = 1e-10) -> QuadratureResult:
-    # the tail's nodes lie right of b_n, where sqrt(t - b_n) is the root of _offset_terms
+def _robin_quad(model: WidomModel) -> QuadratureResult:
     a1, bn = model.E.hull
-    f = _green_integrand(model, 2 * model.E.n - 1, 1.0)
-    return tail_integral(lambda t: f(t) / _offset_terms(bn, 1.0, t.tobytes())[0], bn, tol,
-                         width=bn - a1)
+    return tail_integral(_green_integrand(model, 2 * model.E.n - 1, 1.0), bn, 1e-10, width=bn - a1)
 
 
-def robin_constant(model: WidomModel, tol: float = 1e-10) -> float:
+def robin_constant(model: WidomModel) -> float:
     """Robin constant of the set; capacity equals exp(-robin_constant).
 
     Evaluates the tail integral of p/sqrt(q) - 1/(1 + t - b_n) over
-    (b_n, infinity); the shifted comparison term makes the value exact for
-    sets whose hull is not [-1, 1] as well.
+    (b_n, infinity) to 1e-10; the shifted comparison term makes the value
+    exact for sets whose hull is not [-1, 1] as well.
     """
-    return _robin_quad(model, tol).value
+    return _robin_quad(model).value
 
 
 def widom_capacity(e: IntervalUnion) -> CapacityResult:
@@ -256,8 +251,10 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     the value; one interval has a closed form, with error 0.
     """
     if e.n == 1:
-        a, b = e.intervals[0]
-        return CapacityResult(0.25 * b - 0.25 * a, CLOSED_FORM, 0.0)
+        # (b - a)/4 as one correctly rounded quotient of integers, which
+        # neither overflows nor rounds twice where the ends are subnormal
+        (na, da), (nb, db) = (x.as_integer_ratio() for x in e.intervals[0])
+        return CapacityResult((nb * da - na * db) / (4 * da * db), CLOSED_FORM, 0.0)
     norm, scale = normalize_to_unit(e)
     model = widom_polynomial(norm)
     quad = _robin_quad(model)
@@ -307,8 +304,7 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     # the sign of p/sqrt|q| outside the hull is the branch of its end; 0 inside it
     sign = 0.0 if ep[0] < x < ep[-1] else float(branch)
     integrand = _green_integrand(model, k, sign)
-    quad = _half_line(lambda t, root: integrand(t), ep[k], x, tol, ep[-1] - ep[0],
-                      "Green function quadrature")
+    quad = _half_line(integrand, ep[k], x, tol, ep[-1] - ep[0], "Green function quadrature")
     return abs(float(before + branch * (quad.value + sign * math.log1p(span))))
 
 

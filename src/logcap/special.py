@@ -189,24 +189,22 @@ def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
-def _half_line_level(b: float, step: float, w: float, top: float, m: int) -> tuple[np.ndarray, ...]:
-    """Nodes t, roots sqrt|t - b| and Jacobian factors of ``_half_line``'s level m (shared, read-only).
+def _half_line_level(b: float, step: float, w: float, top: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and Jacobian factors of ``_half_line``'s level m (shared, read-only).
 
     The level's theta nodes map Fejer's m rule onto (0, top): all m - 1 of
     them at the first level, m = ``_FEJER_FIRST``, and after that every
-    other one, those the m/2 rule lacks.  All of it depends only on the
-    map and the level, not on the integrand.  The Robin tail runs on
-    the image of the set with hull [-1, 1], so every tail makes the same
-    map, b = 1 and w = 2, and reads them from here.
+    other one, those the m/2 rule lacks.  Both depend only on the map and
+    the level, not on the integrand.  The Robin tail runs on the image of
+    the set with hull [-1, 1], so every tail makes the same map, b = 1 and
+    w = 2, and reads them from here.
     """
     nodes = _fejer_rule(m)[0]
     theta = 0.5 * top + 0.5 * top * (nodes if m == _FEJER_FIRST else nodes[::2])
     t = b + step * np.tan(theta) ** 2
-    off = abs(t - b)
-    out = t, np.sqrt(off), 2.0 * math.sqrt(w) * (1.0 + off / w)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    jac = 2.0 * math.sqrt(w) * (1.0 + abs(t - b) / w)
+    t.flags.writeable = jac.flags.writeable = False
+    return t, jac
 
 
 def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> QuadratureResult:
@@ -218,19 +216,19 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     taken at the offset off = |t - b| of the node t as it rounds.  The
     integral over theta climbs the nested ladder of Fejer rules, m = 128,
     ..., 4096; it starts at the ladder's 128 rung, not at ``_LADDER[0]``,
-    and the comment beside ``_LADDER`` says why.  Each level calls f(t,
-    root) once, on the level's new nodes t and their roots sqrt|t - b|,
-    which come read-only with the Jacobian factors from
-    ``_half_line_level``, keyed by the map and the level, so f must not
-    write to them.  A level is accepted when its value I_m is finite and
-    |I_m - I_{m/2}| <= max(tol, floor), where the rounding floor is
-    1e-14 top/2 sum w_k |g_k|, g_k the value of f times the Jacobian at
-    node k; a level holding an inf or nan value, as from a node that rounds
-    onto a singular endpoint, is never accepted.  ``est_error`` is the larger of the two,
-    ``nodes_used`` the evaluations made (m - 1).  Raises ConvergenceError,
-    naming ``what``, when the cap is reached; its ``partial`` sums the
-    finite values of the last level.  Raises DomainError, before any
-    evaluation, unless tol > 0 and b and width are finite, width > 0.
+    and the comment beside ``_LADDER`` says why.  Each level calls f(t)
+    once, on the level's new nodes t, which come read-only with the
+    Jacobian factors from ``_half_line_level``, keyed by the map and the
+    level, so f must not write to them.  A level is accepted when its
+    value I_m is finite and |I_m - I_{m/2}| <= max(tol, floor), where the
+    rounding floor is 1e-14 top/2 sum w_k |g_k|, g_k the value of f times
+    the Jacobian at node k; a level holding an inf or nan value, as from a
+    node that rounds onto a singular endpoint, is never accepted.
+    ``est_error`` is the larger of the two, ``nodes_used`` the evaluations
+    made (m - 1).  Raises ConvergenceError, naming ``what``, when the cap
+    is reached; its ``partial`` sums the finite values of the last level.
+    Raises DomainError, before any evaluation, unless tol > 0 and b and
+    width are finite, width > 0.
     """
     if not (tol > 0.0 and math.isfinite(b) and 0.0 < width < math.inf):
         raise DomainError(f"need tol > 0, b finite and 0 < width < inf, got {tol}, {b}, {width}")
@@ -243,8 +241,8 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for m in _LADDER[_LADDER.index(_FEJER_FIRST):]:
             weights = _fejer_rule(m)[1]
-            t, root, jac = _half_line_level(b, step, w, top, m)
-            fresh = f(t, root) * jac
+            t, jac = _half_line_level(b, step, w, top, m)
+            fresh = f(t) * jac
             if vals.size:
                 # the m/2 rule's nodes are the odd-indexed ones of the m rule
                 both = np.empty(m - 1)
@@ -261,18 +259,18 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     raise ConvergenceError(f"{what} did not converge with {vals.size} nodes", partial=partial)
 
 
-def tail_integral(h, b: float, tol: float, width: float = 2.0) -> QuadratureResult:
-    """Integral of h over (b, infinity) for h = O(1/t^2) at infinity.
+def tail_integral(f, b: float, tol: float, width: float = 2.0) -> QuadratureResult:
+    """Integral of f(t) / sqrt(t - b) over (b, infinity), for f regular at b.
 
-    An inverse-square-root singularity of h at t = b is allowed: the
-    integral goes to ``_half_line`` as that of h(t) sqrt(t - b) / sqrt(t - b),
-    over theta in (0, pi/2) with t = b + width tan^2(theta), and climbs its
-    Fejer ladder.  h is called once per level, on the level's new nodes as
-    a shared read-only array, and must return an array of their values.
-    Raises ConvergenceError at the ladder's cap, and DomainError, before
-    any evaluation, unless tol > 0 and b and width are finite, width > 0.
+    The integrand must be O(1/t^2) at infinity.  The integral goes to
+    ``_half_line``, over theta in (0, pi/2) with t = b + width tan^2(theta),
+    and climbs its Fejer ladder.  f is called once per level, on the
+    level's new nodes as a shared read-only array, and must return an
+    array of their values.  Raises ConvergenceError at the ladder's cap,
+    and DomainError, before any evaluation, unless tol > 0 and b and width
+    are finite, width > 0.
     """
-    return _half_line(lambda t, root: h(t) * root, b, math.inf, tol, width, "tail integral")
+    return _half_line(f, b, math.inf, tol, width, "tail integral")
 
 
 def solve_dense(mat, rhs) -> np.ndarray:

