@@ -11,12 +11,15 @@ multiplication per power, so the fixed cost of each numpy call is paid
 once per range instead of once per gap; at the first level of the ladder
 one call covers every gap of a set of up to 129 intervals.  The nodes are
 the Chebyshev-Lobatto nodes that ``special._lobatto_nodes`` caches per
-interval count.  The gather indices of a call depend only on the number
-of endpoints and the range, so ``_layout`` caches them per shape the same
-way, read-only, and a call builds no index array; the gathered values,
-and with them every rounding, are the same as if it did.  Each call
-returns both the rule it was asked for and the nested rule of half as
-many intervals, the pair a convergence test compares.  Its arrays, the
+interval count, and ``special._lobatto_weights`` caches the weights of
+both rules beside them.  The gather indices of a call depend only on the
+number of endpoints and the range, so ``_layout`` caches them per shape
+the same way, read-only, and a call builds no index array; the gathered
+values, and with them every rounding, are the same as if it did.  Each
+call returns both the rule it was asked for and the nested rule of half
+as many intervals, the pair a convergence test compares: one weighted dot
+per row of the power table and rule, so the end-node halving and the
+factors pi/m and 2 pi/m ride in the weights.  Its arrays, the
 differences t - e (an endpoint by a node) and the power table (a power by
 a node), grow with m; the moment ladder starts at m = 32, where nearly
 every gap passes, so most calls build them at a quarter of the size they
@@ -29,7 +32,7 @@ import functools
 
 import numpy as np
 
-from .special import _lobatto_nodes
+from .special import _lobatto_nodes, _lobatto_weights
 
 
 @functools.lru_cache(maxsize=256)
@@ -65,10 +68,11 @@ def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int,
     remaining smooth part at the m + 1 Lobatto nodes cos(k pi / m), with
     half weight at the two ends.  The m-interval rule is exact when the
     smooth part pulled back to [-1, 1] is a polynomial of degree < 2m; the
-    m/2-interval rule uses the even-indexed nodes of the same table (m must
-    be even) and is exact below degree m.  Every gap gets the roundings it
-    would get alone: the endpoint factors multiply in endpoint order, power
-    j + 1 is power j times t, and each sum runs along a contiguous row.
+    m/2-interval rule weights the even-indexed nodes of the same table (m
+    must be even) and is exact below degree m.  Every gap gets the
+    roundings it would get alone: the endpoint factors multiply in endpoint
+    order, power j + 1 is power j times t, and each sum is one dot of a
+    contiguous row of the table with the rule's weights.
     """
     endpoints = np.asarray(endpoints, dtype=float)
     lo_i, hi_i, others_i = _layout(endpoints.size, gap, gap + 1 if stop is None else stop)
@@ -81,12 +85,8 @@ def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int,
     # short strided loop per node, several times slower
     table = np.empty((jmax + 1, *t.shape))
     table[0] = 1.0 / np.sqrt(w)
-    table[0, :, ::m] *= 0.5
     for j in range(jmax):
         np.multiply(table[j], t, out=table[j + 1])
-    out = np.empty((2, lo_i.size, jmax + 1))
-    out[0] = np.add.reduce(table, axis=2).T
-    out[1] = np.add.reduce(table[:, :, ::2], axis=2).T
-    out[0] *= np.pi / m
-    out[1] *= 2.0 * np.pi / m
-    return out
+    # one dot per (gap, power) row and rule; matmul would hand the batch to
+    # BLAS gemm, whose roundings change with the number of gaps in a call
+    return np.vecdot(table.transpose(1, 0, 2), _lobatto_weights(m)[:, None, None, :])

@@ -44,7 +44,6 @@ runs one ascent for both.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -55,6 +54,7 @@ from .sets import (
     Partition,
     _arcs,
     _check_arc_family,
+    _check_count,
     _check_two_interval,
     _require_unit_hull,
     _require_unit_subset,
@@ -186,7 +186,10 @@ def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     the partition cell term with M = beta_k * pi / 2 and mu = mes / 2.
     An empty intersection forces the bound to 0.
     """
-    angles = [float(phi) for phi in sector_angles]
+    try:
+        angles = [float(phi) for phi in sector_angles]
+    except OverflowError:
+        raise DomainError("sector angle too large for a float") from None
     if len(angles) < 2:
         raise DomainError("need at least one sector")
     if not all(lo < hi for lo, hi in zip(angles, angles[1:])):
@@ -644,8 +647,7 @@ def projection_upper(e: IntervalUnion) -> float:
 
 def uniform_measure_partition(n_cells: int) -> Partition:
     """Partition of [-1, 1] into cells of equal arccos measure."""
-    if not (isinstance(n_cells, numbers.Integral) and n_cells >= 1):
-        raise DomainError(f"need a positive whole number of cells, got {n_cells!r}")
+    _check_count(n_cells, "cells")
     pts = [math.cos(math.pi * (n_cells - k) / n_cells) for k in range(n_cells + 1)]
     return Partition(tuple(pts))
 

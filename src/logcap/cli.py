@@ -56,7 +56,7 @@ def _load_set(args) -> IntervalUnion:
         with open(args.json, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
                 raise ParseError(f"invalid JSON in {args.json}: {exc}") from exc
         try:
             return IntervalUnion.from_json_dict(data)

@@ -48,7 +48,7 @@ class CapacityResult:
     est_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WidomModel:
     """Green-function data for the complement of an interval union.
 
@@ -117,6 +117,12 @@ def _gap_runs(gaps: list[int], size: int) -> list[list[int]]:
     return runs
 
 
+def _converged(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Which rows of a level pass: the two rules agree to _MOMENT_TOL relative to max(1, largest moment)."""
+    return (abs(fine - coarse).max(axis=1)
+            < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
+
+
 def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap.
 
@@ -126,9 +132,9 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     one kernel call per run of consecutive gaps still pending, then one
     test of all of them.  A call covers at most ``_LADDER[-1] // m`` gaps
     (128 at m = 32), so it holds no more nodes than one gap at the cap.
-    While every gap is pending, as at the first level, the runs are the
-    whole range, and a level where all of them pass returns the kernel's
-    rows as they are.
+    Up to that many gaps the first level is one call over all of them,
+    whose rows are returned as they are when every gap passes; otherwise
+    the pending gaps go on from the second level.
     Raises ConvergenceError, naming the lowest such gap, when a gap's
     m-interval and m/2-interval rules still disagree at the cap.  A node
     that rounds onto an endpoint makes a level inf or nan, which the test
@@ -137,21 +143,21 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
-    out = np.empty((n - 1, n))
-    pending = np.arange(n - 1)
+    m = _LADDER[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for m in _LADDER:
-            every = pending.size == n - 1
-            if every and n - 1 <= _LADDER[-1] // m:
-                fine, coarse = _kernels.gap_moment_sums(ep, 0, m, n - 1, n - 1)
-            else:
-                runs = _gap_runs(pending.tolist(), _LADDER[-1] // m)
-                sums = [_kernels.gap_moment_sums(ep, start, m, n - 1, stop) for start, stop in runs]
-                fine, coarse = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
-            done = (abs(fine - coarse).max(axis=1)
-                    < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
-            if every and done.all():
-                return fine, m
+        if n - 1 <= _LADDER[-1] // m:
+            out, coarse = _kernels.gap_moment_sums(ep, 0, m, n - 1, n - 1)
+            pending = np.flatnonzero(~_converged(out, coarse))
+            if not pending.size:
+                return out, m
+            rungs = _LADDER[1:]
+        else:
+            out, pending, rungs = np.empty((n - 1, n)), np.arange(n - 1), _LADDER
+        for m in rungs:
+            runs = _gap_runs(pending.tolist(), _LADDER[-1] // m)
+            sums = [_kernels.gap_moment_sums(ep, start, m, n - 1, stop) for start, stop in runs]
+            fine, coarse = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
+            done = _converged(fine, coarse)
             out[pending[done]] = fine[done]
             pending = pending[~done]
             if not pending.size:
@@ -277,12 +283,17 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     back, so far points converge.  Raises ConvergenceError when that
     quadrature does not reach ``tol`` at the cap of its ladder; its
     ``partial`` is the quadrature's, without the sign log1p(span).  Raises
-    DomainError, before any evaluation, when tol is not positive; an x on
-    the set's boundary needs no quadrature and is not checked.
+    DomainError when x is nan or beyond the float range, and, before any
+    evaluation, when tol is not positive; at an x on the set's boundary,
+    which needs no quadrature, tol is not checked.
     """
     e = model.E
     n = e.n
     ep = np.asarray(e.endpoints(), dtype=float)
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError("x is too large for a float") from None
     if math.isnan(x):
         raise DomainError("x is nan")
     i = int(np.searchsorted(ep, x))  # ep[i - 1] < x <= ep[i]

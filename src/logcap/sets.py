@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
@@ -40,7 +41,11 @@ class IntervalUnion:
             raise ValidationError("interval union needs at least one interval")
         prev = None
         for a, b in self.intervals:
-            if not (math.isfinite(a) and math.isfinite(b)):
+            try:
+                finite = math.isfinite(a) and math.isfinite(b)
+            except OverflowError:
+                raise ValidationError("endpoint too large for a float") from None
+            if not finite:
                 raise ValidationError(f"non-finite endpoint in ({a}, {b})")
             if a >= b:
                 raise ValidationError(f"reversed or empty interval ({a}, {b})")
@@ -171,7 +176,7 @@ def make_interval_union(pairs) -> IntervalUnion:
     hull end a_1 within 1e-14 of -1, or b_n within 1e-14 of 1, is snapped
     there exactly unless that would empty its interval; no other endpoint
     moves.  Raises ValidationError unless ``pairs`` is an iterable of
-    two-entry pairs of numbers.
+    two-entry pairs of numbers, each finite as a float.
     """
     try:
         pairs = list(pairs)
@@ -184,6 +189,8 @@ def make_interval_union(pairs) -> IntervalUnion:
         try:
             a, b = pair
             a, b = float(a), float(b)
+        except OverflowError:
+            raise ValidationError("endpoint too large for a float") from None
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"not an interval pair: {pair!r}") from exc
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -226,11 +233,18 @@ def _check_two_interval(alpha: float, beta: float) -> None:
         )
 
 
+def _check_count(n: int, what: str) -> None:
+    """Raise DomainError unless n is a positive whole number within the float range."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"need a positive whole number of {what}, got {n!r}")
+    if n > sys.float_info.max:
+        raise DomainError(f"too many {what} for a float")
+
+
 def _check_arc_family(l: float, n: int) -> None:
     if not 0.0 < l < TWO_PI:
         raise DomainError(f"total arc length must lie in (0, 2*pi), got {l}")
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"need a positive whole number of arcs, got {n!r}")
+    _check_count(n, "arcs")
 
 
 def _arcs(a: float, b: float) -> tuple[float, float]:

@@ -23,7 +23,7 @@ _THETA_TERM_TOL = 1e-16
 _THETA_MAX_TERMS = 20000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllipticParams:
     """Modulus bundle (k, k', nome q, angle omega) for the theta-quotient formula."""
 
@@ -41,7 +41,7 @@ class EllipticParams:
             raise DomainError(f"angle must be finite, got {self.omega}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureResult:
     value: float
     est_error: float
@@ -170,6 +170,21 @@ def _lobatto_nodes(m: int) -> np.ndarray:
     nodes = np.cos(np.arange(m + 1) * np.pi / m)
     nodes.flags.writeable = False
     return nodes
+
+
+@functools.lru_cache(maxsize=16)
+def _lobatto_weights(m: int) -> np.ndarray:
+    """Weights of the m-interval Lobatto rule (row 0) and its nested m/2 rule (row 1) (shared, read-only).
+
+    Row 0 is pi/m on every node, row 1 is 2 pi/m on the even nodes and 0
+    on the odd ones; each has half weight at the two end nodes.
+    """
+    weights = np.zeros((2, m + 1))
+    weights[0] = np.pi / m
+    weights[1, ::2] = 2.0 * np.pi / m
+    weights[:, ::m] *= 0.5
+    weights.flags.writeable = False
+    return weights
 
 
 @functools.lru_cache(maxsize=8)

@@ -23,7 +23,9 @@ def test_star_import_exports_exactly_all():
 
 def test_results_are_frozen_and_have_no_instance_dict():
     e = logcap.make_interval_union([(-1.0, -0.5), (0.5, 1.0)])
-    for result in (logcap.capacity(e), logcap.all_bounds(e)[0]):
+    results = (logcap.capacity(e), logcap.all_bounds(e)[0], logcap.widom_polynomial(e),
+               logcap.akhiezer_params(-0.5, 0.5), logcap.tail_integral(lambda t: 1.0 / (t * t), 1.0, 1e-10))
+    for result in results:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            result.value = 0.0
+            setattr(result, dataclasses.fields(result)[0].name, 0.0)
         assert not hasattr(result, "__dict__")

@@ -47,8 +47,10 @@ def test_cap_json_input(tmp_path, capsys):
 
 def test_cap_bad_json_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    # not JSON, and JSON in bytes that are not UTF-8
-    for data in (b"{not json", b'\xff\xfe{"intervals": [[0, 1]]}'):
+    # not JSON, JSON in bytes that are not UTF-8, and an integer past
+    # Python's int-from-string digit limit
+    for data in (b"{not json", b'\xff\xfe{"intervals": [[0, 1]]}',
+                 b'{"intervals": [[0, 1' + b"0" * 5000 + b']]}'):
         path.write_bytes(data)
         code, out, err = run_cli(capsys, "cap", "--json", str(path))
         assert code == 2
@@ -57,7 +59,7 @@ def test_cap_bad_json_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data", [{"intervals": 3}, {"intervals": [1, 2]},
-                                  {"intervals": [[0, 1, 2]]}])
+                                  {"intervals": [[0, 1, 2]]}, {"intervals": [[0, 10**400]]}])
 def test_cap_malformed_json_set_exit_2(tmp_path, capsys, data):
     path = tmp_path / "set.json"
     path.write_text(json.dumps(data))
@@ -101,10 +103,10 @@ CONSOLE_LINES = [
     # six gaps beside components 1e-5 wide climb the moment ladder
     # together, in kernel calls split to the per-call node limit
     ('cap -e "-1:-0.5,-0.4:-0.39999,-0.3:-0.29999,-0.2:-0.19999,-0.1:-0.09999,0:0.00001,0.2:1"',
-     0, "0.4826045927242501 widom 3.05e-13"),
+     0, "0.48260459272423495 widom 6.69e-13"),
     # the first moment level in one kernel call on the cached index layout,
     # the tail's root product endpoint-major
-    (f'cap -e "{TWENTY_COMPONENTS}"', 0, "0.47405175473890337 widom 1.26e-11"),
+    (f'cap -e "{TWENTY_COMPONENTS}"', 0, "0.4740517547394138 widom 1.48e-11"),
     # hulls beyond about 9e307, and a subnormal hull, whose half-width
     # neither overflows nor rounds; a subnormal value's est_error is its ulp
     ('cap -e "1e308:1.2e308,1.5e308:1.7e308"', 0, "1.58113883008419e+307 akhiezer 1.78e+294"),

@@ -468,7 +468,7 @@ def test_polynomial_preimages_come_back_within_est_error(d, k):
 
 
 def loop_gap_moment_sums(endpoints, gap, m, jmax):
-    """Gap moment sums one power at a time: the m-interval Lobatto rule and its nested m/2 rule."""
+    """Gap moment sums one power at a time: a dot with the m-interval Lobatto weights and the nested m/2 ones."""
     lo_i, hi_i = 2 * gap + 1, 2 * gap + 2
     lo, hi = endpoints[lo_i], endpoints[hi_i]
     nodes = np.cos(np.arange(m + 1) * np.pi / m)
@@ -477,15 +477,17 @@ def loop_gap_moment_sums(endpoints, gap, m, jmax):
     mask[lo_i] = mask[hi_i] = False
     w = -np.prod(t[:, None] - endpoints[mask], axis=1)
     acc = 1.0 / np.sqrt(w)
-    acc[0] *= 0.5
-    acc[-1] *= 0.5
+    fine = np.full(m + 1, np.pi / m)
+    coarse = np.zeros(m + 1)
+    coarse[::2] = 2.0 * np.pi / m
+    for weights in (fine, coarse):
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
     out = np.empty((2, jmax + 1))
     for j in range(jmax + 1):
-        out[0, j] = acc.sum()
-        out[1, j] = acc[::2].sum()
+        out[0, j] = np.vecdot(acc, fine)
+        out[1, j] = np.vecdot(acc, coarse)
         acc *= t
-    out[0] *= np.pi / m
-    out[1] *= 2.0 * np.pi / m
     return out
 
 
@@ -500,7 +502,7 @@ def test_gap_moment_sums_match_power_loop_bit_for_bit():
                 ep = np.asarray(random_unit_interval_union(rng, n).endpoints(), dtype=float)
                 if shift:
                     ep = 3.0 * ep + 0.7  # off the unit hull
-                for m in (64, 128, 256):
+                for m in (32, 64, 128, 256):
                     want = [loop_gap_moment_sums(ep, gap, m, n - 1) for gap in range(n - 1)]
                     for start, stop in ((0, n - 1), (n // 3, n // 3 + 1), ((n - 1) // 2, n - 1)):
                         got = gap_moment_sums(ep, start, m, n - 1, stop)
@@ -511,6 +513,13 @@ def test_gap_moment_sums_match_power_loop_bit_for_bit():
                     assert gap_moment_sums(ep, gap, m, n - 1)[:, 0].tobytes() == want[gap].tobytes()
             layout = kernels_module._layout(2 * n, 0, n - 1)
             assert not any(a.flags.writeable for a in layout)
+    # range rows equal single-gap rows at every level of the ladder
+    ep = np.asarray(random_unit_interval_union(rng, 11).endpoints(), dtype=float)
+    for m in _LADDER:
+        got = gap_moment_sums(ep, 0, m, 10, 10)
+        for gap in range(10):
+            assert got[:, gap].tobytes() == gap_moment_sums(ep, gap, m, 10)[:, 0].tobytes()
+    assert not special_module._lobatto_weights(_LADDER[0]).flags.writeable
 
 
 def _chebyshev_weight_integral(c, r, j):

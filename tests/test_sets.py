@@ -53,6 +53,10 @@ def test_make_rejects_nonfinite():
         make_interval_union([(0.0, math.inf)])
     with pytest.raises(ValidationError):
         make_interval_union([(math.nan, 1.0)])
+    # integers beyond the float range, which float() cannot convert
+    for pair in ((0, 10**400), (-10**400, 0)):
+        with pytest.raises(ValidationError, match="too large for a float"):
+            make_interval_union([pair])
 
 
 def test_make_rejects_empty():
@@ -80,7 +84,7 @@ def test_make_rejects_malformed_input():
             make_interval_union(pairs)
 
 
-@pytest.mark.parametrize("data", [{"sets": []}, [[0, 1]]])
+@pytest.mark.parametrize("data", [{"sets": []}, [[0, 1]], {"intervals": [[0, 10**400]]}])
 def test_from_json_dict_rejects_malformed_input(data):
     with pytest.raises(ValidationError):
         IntervalUnion.from_json_dict(data)
@@ -92,7 +96,8 @@ def test_json_dict_round_trip():
 
 
 def test_direct_construction_validates():
-    for intervals in ((), ((0.0, 1.0), (0.5, 2.0)), ((0.0, math.inf),), ((1.0, 1.0),)):
+    for intervals in ((), ((0.0, 1.0), (0.5, 2.0)), ((0.0, math.inf),), ((1.0, 1.0),),
+                      ((0, 10**400),), ((-10**400, 0),)):
         with pytest.raises(ValidationError):
             IntervalUnion(intervals)
     for points in ((-1.0,), (-0.5, 1.0), (-1.0, 0.5), (-1.0, 0.2, 0.2, 1.0)):

@@ -13,14 +13,18 @@ import pytest
 from scipy.integrate import quad
 
 from logcap import (
+    CircleArcSet,
     ConvergenceError,
     DomainError,
     SingularMatrixError,
     canonical_set,
     complete_E,
     complete_K,
+    green_value,
     haliste_arcs_capacity,
     incomplete_F,
+    make_interval_union,
+    sector_product_lower,
     solve_dense,
     tail_integral,
     theta3,
@@ -171,8 +175,8 @@ def test_theta_domain():
         theta4(0.0, -0.2)
 
 
-# each returned nan or a value, warned, or raised a bare ValueError or
-# TypeError, before its arguments were checked
+# each returned nan or a value, warned, or raised a bare ValueError,
+# TypeError or OverflowError, before its arguments were checked
 NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     "theta3-z-inf": lambda: theta3(math.inf, 0.1),
     "theta3-z-minus-inf": lambda: theta3(-math.inf, 0.1),
@@ -186,6 +190,17 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     "canonical-set-fractional-count": lambda: canonical_set(1.0, 2.5),
     "uniform-partition-fractional-count": lambda: uniform_measure_partition(2.5),
     "haliste-fractional-count": lambda: haliste_arcs_capacity(1.0, 2.5),
+    # integers beyond the float range raised OverflowError; each fails at
+    # the conversion, before a count could allocate
+    "canonical-set-huge-count": lambda: canonical_set(1.0, 10**400),
+    "uniform-partition-huge-count": lambda: uniform_measure_partition(10**400),
+    "haliste-huge-count": lambda: haliste_arcs_capacity(1.0, 10**400),
+    "green-value-huge-x": lambda: green_value(
+        widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), 10**400),
+    "green-value-huge-negative-x": lambda: green_value(
+        widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), -10**400),
+    "sector-product-huge-angle": lambda: sector_product_lower(
+        CircleArcSet(((0.0, 1.0),)), [0.0, 10**400]),
 }
 
 
