@@ -43,10 +43,11 @@ runs one ascent for both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _brief
 from .sets import (
     CircleArcSet,
     GapPoints,
@@ -134,7 +135,7 @@ def schiefermayr_upper(alpha: float, beta: float) -> float:
 def beurling_arc_capacity(l: float) -> float:
     """Capacity of a single arc of length l; the minimum over closed arc sets of that length."""
     if not 0.0 < l <= 2.0 * math.pi:
-        raise DomainError(f"arc length must lie in (0, 2*pi], got {l}")
+        raise DomainError(f"arc length must lie in (0, 2*pi], got {_brief(l)}")
     return math.sin(l / 4.0)
 
 
@@ -646,10 +647,27 @@ def projection_upper(e: IntervalUnion) -> float:
 
 
 def uniform_measure_partition(n_cells: int) -> Partition:
-    """Partition of [-1, 1] into cells of equal arccos measure."""
+    """Partition of [-1, 1] into cells of equal arccos measure.
+
+    The count is checked on every call; the immutable partition depends
+    on nothing else, so up to _CACHED_CELLS cells it is built once per
+    count and shared by the calls, a set's ``all_bounds`` among them.
+    """
     _check_count(n_cells, "cells")
+    n_cells = int(n_cells)
+    if n_cells > _CACHED_CELLS:
+        return _uniform_partition(n_cells)
+    return _cached_uniform_partition(n_cells)
+
+
+def _uniform_partition(n_cells: int) -> Partition:
     pts = [math.cos(math.pi * (n_cells - k) / n_cells) for k in range(n_cells + 1)]
     return Partition(tuple(pts))
+
+
+# a cached partition holds n_cells + 1 floats; larger ones are built per call
+_CACHED_CELLS = 128
+_cached_uniform_partition = functools.lru_cache(maxsize=32)(_uniform_partition)
 
 
 def all_bounds(e: IntervalUnion) -> list[BoundReport]:

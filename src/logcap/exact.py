@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _brief
 from .sets import IntervalUnion, _check_two_interval, normalize_to_unit
 from .special import (
     _LADDER,
@@ -335,7 +335,7 @@ def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:
     if method == WIDOM:
         return widom_capacity(e)
     if method != AKHIEZER:
-        raise DomainError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {_brief(method)}")
     if e.n != 2:
         raise DomainError("theta-quotient formula needs exactly two intervals")
     norm, scale = normalize_to_unit(e)

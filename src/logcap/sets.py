@@ -17,7 +17,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _brief
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,7 +46,7 @@ class IntervalUnion:
             except OverflowError:
                 raise ValidationError("endpoint too large for a float") from None
             if not finite:
-                raise ValidationError(f"non-finite endpoint in ({a}, {b})")
+                raise ValidationError(f"non-finite endpoint in ({_brief(a)}, {_brief(b)})")
             if a >= b:
                 raise ValidationError(f"reversed or empty interval ({a}, {b})")
             if prev is not None and a <= prev:
@@ -114,7 +114,8 @@ class CircleArcSet:
         prev = None
         for s, e in self.arcs:
             if not (0.0 <= s < e <= TWO_PI):
-                raise ValidationError(f"arc ({s}, {e}) outside [0, 2*pi] or reversed")
+                raise ValidationError(
+                    f"arc ({_brief(s)}, {_brief(e)}) outside [0, 2*pi] or reversed")
             if prev is not None and s < prev:
                 raise ValidationError("arcs must be sorted with disjoint interiors")
             prev = e
@@ -166,7 +167,7 @@ class GapPoints:
             )
         for d, (lo, hi) in zip(self.deltas, e.gaps()):
             if not lo < d < hi:
-                raise DomainError(f"gap point {d} outside open gap ({lo}, {hi})")
+                raise DomainError(f"gap point {_brief(d)} outside open gap ({lo}, {hi})")
 
 
 def make_interval_union(pairs) -> IntervalUnion:
@@ -181,7 +182,7 @@ def make_interval_union(pairs) -> IntervalUnion:
     try:
         pairs = list(pairs)
     except TypeError as exc:
-        raise ValidationError(f"expected a sequence of (a, b) pairs, got {pairs!r}") from exc
+        raise ValidationError(f"expected a sequence of (a, b) pairs, got {_brief(pairs)}") from exc
     if not pairs:
         raise ValidationError("need at least one interval")
     cleaned = []
@@ -192,7 +193,7 @@ def make_interval_union(pairs) -> IntervalUnion:
         except OverflowError:
             raise ValidationError("endpoint too large for a float") from None
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"not an interval pair: {pair!r}") from exc
+            raise ValidationError(f"not an interval pair: {_brief(pair)}") from exc
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError(f"non-finite endpoint in ({a}, {b})")
         if a >= b:
@@ -229,21 +230,22 @@ def _require_unit_hull(e: IntervalUnion) -> None:
 def _check_two_interval(alpha: float, beta: float) -> None:
     if not (-1.0 < alpha < beta < 1.0):
         raise DomainError(
-            f"need -1 < alpha < beta < 1 for [-1,alpha] u [beta,1], got ({alpha}, {beta})"
+            "need -1 < alpha < beta < 1 for [-1,alpha] u [beta,1], "
+            f"got ({_brief(alpha)}, {_brief(beta)})"
         )
 
 
 def _check_count(n: int, what: str) -> None:
     """Raise DomainError unless n is a positive whole number within the float range."""
     if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"need a positive whole number of {what}, got {n!r}")
+        raise DomainError(f"need a positive whole number of {what}, got {_brief(n)}")
     if n > sys.float_info.max:
         raise DomainError(f"too many {what} for a float")
 
 
 def _check_arc_family(l: float, n: int) -> None:
     if not 0.0 < l < TWO_PI:
-        raise DomainError(f"total arc length must lie in (0, 2*pi), got {l}")
+        raise DomainError(f"total arc length must lie in (0, 2*pi), got {_brief(l)}")
     _check_count(n, "arcs")
 
 
@@ -280,10 +282,19 @@ def chebyshev_measure(e: IntervalUnion) -> float:
 def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
     """Affine image of e with hull exactly [-1, 1], plus the half-width scale.
 
-    Capacity transforms as cap(e) = scale * cap(normalized).  Raises
-    ValidationError when a component or gap is narrower than the rounding
-    at the hull's scale, so that its mapped ends coincide or cross.
+    Capacity transforms as cap(e) = scale * cap(normalized).  A set with
+    hull [-1, 1] and float endpoints, as ``make_interval_union`` builds
+    it, is returned as is, with scale 1.0: the map below is then the
+    identity bit for bit (k = 0, centre 0, half-width 1), so ``capacity``
+    and ``all_bounds`` skip its endpoint list, its 2n scaled divisions
+    and the rebuilt union.  Other endpoint types (an ``IntervalUnion``
+    built directly from Decimals, say) still go through the map, which
+    returns floats.  Raises ValidationError when a component or gap is
+    narrower than the rounding at the hull's scale, so that its mapped
+    ends coincide or cross.
     """
+    if e.is_unit_hull() and all(type(a) is float and type(b) is float for a, b in e.intervals):
+        return e, 1.0
     ends = e.endpoints()
     # scaled by 2**k, the hull's larger end lies in [1, 2): the half-width and
     # centre neither overflow near 1e308 nor round off the last bits of a

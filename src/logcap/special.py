@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularMatrixError
+from .errors import ConvergenceError, DomainError, SingularMatrixError, _brief
 
 _AGM_MAX_ITERS = 40
 _THETA_TERM_TOL = 1e-16
@@ -51,7 +51,7 @@ class QuadratureResult:
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, by AGM iteration."""
     if not 0.0 <= k < 1.0:
-        raise DomainError(f"modulus must lie in [0, 1), got {k}")
+        raise DomainError(f"modulus must lie in [0, 1), got {_brief(k)}")
     return _complete_K_of_kp(math.sqrt((1.0 - k) * (1.0 + k)))
 
 
@@ -83,7 +83,7 @@ def _complete_K_of_kp(kp: float) -> float:
 def complete_E(k: float) -> float:
     """Complete elliptic integral of the second kind, by AGM with partial sums."""
     if not 0.0 <= k <= 1.0:
-        raise DomainError(f"modulus must lie in [0, 1], got {k}")
+        raise DomainError(f"modulus must lie in [0, 1], got {_brief(k)}")
     if k == 1.0:
         return 1.0
     a, s = _agm(math.sqrt((1.0 - k) * (1.0 + k)), 0.5 * k * k)
@@ -112,9 +112,9 @@ def incomplete_F(lam: float, k: float) -> float:
     incomplete_F(1, k) == complete_K(k).
     """
     if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"sine of amplitude must lie in [0, 1], got {lam}")
+        raise DomainError(f"sine of amplitude must lie in [0, 1], got {_brief(lam)}")
     if not 0.0 <= k < 1.0:
-        raise DomainError(f"modulus must lie in [0, 1), got {k}")
+        raise DomainError(f"modulus must lie in [0, 1), got {_brief(k)}")
     if lam == 0.0:
         return 0.0
     return lam * _carlson_rf((1.0 - lam) * (1.0 + lam), 1.0 - (k * lam) ** 2, 1.0)
@@ -123,7 +123,7 @@ def incomplete_F(lam: float, k: float) -> float:
 def _theta(z: float, q: float, sign: float) -> float:
     # 1 + 2 sum_m sign^m q^(m^2) cos(2 m z); the +-1 factors are exact
     if not 0.0 <= q < 1.0:
-        raise DomainError(f"nome must lie in [0, 1), got {q}")
+        raise DomainError(f"nome must lie in [0, 1), got {_brief(q)}")
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got {z}")
     total = 1.0

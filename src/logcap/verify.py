@@ -23,7 +23,7 @@ from .bounds import (
     solynin_lower,
     uniform_measure_partition,
 )
-from .errors import DomainError
+from .errors import DomainError, _brief
 from .exact import akhiezer_capacity, capacity, widom_capacity
 from .sets import GapPoints, IntervalUnion, canonical_set, make_interval_union
 
@@ -169,7 +169,7 @@ def dominance_suite(seed: int) -> SuiteResult:
 def _check_count(count) -> None:
     """Raise DomainError unless ``count`` is a whole number >= 0."""
     if not (isinstance(count, numbers.Integral) and count >= 0):
-        raise DomainError(f"count must be a whole number >= 0, got {count!r}")
+        raise DomainError(f"count must be a whole number >= 0, got {_brief(count)}")
 
 
 def run_verify(seed: int = 1, count: int = 200) -> tuple[str, bool]:
@@ -185,7 +185,7 @@ def run_verify(seed: int = 1, count: int = 200) -> tuple[str, bool]:
         dominance_suite(seed),
         cross_method_suite(seed, min(count, 100)),
     ]
-    lines = [f"logcap verify: seed={seed} count={count}"]
+    lines = [f"logcap verify: seed={_brief(seed)} count={count}"]
     for s in suites:
         lines.append(s.line())
         lines.extend(f"    {note}" for note in s.notes)

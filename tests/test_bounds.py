@@ -1399,3 +1399,73 @@ def test_uniform_measure_partition():
     mus = [math.acos(lo) - math.acos(hi) for lo, hi in p.cells()]
     for mu in mus:
         assert mu == pytest.approx(math.pi / 4, abs=1e-14)
+
+
+def test_uniform_measure_partition_is_built_once_per_count():
+    for n in range(1, 41):
+        p = uniform_measure_partition(n)
+        assert uniform_measure_partition(n) is p
+        want = [math.cos(math.pi * (n - k) / n) for k in range(n + 1)]
+        assert [x.hex() for x in p.points] == [x.hex() for x in want], n
+    # a numpy count shares the partition of the equal int
+    assert uniform_measure_partition(np.int64(7)) is uniform_measure_partition(7)
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, 10**400])
+def test_uniform_measure_partition_rejects_a_count_on_every_call(count):
+    # a rejected count is checked before the cache, so it is never stored
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            uniform_measure_partition(count)
+
+
+def circle_capacity(e):
+    """cap(F) of the symmetric preimage F of a unit-hull e, by Robinson's formula cap(F)^2 = 2 cap(e).
+
+    Returns the values at cap(e) -+ its est_error.
+    """
+    res = capacity(e)
+    return math.sqrt(2.0 * (res.value - res.est_error)), math.sqrt(2.0 * (res.value + res.est_error))
+
+
+def random_arc_sets(count):
+    rng = random.Random(11)
+    return [random_unit_interval_union(rng, 2 + i % 19, min_seg=0.02) for i in range(count)]
+
+
+def test_partition_bound_is_the_halved_square_of_the_sector_product():
+    # Robinson's formula on the bounds: a partition of [-1, 1] lifts to the
+    # sectors of its arccos angles and their mirror images, each cell
+    # giving two sectors of half its cell term's exponent.  A partition
+    # with a cell that misses the set gives 0 on both sides and is skipped.
+    # The sector side takes arc lengths as differences of angles, so a cell
+    # that only just meets the set costs it digits: 1.6e-14 at a cell with
+    # mu / M = 0.007, where partition_lower is within 1e-16 of mpmath
+    rng = random.Random(12)
+    checked = 0
+    for e in random_arc_sets(180):
+        for _ in range(2):
+            inner = {rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, e.n + 2))}
+            p = Partition((-1.0, *sorted(inner - {-1.0}), 1.0))
+            upper = [math.acos(x) for x in reversed(p.points)]
+            angles = upper + [2.0 * math.pi - th for th in reversed(upper[:-1])]
+            want = 0.5 * sector_product_lower(circle_preimage(e), angles) ** 2
+            got = partition_lower(e, p)
+            if got == 0.0:
+                assert want == 0.0
+                continue
+            checked += 1
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (e.intervals, p.points)
+    assert checked >= 200
+
+
+def test_beurling_and_haliste_bracket_the_capacity_of_the_preimage():
+    for e in random_arc_sets(180):
+        f = circle_preimage(e)
+        # an arc through angle 0 is stored split there; count it once
+        k = len(f.arcs) - (f.arcs[0][0] == 0.0 and f.arcs[-1][1] == 2.0 * math.pi)
+        assert k == 2 * e.n - 2
+        lo, hi = circle_capacity(e)
+        l = f.total_length()
+        assert beurling_arc_capacity(l) <= hi * (1.0 + 1e-14), e.intervals
+        assert lo * (1.0 - 1e-14) <= haliste_arcs_capacity(l, k), e.intervals

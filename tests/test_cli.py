@@ -353,6 +353,13 @@ def test_run_verify_rejects_a_bad_count_before_any_suite(monkeypatch, count):
         verify.run_verify(1, count)
 
 
+def test_run_verify_reports_a_seed_too_long_to_print():
+    # the report's first line named the seed, and Python refuses to print
+    # an integer of more than 4300 digits: a bare ValueError after every suite ran
+    report, ok = verify.run_verify(10**5000, 0)
+    assert report.startswith("logcap verify: seed=<int of 5001 digits> count=0\n") and ok
+
+
 def test_verify_domain_error_in_a_suite_exit_1(capsys, monkeypatch):
     """Only the count is a bad argument: a suite's DomainError keeps exit 1."""
     def failing_suite(*args):

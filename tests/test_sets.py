@@ -2,8 +2,11 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from logcap import (
@@ -18,6 +21,7 @@ from logcap import (
     normalize_to_unit,
     project_to_real_axis,
 )
+from logcap.errors import _brief
 from logcap.sets import TWO_PI, CircleArcSet, IntervalUnion, Partition
 from logcap.verify import equality_gap_points, random_unit_interval_union
 
@@ -82,6 +86,31 @@ def test_make_rejects_malformed_input():
     for pairs in (3, [1, 2], [(0.0, 1.0, 2.0)], [(0.0,)], [(0.0, "x")], "ab"):
         with pytest.raises(ValidationError):
             make_interval_union(pairs)
+
+
+# each raised a bare ValueError: Python refuses to print an integer of more
+# than 4300 digits, and the error message named it
+UNPRINTABLE_INPUTS = {
+    "pair-of-three": lambda: make_interval_union([(0, 1, 10**5000)]),
+    "not-a-sequence": lambda: make_interval_union(10**5000),
+    "nan-beside-huge-endpoint": lambda: IntervalUnion(((math.nan, 10**5000),)),
+    "arc-end": lambda: CircleArcSet(((0.0, 10**5000),)),
+}
+
+
+@pytest.mark.parametrize("case", list(UNPRINTABLE_INPUTS))
+def test_unprintable_integers_raise_validation_error(case):
+    with pytest.raises(ValidationError):
+        UNPRINTABLE_INPUTS[case]()
+
+
+def test_brief_shows_an_unprintable_integer_by_its_digit_count():
+    assert _brief(-(10**4299)) == repr(-(10**4299))
+    assert _brief(10**4300) == "<int of 4301 digits>"
+    assert _brief(10**4300 - 1) == repr(10**4300 - 1)  # 4300 digits print
+    assert _brief(-(10**5000) + 1) == "<negative int of 5000 digits>"
+    assert _brief(-(10**5000)) == "<negative int of 5001 digits>"
+    assert _brief([1, 10**5000]) == "<list holding an integer too long to print>"
 
 
 @pytest.mark.parametrize("data", [{"sets": []}, [[0, 1]], {"intervals": [[0, 10**400]]}])
@@ -171,6 +200,69 @@ def test_normalize_examples():
     assert scale == 2.0
     assert out.intervals[0] == (-1.0, -0.5)
     assert out.intervals[1] == (0.5, 1.0)
+
+
+def _general_map(e):
+    """The map of ``normalize_to_unit`` onto hull [-1, 1], without its unit-hull shortcut."""
+    ends = e.endpoints()
+    k = 1 - math.frexp(max(abs(ends[0]), abs(ends[-1])))[1]
+    lo, hi = math.ldexp(ends[0], k), math.ldexp(ends[-1], k)
+    half, center = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    mapped = [(math.ldexp(x, k) - center) / half for x in ends]
+    mapped[0], mapped[-1] = -1.0, 1.0
+    return tuple(zip(mapped[::2], mapped[1::2])), math.ldexp(half, -k)
+
+
+def _unit_hull_sets(rng, count):
+    """Seeded unit-hull sets, some with components a few ulp wide or subnormal endpoints."""
+    sets = []
+    for i in range(count):
+        n = rng.randint(2, 8)
+        pts = set()
+        while len(pts) < 2 * n - 2:
+            kind = rng.randrange(4)
+            if kind == 0:  # subnormal, of either sign, or a signed zero
+                x = rng.choice((-1.0, 1.0)) * rng.randrange(0, 1000) * 5e-324
+            else:
+                x = rng.uniform(-0.999, 0.999)
+            pts.add(x)
+            if kind == 1 and len(pts) < 2 * n - 2:  # a point a few ulp above it
+                for _ in range(rng.randint(1, 4)):
+                    x = math.nextafter(x, 1.0)
+                pts.add(x)
+        pts = sorted(pts)
+        ends = [-1.0, *pts, 1.0]
+        sets.append(make_interval_union(list(zip(ends[::2], ends[1::2]))))
+    return sets
+
+
+def test_normalize_returns_a_unit_hull_set_as_is():
+    rng = random.Random(32)
+    sets = _unit_hull_sets(rng, 200)
+    assert any(0.0 < abs(a) < 2.2e-308 for e in sets for a in e.endpoints())
+    assert any(math.nextafter(a, b) != b and b - a <= 4 * math.ulp(a)
+               for e in sets for a, b in e.intervals)
+    for e in sets:
+        out, scale = normalize_to_unit(e)
+        assert out is e and scale == 1.0 and type(scale) is float
+        # the general map gives the same bits: the shortcut moves no value
+        mapped, general_scale = _general_map(e)
+        assert [x.hex() for iv in mapped for x in iv] == [x.hex() for x in e.endpoints()]
+        assert general_scale == 1.0
+
+
+def test_normalize_maps_other_endpoint_types_to_floats():
+    # only a union of floats is returned as is; a directly built one with
+    # other number types keeps its old route and comes back as floats
+    for e in (IntervalUnion(((Decimal(-1), Decimal(0)), (Decimal("0.5"), Decimal(1)))),
+              IntervalUnion(((Fraction(-1), Fraction(0)), (Fraction(1, 2), Fraction(1)))),
+              IntervalUnion(((np.float64(-1), np.float64(0)), (np.float64(0.5), np.float64(1)))),
+              IntervalUnion(((-1, 0), (0.5, 1)))):
+        out, scale = normalize_to_unit(e)
+        assert all(type(x) is float for x in out.endpoints()), e
+        assert out.intervals == ((-1.0, 0.0), (0.5, 1.0)) and scale == 1.0
+    e = IntervalUnion(((Decimal(-1), Decimal("-0.2")), (Decimal("0.3"), Decimal(1))))
+    assert capacity(e).value == capacity(make_interval_union(e.intervals)).value
 
 
 def test_normalize_round_trip():

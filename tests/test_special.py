@@ -16,8 +16,12 @@ from logcap import (
     CircleArcSet,
     ConvergenceError,
     DomainError,
+    GapPoints,
     SingularMatrixError,
+    akhiezer_capacity,
+    beurling_arc_capacity,
     canonical_set,
+    capacity,
     complete_E,
     complete_K,
     green_value,
@@ -34,7 +38,7 @@ from logcap import (
 from logcap import exact as exact_module
 from logcap import widom_polynomial
 from logcap.special import EllipticParams, _fejer_rule, _half_line, _half_line_level
-from logcap.verify import random_unit_interval_union
+from logcap.verify import random_unit_interval_union, run_verify
 
 
 def k_integral_oracle(k, phi=math.pi / 2):
@@ -201,6 +205,24 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
         widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), -10**400),
     "sector-product-huge-angle": lambda: sector_product_lower(
         CircleArcSet(((0.0, 1.0),)), [0.0, 10**400]),
+    # integers too long for Python to print (over 4300 digits) raised a bare
+    # ValueError from the error message that named them
+    "uniform-partition-unprintable-count": lambda: uniform_measure_partition(-10**5000),
+    "canonical-set-unprintable-count": lambda: canonical_set(1.0, -10**5000),
+    "verify-unprintable-count": lambda: run_verify(count=-10**5000),
+    "canonical-set-unprintable-length": lambda: canonical_set(10**5000, 3),
+    "haliste-unprintable-length": lambda: haliste_arcs_capacity(-10**5000, 3),
+    "beurling-unprintable-length": lambda: beurling_arc_capacity(10**5000),
+    "complete-k-unprintable-modulus": lambda: complete_K(10**5000),
+    "complete-e-unprintable-modulus": lambda: complete_E(-10**5000),
+    "incomplete-f-unprintable-sine": lambda: incomplete_F(10**5000, 0.5),
+    "incomplete-f-unprintable-modulus": lambda: incomplete_F(0.5, 10**5000),
+    "theta-unprintable-nome": lambda: theta3(0.0, 10**5000),
+    "akhiezer-unprintable-alpha": lambda: akhiezer_capacity(10**5000, 0.5),
+    "capacity-unprintable-method": lambda: capacity(
+        make_interval_union([(-1.0, -0.5), (0.5, 1.0)]), method=10**5000),
+    "gap-point-unprintable": lambda: GapPoints((10**5000,)).validate_for(
+        make_interval_union([(-1.0, -0.5), (0.5, 1.0)])),
 }
 
 
