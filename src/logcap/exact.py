@@ -183,7 +183,10 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     moments, nodes = _moment_vectors(e)
     mat, last = moments[:, : n - 1], moments[:, n - 1]
     c = solve_dense(mat, -last)
-    # vecdot runs numpy's dot kernel row by row, as mom[: n - 1] @ c does
+    # the residuals' last bits, and est_error's, depend on the layout of
+    # mat: the kernel returns the moments with the gap axis contiguous, and
+    # vecdot rounds those strided rows otherwise than it rounds a contiguous
+    # copy of them, and otherwise than mat @ c does
     residuals = last + np.vecdot(mat, c)
     return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
 

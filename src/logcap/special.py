@@ -33,12 +33,22 @@ class EllipticParams:
     omega: float
 
     def __post_init__(self):
-        if not abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) <= 1e-14:
+        # an integer beyond the float range fails the check in which it
+        # first meets a float (OverflowError)
+        try:
+            moduli = abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) <= 1e-14
+        except OverflowError:
+            moduli = False
+        if not moduli:
             raise DomainError("moduli must satisfy k^2 + k'^2 = 1")
         if not 0.0 <= self.q < 1.0:
-            raise DomainError(f"nome must lie in [0, 1), got {self.q}")
-        if not math.isfinite(self.omega):
-            raise DomainError(f"angle must be finite, got {self.omega}")
+            raise DomainError(f"nome must lie in [0, 1), got {_brief(self.q)}")
+        try:
+            finite = math.isfinite(self.omega)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"angle must be finite, got {_brief(self.omega)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +134,12 @@ def _theta(z: float, q: float, sign: float) -> float:
     # 1 + 2 sum_m sign^m q^(m^2) cos(2 m z); the +-1 factors are exact
     if not 0.0 <= q < 1.0:
         raise DomainError(f"nome must lie in [0, 1), got {_brief(q)}")
-    if not math.isfinite(z):
-        raise DomainError(f"argument must be finite, got {z}")
+    try:
+        finite = math.isfinite(z)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"argument must be finite, got {_brief(z)}")
     total = 1.0
     qm = q  # q^(m^2)
     qstep = q * q * q  # q^(2m+1)
@@ -245,8 +259,15 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     Raises DomainError, before any evaluation, unless tol > 0 and b and
     width are finite, width > 0.
     """
-    if not (tol > 0.0 and math.isfinite(b) and 0.0 < width < math.inf):
-        raise DomainError(f"need tol > 0, b finite and 0 < width < inf, got {tol}, {b}, {width}")
+    try:
+        # tol + 0.0 and math.isfinite raise OverflowError on an integer
+        # beyond the float range, which the ladder could not compare
+        valid = tol + 0.0 > 0.0 and math.isfinite(b) and width > 0.0 and math.isfinite(width)
+    except OverflowError:
+        valid = False
+    if not valid:
+        raise DomainError("need tol > 0, b finite and 0 < width < inf, got "
+                          f"{_brief(tol)}, {_brief(b)}, {_brief(width)}")
     span = abs(x - b)
     w = min(span, width)
     step = w if x > b else -w
@@ -294,8 +315,11 @@ def solve_dense(mat, rhs) -> np.ndarray:
     Raises SingularMatrixError when sigma_min(M) <= 1e-13 sigma_max(M), a
     test independent of the scale of M, or when LAPACK meets a zero pivot.
     """
-    m = np.array(mat, dtype=float)
-    v = np.array(rhs, dtype=float).ravel()
+    try:
+        m = np.array(mat, dtype=float)
+        v = np.array(rhs, dtype=float).ravel()
+    except OverflowError:
+        raise DomainError("matrix or right-hand side entry too large for a float") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"matrix must be square, got shape {m.shape}")
     if v.size != m.shape[0]:

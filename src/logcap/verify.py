@@ -157,7 +157,7 @@ def dominance_suite(seed: int) -> SuiteResult:
     rng = random.Random(seed + 2)
     for _ in range(50):
         e = random_unit_interval_union(rng, 3)
-        deltas = GapPoints(tuple(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+        deltas = GapPoints(tuple(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
                                  for lo, hi in e.gaps()))
         interior = [0.5 * (a + b) for a, b in e.intervals[1:-1]]
         v_gap = gap_division_lower(e, deltas)

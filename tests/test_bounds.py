@@ -51,6 +51,7 @@ from logcap.bounds import (
 )
 from logcap.verify import (
     DOMINANCE_SLACK,
+    EQUALITY_TOL,
     SANDWICH_SLACK,
     equality_gap_points,
     random_unit_interval_union,
@@ -533,7 +534,7 @@ def test_gap_division_below_exact():
         exact = widom_capacity(e).value
         deltas = tuple(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
                        for lo, hi in e.gaps())
-        assert gap_division_lower(e, GapPoints(deltas)) <= exact + 1e-9
+        assert gap_division_lower(e, GapPoints(deltas)) <= exact + SANDWICH_SLACK
 
 
 def test_gap_division_max_symmetric_argmax():
@@ -546,7 +547,7 @@ def test_gap_division_max_symmetric_argmax():
 def test_gap_division_max_beats_two_interval_bound():
     e = two_interval(-0.3, 0.5)
     val, _ = gap_division_lower_max(e)
-    assert val >= schiefermayr_lower(-0.3, 0.5) - 1e-10
+    assert val >= schiefermayr_lower(-0.3, 0.5) - DOMINANCE_SLACK
 
 
 def test_solynin_reduces_to_gap_division_for_two_intervals():
@@ -591,7 +592,7 @@ def test_solynin_never_beats_gap_division():
                                  for lo, hi in e.gaps()))
         interior = [rng.uniform(a + 0.2 * (b - a), b - 0.2 * (b - a))
                     for a, b in e.intervals[1:-1]]
-        assert gap_division_lower(e, deltas) >= solynin_lower(e, deltas, interior) - 1e-10
+        assert gap_division_lower(e, deltas) >= solynin_lower(e, deltas, interior) - DOMINANCE_SLACK
 
 
 def test_solynin_max_reaches_equality_on_symmetric_pair():
@@ -1274,7 +1275,7 @@ def test_projection_upper_dominates_exact():
     rng = random.Random(79)
     for _ in range(20):
         e = random_unit_interval_union(rng, 3)
-        assert projection_upper(e) >= widom_capacity(e).value - 1e-9
+        assert projection_upper(e) >= widom_capacity(e).value - SANDWICH_SLACK
 
 
 def test_projection_upper_from_arc_maximum():
@@ -1348,7 +1349,7 @@ def test_all_bounds_equality_collapse_on_symmetric_set():
     reports = {r.name: r.value for r in all_bounds(sym_pair(0.5))}
     for name in ("schiefermayr_lower", "solynin_lower", "partition_uniform_lower",
                  "gap_division_lower", "polarization_upper", "projection_upper"):
-        assert reports[name] == pytest.approx(SYM, abs=1e-8), name
+        assert reports[name] == pytest.approx(SYM, abs=EQUALITY_TOL), name
 
 
 def test_all_bounds_sandwich_randomized():
@@ -1358,9 +1359,9 @@ def test_all_bounds_sandwich_randomized():
         exact = capacity(e).value
         for rep in all_bounds(e):
             if rep.kind == "lower":
-                assert rep.value <= exact + 1e-9, rep.name
+                assert rep.value <= exact + SANDWICH_SLACK, rep.name
             else:
-                assert rep.value >= exact - 1e-9, rep.name
+                assert rep.value >= exact - SANDWICH_SLACK, rep.name
 
 
 def affine_image(rng, e):

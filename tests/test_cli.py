@@ -244,9 +244,9 @@ def test_sweep_moving_gap(tmp_path, capsys):
         cells = [float(x) for x in line.split(",")]
         exact = cells[1]
         for i in lower_idx:
-            assert cells[i] <= exact + 1e-9
+            assert cells[i] <= exact + SANDWICH_SLACK
         for i in upper_idx:
-            assert cells[i] >= exact - 1e-9
+            assert cells[i] >= exact - SANDWICH_SLACK
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):

@@ -29,7 +29,7 @@ from logcap import exact as exact_module
 from logcap import special as special_module
 from logcap._kernels import gap_moment_sums
 from logcap.exact import _LADDER, _MOMENT_TOL, _moment_vectors
-from logcap.verify import SANDWICH_SLACK, random_unit_interval_union
+from logcap.verify import SANDWICH_SLACK, cross_method_suite, random_unit_interval_union
 
 from gauss_moments import gauss_gap_moment_sums, gauss_moment_ladder
 from preimages import polynomial_preimage
@@ -163,14 +163,9 @@ def test_widom_symmetric_values():
 
 
 def test_cross_method_agreement():
-    rng = random.Random(101)
-    for _ in range(100):
-        alpha = rng.uniform(-0.95, 0.89)
-        beta = rng.uniform(alpha + 0.05, 0.95)
-        e = make_interval_union([(-1.0, alpha), (beta, 1.0)])
-        va = akhiezer_capacity(alpha, beta).value
-        vw = widom_capacity(e).value
-        assert abs(va - vw) <= 1e-8
+    # 100 two-interval sets from Random(101), the suite drawing from seed + 1
+    res = cross_method_suite(100, 100)
+    assert res.ok, res.notes
 
 
 def test_scaling_law():
@@ -946,6 +941,11 @@ BAD_HALF_LINE_CALLS = {
     "tail-width-inf": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=math.inf),
     "tail-width-minus-inf": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=-math.inf),
     "tail-width-0": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=0.0),
+    # integers beyond the float range raised OverflowError, the tol one
+    # only after the first level's evaluations
+    "tail-unprintable-b": lambda model, h: exact_module.tail_integral(h, 10**5000, 1e-10),
+    "tail-unprintable-tol": lambda model, h: exact_module.tail_integral(h, 1.0, 10**5000),
+    "tail-unprintable-width": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, 10**5000),
     "green-tol-nan": lambda model, h: green_value(model, 3.0, tol=math.nan),
     "green-tol-0": lambda model, h: green_value(model, 3.0, tol=0.0),
     "green-tol-minus-1": lambda model, h: green_value(model, 3.0, tol=-1.0),

@@ -223,6 +223,13 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
         make_interval_union([(-1.0, -0.5), (0.5, 1.0)]), method=10**5000),
     "gap-point-unprintable": lambda: GapPoints((10**5000,)).validate_for(
         make_interval_union([(-1.0, -0.5), (0.5, 1.0)])),
+    # and these, but for the nome, raised OverflowError
+    "theta3-unprintable-z": lambda: theta3(10**5000, 0.1),
+    "theta4-unprintable-z": lambda: theta4(-10**5000, 0.1),
+    "elliptic-params-unprintable-k": lambda: EllipticParams(10**5000, 0.5, 0.5, 0.0),
+    "elliptic-params-unprintable-omega": lambda: EllipticParams(1.0, 0.0, 0.5, 10**5000),
+    "elliptic-params-unprintable-nome": lambda: EllipticParams(1.0, 0.0, 10**5000, 0.0),
+    "solve-unprintable-entry": lambda: solve_dense([[10**5000]], [1.0]),
 }
 
 

@@ -4,7 +4,8 @@ Random sets at n >= 3 have no closed form, so here each `est_error` of
 ``widom_capacity`` is checked against ``widom_mp.widom_capacity_mp`` on a
 small fixed pool: ordinary random sets, a narrow gap, an off-hull affine
 image, and three sets with an interior component 2e-5..2e-4 wide whose
-error exceeds their `est_error` today.
+error exceeds their `est_error` today.  The reference itself is checked
+against the canonical closed form and the polynomial-preimage one.
 """
 
 import functools
@@ -12,11 +13,13 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from logcap import canonical_set, make_interval_union, widom_capacity
 from logcap.verify import random_unit_interval_union
 
+from preimages import polynomial_preimage
 from widom_mp import widom_capacity_mp
 
 
@@ -75,3 +78,12 @@ def test_mpmath_reference_matches_the_canonical_closed_form():
         e = canonical_set(l, arcs)
         want = mpmath.mpf(0.5) * mpmath.sin(mpmath.mpf(l) / 4) ** (mpmath.mpf(2) / arcs)
         assert abs(reference(e.intervals) - want) < 1e-15, (l, arcs)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("k", range(3))
+def test_mpmath_reference_brackets_the_polynomial_preimage_closed_form(d, k):
+    # cap(E_in) <= cap(E) <= cap(E_out); here (2|c|)^(-1/d) lies 4e-16..1.3e-15
+    # (relative) inside either end
+    e_in, e_out, cap = polynomial_preimage(np.random.default_rng([5, d, k]), d)
+    assert reference(e_in.intervals) <= cap <= reference(e_out.intervals)
