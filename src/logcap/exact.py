@@ -117,14 +117,13 @@ def _gap_runs(gaps: list[int], size: int) -> list[list[int]]:
     return runs
 
 
-def _converged(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Which rows of a level pass: the two rules agree to _MOMENT_TOL relative to max(1, largest moment)."""
-    return (abs(fine - coarse).max(axis=1)
-            < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1)))
+def _converged(fine: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Which rows of a level pass, diff = |fine - coarse|: below _MOMENT_TOL relative to max(1, largest moment)."""
+    return diff.max(axis=1) < _MOMENT_TOL * np.maximum(1.0, abs(fine).max(axis=1))
 
 
 def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
-    """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap.
+    """Converged gap moment integrals S_j = int t^j / sqrt(q), j = 0..n-1, a row per gap (n >= 2).
 
     Also returns the largest Lobatto interval count m any gap needed.  The
     ladder, ``special._LADDER``, climbs level by level from m = 32, where
@@ -134,7 +133,12 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     (128 at m = 32), so it holds no more nodes than one gap at the cap.
     Up to that many gaps the first level is one call over all of them,
     whose rows are returned as they are when every gap passes; otherwise
-    the pending gaps go on from the second level.
+    the pending gaps go on from the second level.  Whatever the path, the
+    rows come back as the kernel lays them out, the gap axis contiguous,
+    which the residuals' last bits depend on.  The first level forms
+    |fine - coarse| once; when its largest entry is below _MOMENT_TOL,
+    every gap passes, since no row's bound is smaller, and the per-row
+    maxima are skipped.
     Raises ConvergenceError, naming the lowest such gap, when a gap's
     m-interval and m/2-interval rules still disagree at the cap.  A node
     that rounds onto an endpoint makes a level inf or nan, which the test
@@ -147,7 +151,10 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     with np.errstate(divide="ignore", invalid="ignore"):
         if n - 1 <= _LADDER[-1] // m:
             out, coarse = _kernels.gap_moment_sums(ep, 0, m, n - 1, n - 1)
-            pending = np.flatnonzero(~_converged(out, coarse))
+            diff = abs(out - coarse)
+            if diff.max() < _MOMENT_TOL:  # a nan fails here and in the per-row test
+                return out, m
+            pending = np.flatnonzero(~_converged(out, diff))
             if not pending.size:
                 return out, m
             rungs = _LADDER[1:]
@@ -157,7 +164,7 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
             runs = _gap_runs(pending.tolist(), _LADDER[-1] // m)
             sums = [_kernels.gap_moment_sums(ep, start, m, n - 1, stop) for start, stop in runs]
             fine, coarse = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
-            done = _converged(fine, coarse)
+            done = _converged(fine, abs(fine - coarse))
             out[pending[done]] = fine[done]
             pending = pending[~done]
             if not pending.size:
@@ -268,7 +275,7 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     model = widom_polynomial(norm)
     quad = _robin_quad(model)
     cap = math.exp(-quad.value)
-    resid = sum(abs(r) for r in model.gap_residuals)
+    resid = sum(map(abs, model.gap_residuals))
     est = cap * (quad.est_error + 10.0 * resid) + 1e-15
     value = scale * cap
     return CapacityResult(value, WIDOM, max(scale * est, math.ulp(value)))

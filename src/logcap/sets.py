@@ -31,7 +31,12 @@ class IntervalUnion:
 
     Invariants: at least one interval, all endpoints finite, and
     a_1 < b_1 < a_2 < ... < a_n < b_n.  Use :func:`make_interval_union` to
-    build one from unordered or touching input pairs.
+    build one from unordered or touching input pairs.  The constructor
+    checks them; ``make_interval_union`` and ``normalize_to_unit`` build
+    their result through ``_unchecked_union`` instead, without that second
+    walk over the endpoints, because each has already established them:
+    the first by its per-pair checks and merge, the second by its check
+    that the mapped endpoints strictly increase.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -64,9 +69,8 @@ class IntervalUnion:
     def endpoints(self) -> list[float]:
         """Flat [a_1, b_1, ..., a_n, b_n]."""
         out = []
-        for a, b in self.intervals:
-            out.append(a)
-            out.append(b)
+        for pair in self.intervals:
+            out += pair
         return out
 
     def gaps(self) -> list[tuple[float, float]]:
@@ -96,6 +100,13 @@ class IntervalUnion:
         except (TypeError, KeyError) as exc:
             raise ValidationError("expected {'intervals': [[a, b], ...]}") from exc
         return make_interval_union(pairs)
+
+
+def _unchecked_union(intervals: tuple[tuple[float, float], ...]) -> IntervalUnion:
+    """An IntervalUnion of ``intervals``, which must already hold its invariants, left unchecked."""
+    e = object.__new__(IntervalUnion)
+    object.__setattr__(e, "intervals", intervals)
+    return e
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,7 @@ def make_interval_union(pairs) -> IntervalUnion:
         first[0] = -1.0
     if abs(last[1] - 1.0) < _SNAP_TOL and last[0] < 1.0:
         last[1] = 1.0
-    return IntervalUnion(tuple((a, b) for a, b in merged))
+    return _unchecked_union(tuple((a, b) for a, b in merged))
 
 
 def _require_unit_subset(e: IntervalUnion) -> None:
@@ -313,7 +324,7 @@ def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
                 f"than the rounding at the hull's scale (half-width {scale:.6g}): it collapses "
                 f"when mapped onto [-1, 1]"
             )
-    return IntervalUnion(tuple(zip(mapped[::2], mapped[1::2]))), scale
+    return _unchecked_union(tuple(zip(mapped[::2], mapped[1::2]))), scale
 
 
 def _project_arc(s: float, e: float) -> tuple[float, float]:

@@ -316,8 +316,9 @@ def solve_dense(mat, rhs) -> np.ndarray:
     test independent of the scale of M, or when LAPACK meets a zero pivot.
     """
     try:
-        m = np.array(mat, dtype=float)
-        v = np.array(rhs, dtype=float).ravel()
+        # views, not copies: the LAPACK wrappers copy their input anyway
+        m = np.asarray(mat, dtype=float)
+        v = np.asarray(rhs, dtype=float).ravel()
     except OverflowError:
         raise DomainError("matrix or right-hand side entry too large for a float") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

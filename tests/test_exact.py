@@ -595,6 +595,35 @@ def test_level_synchronous_ladder_matches_the_per_gap_ladder_bit_for_bit():
         assert np.array_equal(got, want) and m == want_m
 
 
+def test_moment_rows_keep_the_kernel_layout():
+    # the residuals' last bits depend on the layout of the moment rows: up
+    # to 128 gaps they are the first kernel call's row 0, gap axis
+    # contiguous, whether every gap passes at the first level (on the
+    # all-rows shortcut or the per-row test) or some climb
+    rng = random.Random(34)
+    sets = [random_unit_interval_union(rng, n) for n in (3, 6, 11, 14, 17, 20)]
+    for n in (3, 16):
+        ends = np.linspace(-1.0, 1.0, 2 * n).tolist()
+        pairs = [(ends[2 * i], ends[2 * i + 1]) for i in range(n)]
+        pairs[1] = (pairs[1][0], pairs[1][0] + 1e-5)  # a thin component makes gaps climb
+        sets.append(make_interval_union(pairs))
+    kinds = set()
+    for e in sets:
+        n = e.n
+        first = gap_moment_sums(np.asarray(e.endpoints(), dtype=float), 0, _LADDER[0], n - 1, n - 1)
+        got, m = _moment_vectors(e)
+        assert got.shape == first[0].shape and got.strides == first[0].strides
+        assert got.strides[0] == got.itemsize
+        if m == _LADDER[0]:
+            assert np.array_equal(got, first[0])
+        shortcut = abs(first[0] - first[1]).max() < _MOMENT_TOL
+        kinds.add((n <= 11, m == _LADDER[0], bool(shortcut)))
+    # passing on the shortcut at n <= 11 and on the per-row test at n >= 14;
+    # climbing on both sides
+    assert kinds >= {(True, True, True), (False, True, False),
+                     (True, False, False), (False, False, False)}
+
+
 def test_moments_accepted_below_128_intervals_match_a_ladder_from_128():
     # a gap that passes the test at m = 32 or 64 must already be at
     # rounding: a false early acceptance would show here as a difference

@@ -135,6 +135,36 @@ def test_direct_construction_validates():
     for arcs in ((), ((1.0, 0.5),), ((0.0, 7.0),), ((1.0, 2.0), (0.5, 3.0))):
         with pytest.raises(ValidationError):
             CircleArcSet(arcs)
+    # make_interval_union and normalize_to_unit skip this check; what they
+    # build passes it unchanged: touching and overlapping pairs, hull ends
+    # snapped to +-1, single intervals, subnormal and near-1e308 hulls
+    rng = random.Random(35)
+    built, snapped = [], 0
+    for i in range(400):
+        n = rng.randint(1, 6)
+        pts = sorted(rng.sample(range(-1000, 1001), 2 * n))
+        pairs = [[pts[2 * j], pts[2 * j + 1]] for j in range(n)]
+        for j in range(1, n):
+            r = rng.random()
+            if r < 0.25:  # touching its left neighbour
+                pairs[j][0] = pairs[j - 1][1]
+            elif r < 0.5:  # overlapping it
+                pairs[j][0] = pairs[j - 1][1] - 1
+        unit = (5e-324, 1e-3, 1.7e305)[i % 3]
+        pairs = [[a * unit, b * unit] for a, b in pairs]
+        if unit == 1e-3 and rng.random() < 0.5:  # ends within 1e-14 of +-1
+            pairs[0][0] = -1.0 + rng.uniform(-9e-15, 9e-15)
+            pairs[-1][1] = 1.0 + rng.uniform(-9e-15, 9e-15)
+        rng.shuffle(pairs)
+        e = make_interval_union(pairs)
+        snapped += e.is_unit_hull() and e.hull != (min(pairs)[0], max(b for _, b in pairs))
+        built += [e, normalize_to_unit(e)[0]]
+    assert snapped and any(e.n == 1 for e in built)
+    assert any(0.0 < e.hull[1] - e.hull[0] < 2.2e-308 for e in built)
+    assert any(max(map(abs, e.hull)) > 1e308 for e in built)
+    for e in built:
+        again = IntervalUnion(e.intervals)
+        assert again == e and hash(again) == hash(e)
 
 
 def test_mu_full_interval():
