@@ -198,6 +198,74 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
 
 
+# the columns of an ``_offset_powers`` entry, s^0..s^31, and the size of
+# the Pascal matrix built at import: every p of degree n - 1 <= 31 (the
+# monomial solve gives out below that) reads the same entry; a larger n
+# takes the next multiple of 32 and builds its own matrix
+_SERIES = 32
+
+
+def _pascal(size: int) -> np.ndarray:
+    """Pascal's matrix, C(j, k) at [k, j] for j, k < size, as floats.
+
+    Built column by column, C(j, k) = C(j - 1, k) + C(j - 1, k - 1): every
+    sum is exact while C(j, k) < 2^53, which holds for all j <= 56.
+    """
+    out = np.zeros((size, size))
+    out[0] = 1.0
+    for j in range(1, size):
+        out[1:, j] = out[1:, j - 1] + out[:-1, j - 1]
+    return out
+
+
+_PASCAL = _pascal(_SERIES)
+_PASCAL.flags.writeable = False
+
+
+def _taylor_coefficients(coeffs: tuple[float, ...], base: float) -> np.ndarray:
+    """Coefficients d_k of p(base + s) = sum_k d_k s^k, p monic with low-order coefficients ``coeffs``.
+
+    d = S (c_0, ..., c_{n-2}, 1) with S[k, j] = C(j, k) base^(j - k), one
+    vecdot per row of S; base^i is the product of i factors base, from the
+    left.  At base = 1, as in every Robin tail on the unit hull, S is
+    Pascal's matrix, exact in float64 up to n = 57.  Right of b_n every d_k
+    is positive: p has one root in each gap, all left of b_n, so
+    p(b_n + s) = prod_k (s + b_n - z_k).
+    """
+    n = len(coeffs) + 1
+    a = np.array((*coeffs, 1.0))
+    shift = _PASCAL[:n, :n] if n <= _SERIES else _pascal(n)
+    if base == 1.0:
+        return np.vecdot(shift, a)
+    powers = np.full(n, base)
+    powers[0] = 1.0
+    lag = np.arange(n)
+    lag = np.maximum(lag - lag[:, None], 0)
+    # near the largest float the powers overflow, as Horner's powers of t would
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.vecdot(shift * np.multiply.accumulate(powers)[lag], a)
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_powers(base: float, nodes: bytes, size: int) -> np.ndarray:
+    """s^0..s^(size - 1), s = t - base, a contiguous row per float64 node t (shared, read-only).
+
+    Keyed like ``_offset_terms``, by the nodes' bytes and not by n: every
+    Robin tail, whatever its n up to ``_SERIES``, reads the same entry per
+    level.  Each power is the one before times s.  At the deep levels the
+    high powers overflow, inside the ladder's errstate; p reads inf only
+    where its endpoint product, of higher degree in t, has overflowed too,
+    and the value is nan anyway.
+    """
+    s = np.frombuffer(nodes) - base
+    out = np.empty((s.size, size))
+    out[:, 0] = 1.0
+    out[:, 1:] = s[:, None]
+    np.multiply.accumulate(out[:, 1:], axis=1, out=out[:, 1:])
+    out.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _offset_terms(base: float, sign: float, nodes: bytes) -> np.ndarray:
     """sign sqrt(off)/(1 + off), off = |t - base|, at float64 nodes t (shared, read-only).
@@ -218,28 +286,29 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     minus sign sqrt(off)/(1 + off), off = |t - e_skip|, so that
     f(t)/sqrt(off) = p/sqrt|q| - sign/(1 + off).  No coefficient of q is
     formed, and the base root is left out, so a node that rounds onto
-    e_skip still has a finite value.  Where the product overflows, p / inf
-    would read 0: the value is nan instead, so an overflow never passes for
-    a finite value.  The comparison term depends only on t, e_skip and
-    sign, and comes from ``_offset_terms``.
+    e_skip still has a finite value.  p is its Taylor series at e_skip
+    (``_taylor_coefficients``) in the signed offset s = t - e_skip: at each
+    node, one dot of the node's row of powers of s, from
+    ``_offset_powers``, with the coefficients.  A vecdot per row, not a
+    matrix product, so a node's value does not depend on how many nodes
+    share the call.  Right of b_n no term of the sum is negative.  Where
+    the product overflows, p / inf would read 0: the value is nan instead,
+    so an overflow never passes for a finite value.  The comparison term
+    depends only on t, e_skip and sign, and comes from ``_offset_terms``.
     """
     ep = np.asarray(model.E.endpoints(), dtype=float)
     # the other endpoints as a column: the product over them runs down
     # axis 0, one vector multiplication per endpoint, in endpoint order
     base, others = ep[skip], np.concatenate((ep[:skip], ep[skip + 1:]))[:, None]
-    # p's coefficients, highest first, as 0-d arrays: numpy adds one to a
-    # vector in about half the time it takes to add a Python float
-    p = np.array((1.0, *model.coeffs[::-1]))
-    p = [p[i, ...] for i in range(p.size)]
+    d = _taylor_coefficients(model.coeffs, base)
+    n = d.size
+    size = _SERIES * -(-n // _SERIES)
 
     def f(t):
-        # Horner's rule in place, with the roundings of np.polyval
-        y = np.full_like(t, p[0], dtype=float)
-        for c in p[1:]:
-            y *= t
-            y += c
+        nodes = t.tobytes()
+        y = np.vecdot(_offset_powers(base, nodes, size)[:, :n], d)
         root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
-        return np.where(root < np.inf, y / root, np.nan) - _offset_terms(base, sign, t.tobytes())
+        return np.where(root < np.inf, y / root, np.nan) - _offset_terms(base, sign, nodes)
 
     return f
 

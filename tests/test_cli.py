@@ -99,19 +99,19 @@ CONSOLE_LINES = [
     # two intervals on the Widom route, and three off the unit hull, which
     # the route maps onto it
     ('cap -e "-1:-0.5,0.5:1" --method widom', 0, "0.43301270189221963 widom 4.62e-15"),
-    ('cap -e "0:10,10.000005:20,30:40"', 0, "9.6590419499883922 widom 9.57e-14"),
+    ('cap -e "0:10,10.000005:20,30:40"', 0, "9.6590419499883886 widom 9.57e-14"),
     # six gaps beside components 1e-5 wide climb the moment ladder
     # together, in kernel calls split to the per-call node limit
     ('cap -e "-1:-0.5,-0.4:-0.39999,-0.3:-0.29999,-0.2:-0.19999,-0.1:-0.09999,0:0.00001,0.2:1"',
-     0, "0.48260459272423495 widom 6.69e-13"),
+     0, "0.48260459272423523 widom 6.69e-13"),
     # the first moment level in one kernel call on the cached index layout,
     # the tail's root product endpoint-major
-    (f'cap -e "{TWENTY_COMPONENTS}"', 0, "0.4740517547394138 widom 1.48e-11"),
+    (f'cap -e "{TWENTY_COMPONENTS}"', 0, "0.47405175473941702 widom 1.48e-11"),
     # hulls beyond about 9e307, and a subnormal hull, whose half-width
     # neither overflows nor rounds; a subnormal value's est_error is its ulp
     ('cap -e "1e308:1.2e308,1.5e308:1.7e308"', 0, "1.58113883008419e+307 akhiezer 1.78e+294"),
     ('cap -e "1e308:1.2e308,1.3e308:1.4e308,1.5e308:1.7e308"', 0,
-     "1.7094034263253429e+307 widom 1.57e+293"),
+     "1.7094034263253439e+307 widom 1.57e+293"),
     ('cap -e "-1.7e308:1.7e308"', 0, "8.4999999999999997e+307 closed_form 0"),
     # one subnormal interval: (b - a)/4 rounded once, not each quarter
     ('cap -e "3.2023e-319:2.39698e-318"', 0, "5.1918888393227393e-319 closed_form 0"),

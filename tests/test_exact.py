@@ -438,13 +438,14 @@ def test_canonical_sets_up_to_40_arcs_come_back_within_est_error(l, known_misses
     assert misses == known_misses
 
 
-# the ids on which the Widom route raises today: at d = 32 its Robin tail
-# stalls, at d = 40 and 48 the moment matrix is singular in the monomial
+# the ids on which the Widom route raises today: at d = 32 the Robin tail
+# of (32, 1) still stalls (the Taylor form of p brought (32, 0) and (32, 2)
+# back), at d = 40 and 48 the moment matrix is singular in the monomial
 # basis (and one d = 48 set, with a component of 3.3e-8, stalls in its gap
 # moments); the gap-centre product basis planned in ROADMAP.md is meant to
 # flip these
 PREIMAGE_FAILURES = {
-    (32, 0): ConvergenceError, (32, 1): ConvergenceError, (32, 2): ConvergenceError,
+    (32, 1): ConvergenceError,
     (40, 0): SingularMatrixError, (40, 1): SingularMatrixError, (40, 2): SingularMatrixError,
     (48, 0): SingularMatrixError, (48, 1): ConvergenceError, (48, 2): SingularMatrixError,
 }
@@ -719,39 +720,77 @@ def test_green_integrand_is_not_finite_where_the_endpoint_product_overflows():
     assert np.isfinite(vals).tolist() == [True, True, False, False]
 
 
-def loop_green_integrand(model, skip, sign, t):
-    """The regular part of p/sqrt|q| at endpoint ``skip``, node by node on Python floats.
+def loop_taylor_coefficients(coeffs, base):
+    """Taylor coefficients d_k of p at base, a dot per row: sum_j C(j, k) base^(j - k) c_j, c_{n-1} = 1.
 
-    Horner's rule in np.polyval's order, from 0, and the product of the
-    roots sqrt|t - e| in endpoint order.
+    base^i is the product of i factors base, from the left.
+    """
+    a = np.array((*coeffs, 1.0))
+    n = a.size
+    powers = [1.0]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * base)
+    rows = [[math.comb(j, k) * powers[j - k] if j >= k else 0.0 for j in range(n)] for k in range(n)]
+    return np.array([np.dot(np.array(row), a) for row in rows])
+
+
+def scalar_integrand(model, skip, sign, t, p):
+    """The regular part of p/sqrt|q| at endpoint ``skip``, node by node on Python floats, with p(x) given.
+
+    The product of the roots sqrt|t - e| in endpoint order, then the
+    comparison term sign sqrt(off)/(1 + off).
     """
     ep = model.E.endpoints()
-    p = (1.0, *model.coeffs[::-1])
     out = []
     for x in t.tolist():
-        y = 0.0
-        for c in p:
-            y = y * x + c
         root = 1.0
         for k, e in enumerate(ep):
             if k != skip:
                 root *= math.sqrt(abs(x - e))
         off = abs(x - ep[skip])
-        out.append((y / root if root < math.inf else math.nan) - sign * math.sqrt(off) / (1.0 + off))
+        out.append((p(x) / root if root < math.inf else math.nan) - sign * math.sqrt(off) / (1.0 + off))
     return np.array(out)
+
+
+def loop_green_integrand(model, skip, sign, t):
+    """``scalar_integrand`` with p as its Taylor series at e_skip.
+
+    At each node, one np.dot of the node's powers of s = t - e_skip, each
+    the one before times s, with the coefficients.
+    """
+    base = model.E.endpoints()[skip]
+    d = loop_taylor_coefficients(model.coeffs, base)
+
+    def p(x):
+        s = x - base
+        powers = [1.0]
+        for _ in range(d.size - 1):
+            powers.append(powers[-1] * s)
+        return float(np.dot(np.array(powers), d))
+
+    return scalar_integrand(model, skip, sign, t, p)
+
+
+def gap_centre_model(e):
+    """A ``WidomModel`` whose p has a root at the centre of each gap (not the solved p)."""
+    ep = e.endpoints()
+    centres = [0.5 * (ep[2 * k + 1] + ep[2 * k + 2]) for k in range(e.n - 1)]
+    return exact_module.WidomModel(e, tuple(np.poly(centres)[:0:-1].tolist()), (0.0,) * (e.n - 1), 0)
 
 
 def test_green_integrand_matches_a_scalar_loop_bit_for_bit():
     # at the tail's nodes right of b_n, at nodes left of a_1 and at nodes
-    # across the hull, on sets on and off the unit hull
+    # across the hull, on sets on and off the unit hull; at n = 40, past
+    # the monomial solve, on a p of the set's own degree, which reads wider
+    # power rows and a Pascal matrix past the first 32 columns
     rng = random.Random(43)
     nodes = np.random.default_rng(43)
-    for n in (3, 10, 20):
+    for n in (3, 10, 20, 40):
         for shift in (False, True):
-            e = random_unit_interval_union(rng, n)
+            e = random_unit_interval_union(rng, n, 0.05 if n <= 20 else 0.02)
             if shift:
                 e = make_interval_union([(3.0 * a + 0.7, 3.0 * b + 0.7) for a, b in e.intervals])
-            model = widom_polynomial(e)
+            model = widom_polynomial(e) if n <= 20 else gap_centre_model(e)
             a1, bn = e.hull
             width = bn - a1
             tan2 = width * np.tan(np.linspace(0.01, 1.5, 41)) ** 2
@@ -760,6 +799,112 @@ def test_green_integrand_matches_a_scalar_loop_bit_for_bit():
                                   (n, 0.0, inside), (2 * n - 1, 0.0, inside)):
                 got = exact_module._green_integrand(model, skip, sign)(t)
                 assert got.tobytes() == loop_green_integrand(model, skip, sign, t).tobytes()
+
+
+def horner_green_integrand(model, skip, sign, t):
+    """``scalar_integrand`` with p by Horner's rule in t, in np.polyval's order from 0.
+
+    How p was evaluated before its Taylor form; the baseline of the
+    accuracy test below.
+    """
+    def p(x):
+        y = 0.0
+        for c in (1.0, *model.coeffs[::-1]):
+            y = y * x + c
+        return y
+
+    return scalar_integrand(model, skip, sign, t, p)
+
+
+def mp_regular_part(model, skip, t):
+    """p(t) / prod sqrt|t - e| over the endpoints but e_skip, at 50 digits, from the float coefficients."""
+    ep = model.E.endpoints()
+    out = []
+    with mpmath.workdps(50):
+        for x in t.tolist():
+            x = mpmath.mpf(x)
+            y = mpmath.mpf(0)
+            for c in (1.0, *model.coeffs[::-1]):
+                y = y * x + c
+            root = mpmath.mpf(1)
+            for k, e in enumerate(ep):
+                if k != skip:
+                    root *= mpmath.sqrt(abs(x - e))
+            out.append(y / root)
+    return out
+
+
+def test_tail_taylor_coefficients_are_positive():
+    # p has one root in each gap, all left of b_n, so every coefficient of
+    # p(b_n + s) = prod (s + b_n - z_k) is positive and the tail's sum of
+    # d_k s^k cannot cancel; ten models per n, a set whose monomial moment
+    # matrix is singular (one at n = 26) replaced by the next draw
+    rng = random.Random(61)
+    count = 0
+    for n in range(3, 27):
+        while count < 10 * (n - 2):
+            try:
+                model = widom_polynomial(random_unit_interval_union(rng, n, min(0.05, 0.5 / (2 * n - 1))))
+            except SingularMatrixError:
+                continue
+            d = exact_module._taylor_coefficients(model.coeffs, model.E.hull[1])
+            assert d.size == n and (d > 0).all(), model.E
+            count += 1
+
+
+def test_tail_p_is_no_less_accurate_than_horner():
+    # the relative error of p / prod sqrt|t - e| at the Robin tail's first
+    # 127 nodes (sign 0: the comparison term, the same arithmetic on both
+    # sides, is left out):
+    # near b_n Horner's sum cancels, which the Taylor form does not.  On
+    # the canonical sets, where p(b_n) is 1.9e-6 against coefficients up
+    # to 12.5, the Taylor form is the more accurate at every set; on random
+    # sets both are at the rounding of p(b_n), a cancelling sum either way,
+    # and the Taylor form is the more accurate in the median and the worst
+    # case of the pool, not at every set
+    t = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)[0]
+
+    def errors(model):
+        skip = 2 * model.E.n - 1
+        want = mp_regular_part(model, skip, t)
+        got = (exact_module._green_integrand(model, skip, 0.0)(t),
+               horner_green_integrand(model, skip, 0.0, t))
+        return [max(float(abs((x - w) / w)) for x, w in zip(g.tolist(), want)) for g in got]
+
+    for l in (0.3, math.pi):
+        taylor, horner = errors(widom_polynomial(canonical_set(l, 40)))
+        assert taylor <= horner, l
+    pool = [errors(widom_polynomial(random_unit_interval_union(random.Random(seed), 20)))
+            for seed in range(12)]
+    taylor, horner = np.array(pool).T
+    assert np.median(taylor) <= np.median(horner) and taylor.max() <= horner.max()
+
+
+def test_a_second_pass_adds_no_offset_power_miss():
+    # the entries are keyed by the base and the nodes, not by n: a warm pass
+    # over n = 3..20 leaves every level that any of them reads in the cache
+    rng = random.Random(67)
+    sets = [random_unit_interval_union(rng, n, min(0.05, 0.5 / (2 * n - 1)))
+            for n in range(3, 21) for _ in range(2)]
+    sets.append(canonical_set(0.3, 40))  # a tail that climbs past the first level
+    clear_tail_caches()
+    first = [capacity(e) for e in sets]
+    misses = exact_module._offset_powers.cache_info().misses
+    assert [capacity(e) for e in sets] == first
+    assert exact_module._offset_powers.cache_info().misses == misses
+
+
+def test_a_node_value_does_not_depend_on_the_nodes_beside_it():
+    # a vecdot per node, not a matrix product: a node's value has the same
+    # bits in its 127-node level as alone
+    rng = random.Random(71)
+    t = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)[0]
+    for n in range(3, 21):
+        model = widom_polynomial(random_unit_interval_union(rng, n))
+        f = exact_module._green_integrand(model, 2 * n - 1, 1.0)
+        level = f(t)
+        alone = np.concatenate([f(t[i:i + 1]) for i in range(t.size)])
+        assert level.tobytes() == alone.tobytes(), n
 
 
 def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_accepted(monkeypatch):
@@ -793,7 +938,7 @@ def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_ac
     assert len(within) > len(calls) / 2
 
 
-TAIL_CACHES = (special_module._half_line_level, exact_module._offset_terms)
+TAIL_CACHES = (special_module._half_line_level, exact_module._offset_terms, exact_module._offset_powers)
 
 
 def clear_tail_caches():
@@ -810,17 +955,18 @@ def uncached_half_line_level(b, step, w, top, m):
 
 
 def uncached_green_integrand(model, skip, sign):
-    """``_green_integrand`` with its comparison term formed on every call."""
+    """``_green_integrand`` with its powers of the offset and its comparison term formed on every call."""
     ep = np.asarray(model.E.endpoints(), dtype=float)
     base, others = ep[skip], np.concatenate((ep[:skip], ep[skip + 1:]))[:, None]
-    p = np.array((1.0, *model.coeffs[::-1]))
-    p = [p[i, ...] for i in range(p.size)]
+    d = loop_taylor_coefficients(model.coeffs, base)
 
     def f(t):
-        y = np.full_like(t, p[0], dtype=float)
-        for c in p[1:]:
-            y *= t
-            y += c
+        s = t - base
+        powers = np.empty((t.size, d.size))
+        powers[:, 0] = 1.0
+        for k in range(1, d.size):
+            powers[:, k] = powers[:, k - 1] * s
+        y = np.vecdot(powers, d)
         root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
         off = abs(t - base)
         return np.where(root < np.inf, y / root, np.nan) - sign * np.sqrt(off) / (1.0 + off)
@@ -944,10 +1090,11 @@ def test_tail_caches_are_read_only_and_bounded():
     assert exact_module._robin_quad(model).nodes_used == 127
     t, jac = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)
     term = exact_module._offset_terms(1.0, 1.0, t.tobytes())
-    for a in (t, jac, term):
+    powers = exact_module._offset_powers(1.0, t.tobytes(), exact_module._SERIES)
+    for a in (t, jac, term, powers):
         assert not a.flags.writeable
     # the first level of the Robin tail was computed once, then read from the caches
-    assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1]
+    assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1, 1]
     for x in np.linspace(1.001, 30.0, 1000):
         green_value(model, float(x))
     for cache in TAIL_CACHES:
