@@ -34,11 +34,15 @@ are the ends of its angle boxes, its start's anchors and Solynin's link
 constants.
 The gap points start at the centres of their angle boxes, and Solynin's
 interior split points at the optimum of their two cells for small
-gaps.  Every trial point takes one :func:`_chain_eval`, and the ascent
-stops where Newton's predicted rise is at most _NEWTON_TOL of the sum;
-the public bound is then evaluated at the points it returns.  At n = 2
-the two chains are one function of the gap point, and ``all_bounds``
-runs one ascent for both.
+gaps.  Every trial point takes one :func:`_chain_eval` but the last:
+an interior step that no box end clips and that predicts a rise of at
+most _LAST_RISE of the sum is taken unevaluated, since by Newton's
+quadratic convergence the rise predicted after it is far below
+_NEWTON_TOL.  Otherwise the ascent stops at an evaluated point where
+Newton's predicted rise is at most _NEWTON_TOL of the sum.  Each public
+bound is evaluated once at the points its ascent returns, so every
+value is the bound at its own points.  At n = 2 the two chains are one
+function of the gap point, and ``all_bounds`` runs one ascent for both.
 """
 
 from __future__ import annotations
@@ -73,6 +77,9 @@ UPPER = "upper"
 # the Newton ascent of the optimized bounds
 _NEWTON_STEPS = 30
 _NEWTON_TOL = 1e-15
+# an interior step predicting at most this rise of the sum is the last: by
+# Newton's quadratic convergence the rise after it is far below _NEWTON_TOL
+_LAST_RISE = 1e-12
 _HALVINGS = 4
 _TO_EDGE = 0.9
 
@@ -388,24 +395,32 @@ def _newton_step(grad, diag, off, x, boxes):
     that edge instead, and the other coordinates solve again with it held
     there, so an optimum on an edge is approached geometrically.  One
     that would leave against its gradient is not held: the trial of
-    :func:`_chain_max` stops it short of the edge.  Returns the step and
-    the rise the quadratic model predicts for it, or None unless the
-    Hessian is negative definite.
+    :func:`_chain_max` stops it short of the edge.  Returns the step, the
+    rise the quadratic model predicts for it and whether no coordinate is
+    held, or None unless the Hessian is negative definite.  The rise is
+    g.d + 1/2 d.H.d; where no coordinate is held, d solves H d = -g and
+    the rise is 1/2 g.d, taken in one pass.
     """
     d = _tridiag_solve(diag, off, grad)
     if d is None:
         return None
+    free = d
     for xi, di, (lo, hi) in zip(x, d, boxes):
         if not lo < xi + di < hi:
+            # _held_step returns d itself where it holds no coordinate
             d = _held_step(grad, diag, off, x, boxes, d)
             break
-    g_d = h_dd = o_dd = 0.0
-    for g, h, di in zip(grad, diag, d):
+    g_d = 0.0
+    for g, di in zip(grad, d):
         g_d += g * di
+    if d is free:
+        return d, 0.5 * g_d, True
+    h_dd = o_dd = 0.0
+    for h, di in zip(diag, d):
         h_dd += h * di * di
     for o, di, dj in zip(off, d, d[1:]):
         o_dd += o * di * dj
-    return d, g_d + 0.5 * (h_dd + 2.0 * o_dd)
+    return d, g_d + 0.5 * (h_dd + 2.0 * o_dd), False
 
 
 def _held_step(grad, diag, off, x, boxes, d):
@@ -458,9 +473,13 @@ def _chain_max(chain, boxes, angle_boxes, t):
     end, t_i goes to the float next to it, so a box a few ulp wide cannot
     stall the other coordinates.  The ascent stops once the rise that
     Newton's model predicts at the accepted point is at most _NEWTON_TOL
-    of the sum (for an interior step, 1/2 g.d), or when no halving
-    rises.  Returns the last accepted t_1 ... t_m (the start where the
-    sum is -inf there).
+    of the sum, or when no halving rises.  An interior step, one that
+    holds no coordinate and whose full step no box end clips, that
+    predicts a rise of at most _LAST_RISE of the sum is the last: its
+    points are returned without evaluating the chain there, since the
+    evaluation and the Newton solve after it would only confirm the stop.
+    Returns those points, else the last accepted t_1 ... t_m (the start
+    where the sum is -inf there).
     """
     cos = math.cos
     x = list(map(math.acos, t))
@@ -471,7 +490,9 @@ def _chain_max(chain, boxes, angle_boxes, t):
         newton = _newton_step(grad, diag, off, x, angle_boxes)
         if newton is None or not newton[1] > _NEWTON_TOL * abs(total):
             break
-        d, step = newton[0], 1.0
+        d, rise, interior = newton
+        last = interior and not rise > _LAST_RISE * abs(total)
+        step = 1.0
         for _ in range(_HALVINGS + 1):
             x_new = [xi + step * di for xi, di in zip(x, d)]
             t_new = list(map(cos, x_new))
@@ -479,10 +500,14 @@ def _chain_max(chain, boxes, angle_boxes, t):
                 if not lo < ti < hi:
                     _to_edge(x, d, boxes, angle_boxes, x_new, t_new)
                     break
+            else:
+                if last:
+                    return t_new
             trial = _chain_eval(chain, [math.pi, *x_new, 0.0])
             if trial[0] > total:
                 break
             step *= 0.5
+            last = False
         else:
             break
         x, t = x_new, t_new

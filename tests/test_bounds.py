@@ -24,6 +24,7 @@ from logcap import (
     gillis_upper,
     haliste_arcs_capacity,
     make_interval_union,
+    normalize_to_unit,
     partition_lower,
     polarization_upper,
     projection_upper,
@@ -41,6 +42,8 @@ from logcap.bounds import (
     _CH,
     _CHH,
     _H,
+    _HALVINGS,
+    _NEWTON_STEPS,
     _NEWTON_TOL,
     _cell_log,
     _chain_eval,
@@ -48,6 +51,8 @@ from logcap.bounds import (
     _gap_division_chain,
     _newton_step,
     _solynin_chain,
+    _to_edge,
+    _tridiag_solve,
 )
 from logcap.verify import (
     DOMINANCE_SLACK,
@@ -794,7 +799,9 @@ def test_chain_max_stops_where_newton_predicts_no_rise():
 
     A stop guessed from the shrinking of earlier rises returned, on 2 of
     these 2200 ascents (n = 11 and 12), points where Newton still
-    predicted a rise of 1.0e-15 and 1.8e-15 of the sum.
+    predicted a rise of 1.0e-15 and 1.8e-15 of the sum.  An ascent whose
+    last step predicts at most _LAST_RISE of the sum returns that step's
+    points unevaluated; here they are evaluated, and the stop holds.
     """
     rng = random.Random(23)
     for n in range(2, 13):
@@ -806,6 +813,135 @@ def test_chain_max_stops_where_newton_predicts_no_rise():
                 total, grad, diag, off = _chain_eval(chain, [math.pi, *x, 0.0])
                 newton = _newton_step(grad, diag, off, x, angle_boxes)
                 assert newton is None or newton[1] <= _NEWTON_TOL * abs(total)
+
+
+def _full_rise(grad, diag, off, d):
+    """The quadratic model's rise g.d + 1/2 d.H.d of a step d, in the order of bounds._newton_step."""
+    g_d = h_dd = o_dd = 0.0
+    for g, h, di in zip(grad, diag, d):
+        g_d += g * di
+        h_dd += h * di * di
+    for o, di, dj in zip(off, d, d[1:]):
+        o_dd += o * di * dj
+    return g_d + 0.5 * (h_dd + 2.0 * o_dd)
+
+
+@pytest.mark.parametrize("make_chain", [_gap_division_chain, _solynin_chain])
+def test_newton_step_takes_the_interior_rise_in_one_pass(make_chain):
+    """Where no coordinate is held the rise is 1/2 g.d, the full model g.d + 1/2 d.H.d.
+
+    There d solves H d = -g, so the two differ only by the rounding of
+    the solve: within a few ulp of the sum (at most 3 on these points).
+    Where a coordinate is held, the step returns the full form itself.
+    Whether one is held is decided here from the unheld step: a
+    coordinate that it takes out of its box in the direction of its
+    gradient.  The points are the start and points drawn in the angle
+    boxes, each coordinate anywhere in its box or within 1% of an end,
+    on sets whose shortest piece is as in ``verify`` or 1e-4, so that
+    some steps of both chains hold a coordinate.
+    """
+    rng = random.Random(5)
+    interior = held = 0
+    for n in range(2, 13):
+        for e in [random_unit_interval_union(rng, n, min_seg)
+                  for min_seg in (min(0.05, 0.5 / (2 * n - 1)), 1e-4) for _ in range(10)]:
+            chain, boxes, angle_boxes, start = make_chain(e)
+            points = [list(map(math.acos, start))]
+            points += [[lo + (hi - lo) * rng.choice((u, 0.01 * u, 1.0 - 0.01 * u))
+                        for lo, hi in angle_boxes for u in [rng.random()]] for _ in range(4)]
+            for x in points:
+                total, grad, diag, off = _chain_eval(chain, [math.pi, *x, 0.0])
+                d, rise, free = _newton_step(grad, diag, off, x, angle_boxes)
+                step = _tridiag_solve(diag, off, grad)
+                holds = any(not lo < xi + di < hi and (g > 0.0) == (di > 0.0)
+                            for xi, di, g, (lo, hi) in zip(x, step, grad, angle_boxes))
+                assert free is not holds
+                if free:
+                    interior += 1
+                    assert d == step
+                    assert abs(rise - _full_rise(grad, diag, off, d)) <= 8.0 * math.ulp(total)
+                else:
+                    held += 1
+                    assert rise == _full_rise(grad, diag, off, d)
+    assert interior > 0 and held > 0
+
+
+def _reference_chain_max(chain, boxes, angle_boxes, t):
+    """bounds._chain_max evaluating every trial point, its last step's too: (t, chain evaluations).
+
+    Each step's rise is the full model g.d + 1/2 d.H.d, and the ascent
+    stops only at an evaluated point whose predicted rise is at most
+    _NEWTON_TOL of the sum, or where no halving rises.
+    """
+    x = list(map(math.acos, t))
+    total, grad, diag, off = _chain_eval(chain, [math.pi, *x, 0.0])
+    evals = 1
+    if grad is None:
+        return t, evals
+    for _ in range(_NEWTON_STEPS):
+        newton = _newton_step(grad, diag, off, x, angle_boxes)
+        if newton is None or not _full_rise(grad, diag, off, newton[0]) > _NEWTON_TOL * abs(total):
+            break
+        d, step = newton[0], 1.0
+        for _ in range(_HALVINGS + 1):
+            x_new = [xi + step * di for xi, di in zip(x, d)]
+            t_new = list(map(math.cos, x_new))
+            if not all(lo < ti < hi for ti, (lo, hi) in zip(t_new, boxes)):
+                _to_edge(x, d, boxes, angle_boxes, x_new, t_new)
+            trial = _chain_eval(chain, [math.pi, *x_new, 0.0])
+            evals += 1
+            if trial[0] > total:
+                break
+            step *= 0.5
+        else:
+            break
+        x, t = x_new, t_new
+        total, grad, diag, off = trial
+    return t, evals
+
+
+def _ascent_pool():
+    """1735 unit-hull sets: 1620 seeded random ones, n = 2..16 at three shortest pieces, and canonical sets."""
+    sets = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        for n in range(2, 17):
+            for min_seg in (0.05, min(0.05, 0.5 / (2 * n - 1)), 1e-4):
+                sets += [random_unit_interval_union(rng, n, min_seg) for _ in range(6)]
+    for l in (0.1, 0.3, 1.0, math.pi, 5.5):
+        sets += [normalize_to_unit(canonical_set(l, arcs))[0] for arcs in range(2, 25)]
+    return sets
+
+
+def test_optimizers_match_an_ascent_that_evaluates_every_step(monkeypatch):
+    """An ascent's unevaluated last step moves no optimized bound, and saves evaluations.
+
+    On every set of the pool, each optimizer's value is bit for bit the
+    public bound at the points of :func:`_reference_chain_max`, with no
+    more chain evaluations.  In all they make 14722 where the reference
+    makes 15944.
+    """
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _chain_eval(*args)
+
+    monkeypatch.setattr(bounds_module, "_chain_eval", counted)
+    total = reference = 0
+    for e in _ascent_pool():
+        t, evals = _reference_chain_max(*_gap_division_chain(e))
+        calls = 0
+        assert gap_division_lower_max(e)[0] == gap_division_lower(e, GapPoints(tuple(t)))
+        assert calls <= evals
+        total, reference = total + calls, reference + evals
+        t, evals = _reference_chain_max(*_solynin_chain(e))
+        calls = 0
+        assert solynin_lower_max(e)[0] == solynin_lower(e, GapPoints(tuple(t[::2])), t[1::2])
+        assert calls <= evals
+        total, reference = total + calls, reference + evals
+    assert total <= 0.93 * reference
 
 
 def _reaches_closed_form(optimizer, l, n):
@@ -860,11 +996,12 @@ def test_gap_division_max_returns_the_public_bound_at_its_points():
 
 
 def test_all_bounds_chain_evaluations_stay_few(monkeypatch):
-    """The Solynin start and one ascent at n = 2 keep the chain evaluations few.
+    """The Solynin start, one ascent at n = 2 and an unevaluated last step keep the chain evaluations few.
 
     On these 70 sets a climb of both optimizers from the box centres made
     640 evaluations, and with the Solynin start 584; with one ascent for
-    both bounds at n = 2 they make 557.
+    both bounds at n = 2 they made 557, and without the evaluation that
+    only confirms a converged step they make 505.
     """
     calls = 0
 
@@ -878,7 +1015,7 @@ def test_all_bounds_chain_evaluations_stay_few(monkeypatch):
     for n in range(2, 9):
         for _ in range(10):
             all_bounds(random_unit_interval_union(rng, n))
-    assert calls <= 580
+    assert calls <= 505
 
 
 @pytest.mark.parametrize("optimizer", [solynin_lower_max, gap_division_lower_max])
