@@ -133,12 +133,13 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     (128 at m = 32), so it holds no more nodes than one gap at the cap.
     Up to that many gaps the first level is one call over all of them,
     whose rows are returned as they are when every gap passes; otherwise
-    the pending gaps go on from the second level.  Whatever the path, the
+    the pending gaps go on from the second level.  Up to 129 intervals the
     rows come back as the kernel lays them out, the gap axis contiguous,
-    which the residuals' last bits depend on.  The first level forms
-    |fine - coarse| once; when its largest entry is below _MOMENT_TOL,
-    every gap passes, since no row's bound is smaller, and the per-row
-    maxima are skipped.
+    which the residuals' last bits depend on; past that every gap starts
+    pending, and the rows are those of a C-ordered array, each row
+    contiguous.  The first level forms |fine - coarse| once; when its
+    largest entry is below _MOMENT_TOL, every gap passes, since no row's
+    bound is smaller, and the per-row maxima are skipped.
     Raises ConvergenceError, naming the lowest such gap, when a gap's
     m-interval and m/2-interval rules still disagree at the cap.  A node
     that rounds onto an endpoint makes a level inf or nan, which the test
@@ -198,28 +199,32 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
 
 
-# the columns of an ``_offset_powers`` entry, s^0..s^31, and the size of
-# the Pascal matrix built at import: every p of degree n - 1 <= 31 (the
-# monomial solve gives out below that) reads the same entry; a larger n
-# takes the next multiple of 32 and builds its own matrix
+# the powers s^0..s^31 of an ``_offset_series`` entry, and the size of the
+# Pascal matrix: every p of degree n - 1 <= 31 (the monomial solve gives
+# out below that) reads the same entry; a larger n takes the next multiple
+# of 32 for both
 _SERIES = 32
 
 
+def _series_size(n: int) -> int:
+    """The multiple of ``_SERIES`` that holds n Taylor coefficients."""
+    return _SERIES * -(-n // _SERIES)
+
+
+@functools.lru_cache(maxsize=4)
 def _pascal(size: int) -> np.ndarray:
-    """Pascal's matrix, C(j, k) at [k, j] for j, k < size, as floats.
+    """Pascal's matrix, C(j, k) at [k, j] for j, k < size, as floats (shared, read-only).
 
     Built column by column, C(j, k) = C(j - 1, k) + C(j - 1, k - 1): every
-    sum is exact while C(j, k) < 2^53, which holds for all j <= 56.
+    sum is exact while C(j, k) < 2^53, which holds for all j <= 56.  Column
+    j does not depend on size, so a leading block reads as a smaller matrix.
     """
     out = np.zeros((size, size))
     out[0] = 1.0
     for j in range(1, size):
         out[1:, j] = out[1:, j - 1] + out[:-1, j - 1]
+    out.flags.writeable = False
     return out
-
-
-_PASCAL = _pascal(_SERIES)
-_PASCAL.flags.writeable = False
 
 
 def _taylor_coefficients(coeffs: tuple[float, ...], base: float) -> np.ndarray:
@@ -227,14 +232,15 @@ def _taylor_coefficients(coeffs: tuple[float, ...], base: float) -> np.ndarray:
 
     d = S (c_0, ..., c_{n-2}, 1) with S[k, j] = C(j, k) base^(j - k), one
     vecdot per row of S; base^i is the product of i factors base, from the
-    left.  At base = 1, as in every Robin tail on the unit hull, S is
-    Pascal's matrix, exact in float64 up to n = 57.  Right of b_n every d_k
-    is positive: p has one root in each gap, all left of b_n, so
+    left.  C(j, k) is the leading n-by-n block of ``_pascal`` at the tail
+    entry's size.  At base = 1, as in every Robin tail on the unit hull, S
+    is Pascal's matrix, exact in float64 up to n = 57.  Right of b_n every
+    d_k is positive: p has one root in each gap, all left of b_n, so
     p(b_n + s) = prod_k (s + b_n - z_k).
     """
     n = len(coeffs) + 1
     a = np.array((*coeffs, 1.0))
-    shift = _PASCAL[:n, :n] if n <= _SERIES else _pascal(n)
+    shift = _pascal(_series_size(n))[:n, :n]
     if base == 1.0:
         return np.vecdot(shift, a)
     powers = np.full(n, base)
@@ -247,36 +253,27 @@ def _taylor_coefficients(coeffs: tuple[float, ...], base: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _offset_powers(base: float, nodes: bytes, size: int) -> np.ndarray:
-    """s^0..s^(size - 1), s = t - base, a contiguous row per float64 node t (shared, read-only).
+def _offset_series(base: float, sign: float, nodes: bytes, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Powers of s = t - base and the comparison term at float64 nodes t (shared, read-only).
 
-    Keyed like ``_offset_terms``, by the nodes' bytes and not by n: every
-    Robin tail, whatever its n up to ``_SERIES``, reads the same entry per
-    level.  Each power is the one before times s.  At the deep levels the
-    high powers overflow, inside the ladder's errstate; p reads inf only
-    where its endpoint product, of higher degree in t, has overflowed too,
-    and the value is nan anyway.
+    The powers are s^0..s^(size - 1), a contiguous row per node, each the
+    one before times s; the term is sign sqrt(off)/(1 + off), off = |s|.
+    Keyed by the nodes' bytes and not by n: every Robin tail gets the same
+    nodes from the half-line ladder and, whatever its n up to ``_SERIES``,
+    reads the same entry per level.  At the deep levels the high powers
+    overflow, inside the ladder's errstate; p reads inf only where its
+    endpoint product, of higher degree in t, has overflowed too, and the
+    value is nan anyway.
     """
     s = np.frombuffer(nodes) - base
-    out = np.empty((s.size, size))
-    out[:, 0] = 1.0
-    out[:, 1:] = s[:, None]
-    np.multiply.accumulate(out[:, 1:], axis=1, out=out[:, 1:])
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _offset_terms(base: float, sign: float, nodes: bytes) -> np.ndarray:
-    """sign sqrt(off)/(1 + off), off = |t - base|, at float64 nodes t (shared, read-only).
-
-    Keyed by the nodes' bytes: every Robin tail gets the same nodes from the
-    half-line ladder, so the term is computed once per level.
-    """
-    off = abs(np.frombuffer(nodes) - base)
+    powers = np.empty((s.size, size))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = s[:, None]
+    np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
+    off = abs(s)
     term = sign * np.sqrt(off) / (1.0 + off)
-    term.flags.writeable = False
-    return term
+    powers.flags.writeable = term.flags.writeable = False
+    return powers, term
 
 
 def _green_integrand(model: WidomModel, skip: int, sign: float):
@@ -288,13 +285,13 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     formed, and the base root is left out, so a node that rounds onto
     e_skip still has a finite value.  p is its Taylor series at e_skip
     (``_taylor_coefficients``) in the signed offset s = t - e_skip: at each
-    node, one dot of the node's row of powers of s, from
-    ``_offset_powers``, with the coefficients.  A vecdot per row, not a
-    matrix product, so a node's value does not depend on how many nodes
-    share the call.  Right of b_n no term of the sum is negative.  Where
-    the product overflows, p / inf would read 0: the value is nan instead,
-    so an overflow never passes for a finite value.  The comparison term
-    depends only on t, e_skip and sign, and comes from ``_offset_terms``.
+    node, one dot of the node's row of powers of s with the coefficients.
+    A vecdot per row, not a matrix product, so a node's value does not
+    depend on how many nodes share the call.  Right of b_n no term of the
+    sum is negative.  Where the product overflows, p / inf would read 0:
+    the value is nan instead, so an overflow never passes for a finite
+    value.  The powers and the comparison term depend only on t, e_skip
+    and sign, and come from one ``_offset_series`` entry per level.
     """
     ep = np.asarray(model.E.endpoints(), dtype=float)
     # the other endpoints as a column: the product over them runs down
@@ -302,13 +299,13 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     base, others = ep[skip], np.concatenate((ep[:skip], ep[skip + 1:]))[:, None]
     d = _taylor_coefficients(model.coeffs, base)
     n = d.size
-    size = _SERIES * -(-n // _SERIES)
+    size = _series_size(n)
 
     def f(t):
-        nodes = t.tobytes()
-        y = np.vecdot(_offset_powers(base, nodes, size)[:, :n], d)
+        powers, term = _offset_series(base, sign, t.tobytes(), size)
+        y = np.vecdot(powers[:, :n], d)
         root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
-        return np.where(root < np.inf, y / root, np.nan) - _offset_terms(base, sign, nodes)
+        return np.where(root < np.inf, y / root, np.nan) - term
 
     return f
 
@@ -329,25 +326,8 @@ def robin_constant(model: WidomModel) -> float:
 
 
 def widom_capacity(e: IntervalUnion) -> CapacityResult:
-    """Capacity through the Schwarz-Christoffel route (any number of intervals).
-
-    Runs on the affine image of e with hull [-1, 1]; value and error are
-    scaled back by the half-width, and the error is at least one ulp of
-    the value; one interval has a closed form, with error 0.
-    """
-    if e.n == 1:
-        # (b - a)/4 as one correctly rounded quotient of integers, which
-        # neither overflows nor rounds twice where the ends are subnormal
-        (na, da), (nb, db) = (x.as_integer_ratio() for x in e.intervals[0])
-        return CapacityResult((nb * da - na * db) / (4 * da * db), CLOSED_FORM, 0.0)
-    norm, scale = normalize_to_unit(e)
-    model = widom_polynomial(norm)
-    quad = _robin_quad(model)
-    cap = math.exp(-quad.value)
-    resid = sum(map(abs, model.gap_residuals))
-    est = cap * (quad.est_error + 10.0 * resid) + 1e-15
-    value = scale * cap
-    return CapacityResult(value, WIDOM, max(scale * est, math.ulp(value)))
+    """Capacity through the Schwarz-Christoffel route (any number of intervals): ``capacity(e, "widom")``."""
+    return capacity(e, WIDOM)
 
 
 def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
@@ -403,21 +383,32 @@ def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:
 
     ``method`` selects the route: "auto" takes the theta formula
     ("akhiezer") for two intervals and the Schwarz-Christoffel route
-    ("widom") otherwise, which has a closed form for one interval; the
-    theta formula requires exactly two intervals.  The route runs on the
-    affine image of e with hull [-1, 1], and value and error are scaled
-    back by the half-width (cap(a e + b) = |a| cap(e)); but for the closed
-    form, the error is at least one ulp of the value.
+    ("widom") otherwise, which has a closed form for one interval, with
+    error 0; the theta formula requires exactly two intervals.  Either
+    route runs on the affine image of e with hull [-1, 1], and value and
+    error are scaled back by the half-width (cap(a e + b) = |a| cap(e));
+    the error is at least one ulp of the value.
     """
     if method == "auto":
         method = AKHIEZER if e.n == 2 else WIDOM
-    if method == WIDOM:
-        return widom_capacity(e)
-    if method != AKHIEZER:
+    elif method == AKHIEZER:
+        if e.n != 2:
+            raise DomainError("theta-quotient formula needs exactly two intervals")
+    elif method != WIDOM:
         raise DomainError(f"unknown method {_brief(method)}")
-    if e.n != 2:
-        raise DomainError("theta-quotient formula needs exactly two intervals")
+    if e.n == 1:
+        # (b - a)/4 as one correctly rounded quotient of integers, which
+        # neither overflows nor rounds twice where the ends are subnormal
+        (na, da), (nb, db) = (x.as_integer_ratio() for x in e.intervals[0])
+        return CapacityResult((nb * da - na * db) / (4 * da * db), CLOSED_FORM, 0.0)
     norm, scale = normalize_to_unit(e)
-    res = akhiezer_capacity(norm.intervals[0][1], norm.intervals[1][0])
+    if method == AKHIEZER:
+        res = akhiezer_capacity(norm.intervals[0][1], norm.intervals[1][0])
+    else:
+        model = widom_polynomial(norm)
+        quad = _robin_quad(model)
+        cap = math.exp(-quad.value)
+        resid = sum(map(abs, model.gap_residuals))
+        res = CapacityResult(cap, WIDOM, cap * (quad.est_error + 10.0 * resid) + 1e-15)
     value = scale * res.value
-    return CapacityResult(value, AKHIEZER, max(scale * res.est_error, math.ulp(value)))
+    return CapacityResult(value, res.method, max(scale * res.est_error, math.ulp(value)))

@@ -1,6 +1,8 @@
 """Exact capacity tests: theta-quotient route, Schwarz-Christoffel route, Green values."""
 
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import logcap
 from logcap import (
     ConvergenceError,
     DomainError,
@@ -596,6 +599,22 @@ def test_level_synchronous_ladder_matches_the_per_gap_ladder_bit_for_bit():
         assert np.array_equal(got, want) and m == want_m
 
 
+def test_ladder_past_128_gaps_matches_the_per_gap_ladder_bit_for_bit():
+    # from 129 gaps on, no first call covers every gap: all start pending
+    # and every level goes by runs, into rows laid out row by row; one set
+    # passes at the first level, the other climbs one more
+    rng = random.Random(31)
+    levels = []
+    for n in (130, 200):
+        e = random_unit_interval_union(rng, n, 0.5 / (2 * n - 1))
+        got, m = _moment_vectors(e)
+        want, want_m = per_gap_moment_ladder(e)
+        assert np.array_equal(got, want) and m == want_m
+        assert got.strides == (n * got.itemsize, got.itemsize)
+        levels.append(m)
+    assert levels == [_LADDER[1], _LADDER[0]]
+
+
 def test_moment_rows_keep_the_kernel_layout():
     # the residuals' last bits depend on the layout of the moment rows: up
     # to 128 gaps they are the first kernel call's row 0, gap axis
@@ -889,9 +908,9 @@ def test_a_second_pass_adds_no_offset_power_miss():
     sets.append(canonical_set(0.3, 40))  # a tail that climbs past the first level
     clear_tail_caches()
     first = [capacity(e) for e in sets]
-    misses = exact_module._offset_powers.cache_info().misses
+    misses = exact_module._offset_series.cache_info().misses
     assert [capacity(e) for e in sets] == first
-    assert exact_module._offset_powers.cache_info().misses == misses
+    assert exact_module._offset_series.cache_info().misses == misses
 
 
 def test_a_node_value_does_not_depend_on_the_nodes_beside_it():
@@ -938,7 +957,7 @@ def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_ac
     assert len(within) > len(calls) / 2
 
 
-TAIL_CACHES = (special_module._half_line_level, exact_module._offset_terms, exact_module._offset_powers)
+TAIL_CACHES = (special_module._half_line_level, exact_module._offset_series)
 
 
 def clear_tail_caches():
@@ -1089,17 +1108,30 @@ def test_tail_caches_are_read_only_and_bounded():
     clear_tail_caches()
     assert exact_module._robin_quad(model).nodes_used == 127
     t, jac = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)
-    term = exact_module._offset_terms(1.0, 1.0, t.tobytes())
-    powers = exact_module._offset_powers(1.0, t.tobytes(), exact_module._SERIES)
-    for a in (t, jac, term, powers):
+    powers, term = exact_module._offset_series(1.0, 1.0, t.tobytes(), exact_module._SERIES)
+    for a in (t, jac, powers, term, exact_module._pascal(exact_module._SERIES)):
         assert not a.flags.writeable
     # the first level of the Robin tail was computed once, then read from the caches
-    assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1, 1]
+    assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1]
     for x in np.linspace(1.001, 30.0, 1000):
         green_value(model, float(x))
     for cache in TAIL_CACHES:
         info = cache.cache_info()
         assert info.currsize <= info.maxsize <= 16
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # an unbounded cache keyed by node bytes would grow with green_value's
+    # traffic: every lru_cache in the package's modules has a finite maxsize
+    found = {}
+    for info in pkgutil.iter_modules(logcap.__path__, "logcap."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_parameters", None)):
+                found[name] = value.cache_parameters()["maxsize"]
+    assert {"_layout", "_lobatto_nodes", "_lobatto_weights", "_fejer_rule", "_half_line_level",
+            "_offset_series", "_pascal", "_cached_uniform_partition"} <= found.keys()
+    assert all(size is not None for size in found.values()), found
 
 
 def decaying(t):
