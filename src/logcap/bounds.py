@@ -196,8 +196,8 @@ def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     """
     try:
         angles = [float(phi) for phi in sector_angles]
-    except OverflowError:
-        raise DomainError("sector angle too large for a float") from None
+    except (OverflowError, TypeError, ValueError):
+        raise DomainError("sector angles must be numbers within the float range") from None
     if len(angles) < 2:
         raise DomainError("need at least one sector")
     if not all(lo < hi for lo, hi in zip(angles, angles[1:])):
@@ -429,7 +429,7 @@ def _held_step(grad, diag, off, x, boxes, d):
     A held coordinate i steps by s_i: its row of H d = -grad becomes
     -d_i = -s_i, and its neighbours' rows move off * s_i to the right.
     """
-    held = {i: _TO_EDGE * ((hi if di > 0.0 else lo) - xi)
+    held = {i: _edge_step(xi, di, lo, hi)
             for i, (xi, di, g, (lo, hi)) in enumerate(zip(x, d, grad, boxes))
             if not lo < xi + di < hi and (g > 0.0) == (di > 0.0)}
     if not held:
@@ -447,13 +447,13 @@ def _held_step(grad, diag, off, x, boxes, d):
     return _tridiag_solve(diag_h, off_h, grad_h)
 
 
-def _box_centre(lo, hi, x_lo, x_hi):
-    """The cosine of the centre of the angle box (x_lo, x_hi) of (lo, hi), strictly inside (lo, hi).
+def _edge_step(xi, di, lo, hi):
+    """The step _TO_EDGE of the way from xi to the end of the box (lo, hi) that di points at."""
+    return _TO_EDGE * ((hi if di > 0.0 else lo) - xi)
 
-    The centre of a box a few ulp wide can round onto one of its ends; it
-    goes to the float next to that end.
-    """
-    t = math.cos(0.5 * (x_lo + x_hi))
+
+def _inside(t, lo, hi):
+    """t, strictly inside the open box (lo, hi): on or past an end, the float next to that end."""
     return t if lo < t < hi else min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
 
 
@@ -470,7 +470,7 @@ def _chain_max(chain, boxes, angle_boxes, t):
     box goes _TO_EDGE of the way to that end instead: beside the end its
     cell term has a log singularity, from which each Newton step would
     only double its distance.  Where that too rounds onto or past the
-    end, t_i goes to the float next to it, so a box a few ulp wide cannot
+    end, t_i goes :func:`_inside` its box, so a box a few ulp wide cannot
     stall the other coordinates.  The ascent stops once the rise that
     Newton's model predicts at the accepted point is at most _NEWTON_TOL
     of the sum, or when no halving rises.  An interior step, one that
@@ -516,17 +516,14 @@ def _chain_max(chain, boxes, angle_boxes, t):
 
 
 def _to_edge(x, d, boxes, angle_boxes, x_new, t_new):
-    """Put each trial t_i of :func:`_chain_max` on or past an end of its box _TO_EDGE of the way there.
+    """Move each trial t_i of :func:`_chain_max` on or past an end of its box by :func:`_edge_step`.
 
-    The way is from x_i to the end's angle.  Where that too rounds onto
-    or past the end, t_i goes to the float next to it.  ``x_new`` and
-    ``t_new`` change in place.
+    The step is in angle, from x_i, and t_i then goes :func:`_inside` its
+    box.  ``x_new`` and ``t_new`` change in place.
     """
     for i, ((lo, hi), (x_lo, x_hi)) in enumerate(zip(boxes, angle_boxes)):
         if not lo < t_new[i] < hi:
-            xi, di = x[i], d[i]
-            ti = math.cos(xi + _TO_EDGE * ((x_hi if di > 0.0 else x_lo) - xi))
-            ti = min(max(ti, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+            ti = _inside(math.cos(x[i] + _edge_step(x[i], d[i], x_lo, x_hi)), lo, hi)
             x_new[i], t_new[i] = math.acos(ti), ti
 
 
@@ -545,17 +542,30 @@ def _gap_division_consts(e: IntervalUnion):
     return consts
 
 
+def _chain_boxes(e: IntervalUnion):
+    """e's interior endpoints pts, their arccos angles th, and the open boxes (pts[i], pts[i + 1]).
+
+    Also the angle boxes (th[i + 1], th[i]) and the cosines of their
+    centres, each :func:`_inside` its box.  The boxes run gap, component,
+    ..., gap: Solynin's chain takes them all, gap division the gaps.
+    """
+    pts = e.endpoints()[1:-1]
+    th = list(map(math.acos, pts))
+    boxes = list(zip(pts, pts[1:]))
+    angle_boxes = list(zip(th[1:], th))
+    centres = [_inside(math.cos(0.5 * (x_lo + x_hi)), lo, hi)
+               for (lo, hi), (x_lo, x_hi) in zip(boxes, angle_boxes)]
+    return pts, th, boxes, angle_boxes, centres
+
+
 def _gap_division_chain(e: IntervalUnion):
     """The gap-division bound for :func:`_chain_max`: chain, boxes, angle boxes and start.
 
     The boxes are the gaps, and the points start at the centres of their
     angle boxes.
     """
-    pts = e.endpoints()[1:-1]
-    th = list(map(math.acos, pts))
-    lo, hi, x_lo, x_hi = pts[::2], pts[1::2], th[1::2], th[::2]
-    start = list(map(_box_centre, lo, hi, x_lo, x_hi))
-    return (True, _gap_division_consts(e)), list(zip(lo, hi)), list(zip(x_lo, x_hi)), start
+    boxes, angle_boxes, centres = _chain_boxes(e)[2:]
+    return (True, _gap_division_consts(e)), boxes[::2], angle_boxes[::2], centres[::2]
 
 
 def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
@@ -605,20 +615,16 @@ def _solynin_chain(e: IntervalUnion):
     are the links' constants, the ends of the angle boxes and the start's
     anchors.
     """
-    pts = e.endpoints()[1:-1]
-    th = list(map(math.acos, pts))
-    # gap, component, gap, ..., gap: box i is (pts[i], pts[i + 1])
-    boxes = list(zip(pts, pts[1:]))
-    angle_boxes = list(zip(th[1:], th))
-    return (False, th), boxes, angle_boxes, _solynin_start(pts, th)
+    pts, th, boxes, angle_boxes, centres = _chain_boxes(e)
+    return (False, th), boxes, angle_boxes, _solynin_start(pts, th, centres)
 
 
-def _solynin_start(pts, th):
+def _solynin_start(pts, th, t):
     """Start points for the Solynin ascent in the boxes (pts[i], pts[i + 1]) of :func:`_solynin_chain`.
 
-    ``th`` are the arccos angles of ``pts``.  A gap point starts at the
-    centre of its angle box.  An interior split
-    point starts at the small-gap optimum of its two cells: with gamma the
+    ``th`` are the arccos angles of ``pts``, and ``t``, changed in place,
+    the box centres, where the gap points start.  An interior split point
+    starts at the small-gap optimum of its two cells: with gamma the
     arccos part of a gap in a cell of arccos measure M, the cell term is
     M^2 log sin(pi/2 (1 - gamma/M)) ~ -pi^2 gamma^2/8 - pi^4 gamma^4/(192 M^2),
     so the cells' sum at fixed M_1 + M_2 peaks at
@@ -627,7 +633,6 @@ def _solynin_start(pts, th):
     within 1% of its box width from an end, or whose gammas both round to
     0, stays at the box centre.
     """
-    t = list(map(_box_centre, pts, pts[1:], th[1:], th))
     x = list(map(math.acos, t))
     for i in range(1, len(t) - 1, 2):
         a, b = pts[i], pts[i + 1]

@@ -199,10 +199,9 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
     return WidomModel(e, tuple(c.tolist()), tuple(residuals.tolist()), nodes)
 
 
-# the powers s^0..s^31 of an ``_offset_series`` entry, and the size of the
-# Pascal matrix: every p of degree n - 1 <= 31 (the monomial solve gives
-# out below that) reads the same entry; a larger n takes the next multiple
-# of 32 for both
+# the powers s^0..s^31 of an ``_offset_series`` entry: every p of degree
+# n - 1 <= 31 (the monomial solve gives out below that) reads the same
+# entry; a larger n takes the next multiple of 32
 _SERIES = 32
 
 
@@ -211,18 +210,25 @@ def _series_size(n: int) -> int:
     return _SERIES * -(-n // _SERIES)
 
 
-@functools.lru_cache(maxsize=4)
-def _pascal(size: int) -> np.ndarray:
-    """Pascal's matrix, C(j, k) at [k, j] for j, k < size, as floats (shared, read-only).
+@functools.lru_cache(maxsize=32)
+def _shift_matrix(base: float, n: int) -> np.ndarray:
+    """S[k, j] = C(j, k) base^(j - k) for j, k < n, as floats (shared, read-only).
 
-    Built column by column, C(j, k) = C(j - 1, k) + C(j - 1, k - 1): every
-    sum is exact while C(j, k) < 2^53, which holds for all j <= 56.  Column
-    j does not depend on size, so a leading block reads as a smaller matrix.
+    Pascal's matrix by column sums, C(j, k) = C(j - 1, k) + C(j - 1, k - 1),
+    each exact while C(j, k) < 2^53 (all j <= 56), times base^i, the
+    product of i factors base from the left: at base = 1, as in every
+    Robin tail on the unit hull, S is Pascal's matrix.  Each Robin tail's
+    n, and each endpoint a Green function is integrated from, builds S
+    once.  Near the largest float the powers overflow, as Horner's powers
+    of t would, inside the caller's errstate.
     """
-    out = np.zeros((size, size))
+    out = np.zeros((n, n))
     out[0] = 1.0
-    for j in range(1, size):
+    for j in range(1, n):
         out[1:, j] = out[1:, j - 1] + out[:-1, j - 1]
+    lag = np.arange(n)
+    powers = np.multiply.accumulate(np.where(lag, base, 1.0))
+    out *= powers[np.maximum(lag - lag[:, None], 0)]
     out.flags.writeable = False
     return out
 
@@ -230,26 +236,13 @@ def _pascal(size: int) -> np.ndarray:
 def _taylor_coefficients(coeffs: tuple[float, ...], base: float) -> np.ndarray:
     """Coefficients d_k of p(base + s) = sum_k d_k s^k, p monic with low-order coefficients ``coeffs``.
 
-    d = S (c_0, ..., c_{n-2}, 1) with S[k, j] = C(j, k) base^(j - k), one
-    vecdot per row of S; base^i is the product of i factors base, from the
-    left.  C(j, k) is the leading n-by-n block of ``_pascal`` at the tail
-    entry's size.  At base = 1, as in every Robin tail on the unit hull, S
-    is Pascal's matrix, exact in float64 up to n = 57.  Right of b_n every
-    d_k is positive: p has one root in each gap, all left of b_n, so
+    d = S (c_0, ..., c_{n-2}, 1), one vecdot per row of the cached
+    ``_shift_matrix`` S, for every base.  Right of b_n every d_k is
+    positive: p has one root in each gap, all left of b_n, so
     p(b_n + s) = prod_k (s + b_n - z_k).
     """
-    n = len(coeffs) + 1
-    a = np.array((*coeffs, 1.0))
-    shift = _pascal(_series_size(n))[:n, :n]
-    if base == 1.0:
-        return np.vecdot(shift, a)
-    powers = np.full(n, base)
-    powers[0] = 1.0
-    lag = np.arange(n)
-    lag = np.maximum(lag - lag[:, None], 0)
-    # near the largest float the powers overflow, as Horner's powers of t would
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.vecdot(shift * np.multiply.accumulate(powers)[lag], a)
+        return np.vecdot(_shift_matrix(base, len(coeffs) + 1), np.array((*coeffs, 1.0)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -283,9 +276,10 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     minus sign sqrt(off)/(1 + off), off = |t - e_skip|, so that
     f(t)/sqrt(off) = p/sqrt|q| - sign/(1 + off).  No coefficient of q is
     formed, and the base root is left out, so a node that rounds onto
-    e_skip still has a finite value.  p is its Taylor series at e_skip
-    (``_taylor_coefficients``) in the signed offset s = t - e_skip: at each
-    node, one dot of the node's row of powers of s with the coefficients.
+    e_skip still has a finite value.  p is its Taylor series at e_skip in
+    the signed offset s = t - e_skip, its coefficients shifted to e_skip
+    by the cached ``_shift_matrix`` of e_skip and n: at each node, one dot
+    of the node's row of powers of s with the coefficients.
     A vecdot per row, not a matrix product, so a node's value does not
     depend on how many nodes share the call.  Right of b_n no term of the
     sum is negative.  Where the product overflows, p / inf would read 0:
@@ -351,8 +345,8 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     ep = np.asarray(e.endpoints(), dtype=float)
     try:
         x = float(x)
-    except OverflowError:
-        raise DomainError("x is too large for a float") from None
+    except (OverflowError, TypeError, ValueError):
+        raise DomainError(f"x must be a number within the float range, got {_brief(x)}") from None
     if math.isnan(x):
         raise DomainError("x is nan")
     i = int(np.searchsorted(ep, x))  # ep[i - 1] < x <= ep[i]

@@ -319,8 +319,8 @@ def solve_dense(mat, rhs) -> np.ndarray:
         # views, not copies: the LAPACK wrappers copy their input anyway
         m = np.asarray(mat, dtype=float)
         v = np.asarray(rhs, dtype=float).ravel()
-    except OverflowError:
-        raise DomainError("matrix or right-hand side entry too large for a float") from None
+    except (OverflowError, TypeError, ValueError):
+        raise DomainError("matrix and right-hand side entries must be numbers within the float range") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"matrix must be square, got shape {m.shape}")
     if v.size != m.shape[0]:

@@ -1549,6 +1549,16 @@ def test_uniform_measure_partition_is_built_once_per_count():
     assert uniform_measure_partition(np.int64(7)) is uniform_measure_partition(7)
 
 
+def test_a_count_above_the_cached_ones_is_built_per_call():
+    n = 200
+    assert n > bounds_module._CACHED_CELLS
+    before = bounds_module._cached_uniform_partition.cache_info()
+    p = uniform_measure_partition(n)
+    assert uniform_measure_partition(n) is not p
+    assert [x.hex() for x in p.points] == [x.hex() for x in bounds_module._uniform_partition(n).points]
+    assert bounds_module._cached_uniform_partition.cache_info() == before
+
+
 @pytest.mark.parametrize("count", [0, -3, 2.5, 10**400])
 def test_uniform_measure_partition_rejects_a_count_on_every_call(count):
     # a rejected count is checked before the cache, so it is never stored

@@ -871,6 +871,25 @@ def test_tail_taylor_coefficients_are_positive():
             count += 1
 
 
+def test_a_signed_zero_base_gives_the_same_taylor_coefficients():
+    # the shift matrices are keyed by (base, n), and -0.0 == 0.0 shares a
+    # key; the signed zeros of S above the diagonal never reach d, so
+    # either base reads the other's S with the same bits
+    model = widom_polynomial(make_interval_union([(-1.0, -0.5), (-0.0, 0.25), (0.5, 1.0)]))
+    for coeffs in (model.coeffs, (0.0, -0.0, 0.5), (-0.0, -0.0, -0.0)):
+        got = []
+        for base in (-0.0, 0.0):
+            exact_module._shift_matrix.cache_clear()
+            got.append(exact_module._taylor_coefficients(coeffs, base).tobytes())
+        assert got[0] == got[1], coeffs
+    values = []
+    for zero in (-0.0, 0.0):
+        exact_module._shift_matrix.cache_clear()
+        e = make_interval_union([(-1.0, -0.5), (zero, 0.25), (0.5, 1.0)])
+        values.append(green_value(widom_polynomial(e), -0.1))  # integrated from the zero endpoint
+    assert values[0].hex() == values[1].hex()
+
+
 def test_tail_p_is_no_less_accurate_than_horner():
     # the relative error of p / prod sqrt|t - e| at the Robin tail's first
     # 127 nodes (sign 0: the comparison term, the same arithmetic on both
@@ -909,8 +928,10 @@ def test_a_second_pass_adds_no_offset_power_miss():
     clear_tail_caches()
     first = [capacity(e) for e in sets]
     misses = exact_module._offset_series.cache_info().misses
+    shift_misses = exact_module._shift_matrix.cache_info().misses
     assert [capacity(e) for e in sets] == first
     assert exact_module._offset_series.cache_info().misses == misses
+    assert exact_module._shift_matrix.cache_info().misses == shift_misses
 
 
 def test_a_node_value_does_not_depend_on_the_nodes_beside_it():
@@ -1109,7 +1130,7 @@ def test_tail_caches_are_read_only_and_bounded():
     assert exact_module._robin_quad(model).nodes_used == 127
     t, jac = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)
     powers, term = exact_module._offset_series(1.0, 1.0, t.tobytes(), exact_module._SERIES)
-    for a in (t, jac, powers, term, exact_module._pascal(exact_module._SERIES)):
+    for a in (t, jac, powers, term, exact_module._shift_matrix(1.0, 4)):
         assert not a.flags.writeable
     # the first level of the Robin tail was computed once, then read from the caches
     assert [cache.cache_info().misses for cache in TAIL_CACHES] == [1, 1]
@@ -1130,7 +1151,7 @@ def test_every_cache_in_the_package_is_bounded():
             if callable(getattr(value, "cache_parameters", None)):
                 found[name] = value.cache_parameters()["maxsize"]
     assert {"_layout", "_lobatto_nodes", "_lobatto_weights", "_fejer_rule", "_half_line_level",
-            "_offset_series", "_pascal", "_cached_uniform_partition"} <= found.keys()
+            "_offset_series", "_shift_matrix", "_cached_uniform_partition"} <= found.keys()
     assert all(size is not None for size in found.values()), found
 
 

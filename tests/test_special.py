@@ -172,6 +172,13 @@ def test_theta_positivity_and_truncation():
         assert theta3(0.7, q) == pytest.approx(brute(0.7, q, 200), abs=2e-15)
 
 
+@pytest.mark.parametrize("theta", [theta3, theta4])
+def test_theta_series_stops_at_its_term_cap(theta):
+    # at nome 1 - 1e-9 the terms q^(m^2) stay above 1e-16 past m = 20000
+    with pytest.raises(ConvergenceError, match="theta series did not converge"):
+        theta(0.0, 1.0 - 1e-9)
+
+
 def test_theta_domain():
     with pytest.raises(DomainError):
         theta3(0.0, 1.0)
@@ -230,6 +237,17 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     "elliptic-params-unprintable-omega": lambda: EllipticParams(1.0, 0.0, 0.5, 10**5000),
     "elliptic-params-unprintable-nome": lambda: EllipticParams(1.0, 0.0, 10**5000, 0.0),
     "solve-unprintable-entry": lambda: solve_dense([[10**5000]], [1.0]),
+    # a string that is no number raised a bare ValueError, and None a bare
+    # TypeError; solve_dense reads None as nan
+    "green-value-string-x": lambda: green_value(
+        widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), "abc"),
+    "green-value-none-x": lambda: green_value(
+        widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), None),
+    "sector-product-string-angle": lambda: sector_product_lower(
+        CircleArcSet(((0.0, 1.0),)), ["abc", 1.0]),
+    "sector-product-none-angle": lambda: sector_product_lower(
+        CircleArcSet(((0.0, 1.0),)), [None, 1.0]),
+    "solve-string-entry": lambda: solve_dense([["a"]], [1.0]),
 }
 
 
@@ -237,6 +255,14 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
 def test_non_finite_or_fractional_arguments_raise_domain_error(case):
     with pytest.raises(DomainError):
         NON_FINITE_OR_FRACTIONAL_ARGUMENTS[case]()
+
+
+def test_numeric_strings_still_read_as_numbers():
+    model = widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)]))
+    assert green_value(model, "2.0") == green_value(model, 2.0)
+    f = CircleArcSet(((0.0, 1.0),))
+    assert sector_product_lower(f, ["0", repr(2.0 * math.pi)]) == sector_product_lower(f, [0.0, 2.0 * math.pi])
+    assert solve_dense([["2"]], ["4"]).tolist() == [2.0]
 
 
 def test_arc_and_cell_counts_may_be_numpy_integers():
