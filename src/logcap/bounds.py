@@ -63,6 +63,7 @@ from .sets import (
     _check_two_interval,
     _require_unit_hull,
     _require_unit_subset,
+    _unchecked_partition,
     normalize_to_unit,
 )
 from .special import (
@@ -177,12 +178,13 @@ def _cell_log(cell_mu: float, *inter_mu: float) -> float:
     """
     if not cell_mu > 0.0:
         return -math.inf
+    sin, log = math.sin, math.log
     s = 1.0
     for mu in inter_mu:
-        s *= math.sin(_H * mu / cell_mu)
+        s *= sin(_H * mu / cell_mu)
     if not s > 0.0:
         return -math.inf
-    return _C / len(inter_mu) * cell_mu * cell_mu * math.log(s)
+    return _C / len(inter_mu) * cell_mu * cell_mu * log(s)
 
 
 def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
@@ -217,23 +219,26 @@ def partition_lower(e: IntervalUnion, p: Partition) -> float:
     with the set, both widths taken by ``sets._arcs``, so a cell inside a
     component, however thin, has mu_k = M_k and factor 1; a cell missing
     the set entirely gives bound 0.  Cells and components are both sorted,
-    so one walk over the two finds each cell's parts of the set.
+    so one walk over the two finds each cell's parts of the set.  The
+    clamps of a part's ends are comparisons that pick what ``max(a, lo)``
+    and ``min(b, hi)`` pick.
     """
     _require_unit_subset(e)
     comps, n = e.intervals, e.n
-    pts = p.points
+    pts = iter(p.points)
+    lo = next(pts)
     log_total, k = 0.0, 0
-    for j in range(len(pts) - 1):
-        lo, hi = pts[j], pts[j + 1]
+    for hi in pts:
         # components ending at or before the cell starts meet no later cell
         while k < n and comps[k][1] <= lo:
             k += 1
         mu, i = 0.0, k
         while i < n and comps[i][0] < hi:
             a, b = comps[i]
-            mu += _arcs(max(a, lo), min(b, hi))[0]
+            mu += _arcs(lo if lo > a else a, hi if hi < b else b)[0]
             i += 1
         log_total += _cell_log(_arcs(lo, hi)[0], mu)
+        lo = hi
     return 0.5 * math.exp(log_total)
 
 
@@ -245,12 +250,12 @@ def gap_division_lower(e: IntervalUnion, d: GapPoints) -> float:
     of the gap-division chain at the arccos angles of the points.
     """
     _require_unit_hull(e)
-    return _gap_division_value(e, _gap_division_consts(e), d)
-
-
-def _gap_division_value(e: IntervalUnion, consts, d: GapPoints) -> float:
-    """:func:`gap_division_lower` at ``d`` from the ``consts`` of e's chain."""
     d.validate_for(e)
+    return _gap_division_value(_gap_division_consts(e), d)
+
+
+def _gap_division_value(consts, d: GapPoints) -> float:
+    """:func:`gap_division_lower` at the checked ``d`` from the ``consts`` of the set's chain."""
     x = [math.pi, *map(math.acos, d.deltas), 0.0]
     log_total = 0.0
     for k, (w, c) in enumerate(consts):
@@ -542,6 +547,23 @@ def _gap_division_consts(e: IntervalUnion):
     return consts
 
 
+def _require_floats_inside(gaps, components=()):
+    """Raise DomainError where an open gap or component box of a chain holds no float.
+
+    A box with no float inside is 1 ulp wide, and :func:`_inside` puts
+    every point of it on its low end; the error is the one that
+    ``GapPoints.validate_for``, then :func:`_solynin_points`, raise for
+    that point, gaps first.  The optimizers check this once, before
+    their ascents, whose points then lie strictly inside their boxes.
+    """
+    for lo, hi in gaps:
+        if not math.nextafter(lo, hi) < hi:
+            raise DomainError(f"gap point {_brief(lo)} outside open gap ({lo}, {hi})")
+    for a, b in components:
+        if not math.nextafter(a, b) < b:
+            raise DomainError(f"interior point {a} outside component ({a}, {b})")
+
+
 def _chain_boxes(e: IntervalUnion):
     """e's interior endpoints pts, their arccos angles th, and the open boxes (pts[i], pts[i + 1]).
 
@@ -574,11 +596,15 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
     Factor k depends only on the division points on either side of
     component k, so the Newton steps solve a tridiagonal system.  The
     public bound at the returned points is taken from the same constants.
+    Raises DomainError, as ``gap_division_lower`` does, where a gap is
+    1 ulp wide; that one check, before the ascent, stands for the
+    validation of the points it returns.
     """
     _require_unit_hull(e)
     chain, boxes, angle_boxes, start = _gap_division_chain(e)
+    _require_floats_inside(boxes)
     d = GapPoints(tuple(_chain_max(chain, boxes, angle_boxes, start)))
-    return _gap_division_value(e, chain[1], d), d
+    return _gap_division_value(chain[1], d), d
 
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
@@ -657,11 +683,14 @@ def solynin_lower_max(e: IntervalUnion) -> tuple[float, Partition]:
     each split point g_i at the small-gap optimum of its two cells, each
     d_i at the centre of its angle box.  Raises DomainError, as
     ``solynin_lower`` does, where a gap or an interior component is 1 ulp
-    wide, so that no split point fits inside it.
+    wide, so that no split point fits inside it; that one check, before
+    the ascent, stands for the validation of the points it returns, and
+    the partition through them is built unchecked.
     """
     _require_unit_hull(e)
-    t = _chain_max(*_solynin_chain(e))
-    p = _solynin_points(e, GapPoints(tuple(t[::2])), t[1::2])
+    chain, boxes, angle_boxes, start = _solynin_chain(e)
+    _require_floats_inside(boxes[::2], boxes[1::2])
+    p = _unchecked_partition((-1.0, *_chain_max(chain, boxes, angle_boxes, start), 1.0))
     return partition_lower(e, p), p
 
 
@@ -730,7 +759,7 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
         gaps_open = all(math.nextafter(a, b) < b for a, b in norm.gaps())
         gap_max = gap_division_lower_max(norm) if gaps_open else None
         if gap_max and n == 2:
-            p = Partition((-1.0, *gap_max[1].deltas, 1.0))
+            p = _unchecked_partition((-1.0, *gap_max[1].deltas, 1.0))
             add("solynin_lower", LOWER, partition_lower(norm, p), p)
         elif gaps_open and all(math.nextafter(a, b) < b for a, b in norm.intervals[1:-1]):
             add("solynin_lower", LOWER, *solynin_lower_max(norm))

@@ -142,14 +142,15 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
     bound is smaller, and the per-row maxima are skipped.
     Raises ConvergenceError, naming the lowest such gap, when a gap's
     m-interval and m/2-interval rules still disagree at the cap.  A node
-    that rounds onto an endpoint makes a level inf or nan, which the test
-    never accepts, so numpy's divide and invalid warnings are silenced for
-    the whole ladder.
+    that rounds onto an endpoint makes a level inf or nan, and so does a
+    moment beyond the float range, on a set far from the origin; the test
+    never accepts either, so numpy's divide, overflow and invalid warnings
+    are silenced for the whole ladder.
     """
     ep = np.asarray(e.endpoints(), dtype=float)
     n = e.n
     m = _LADDER[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if n - 1 <= _LADDER[-1] // m:
             out, coarse = _kernels.gap_moment_sums(ep, 0, m, n - 1, n - 1)
             diff = abs(out - coarse)

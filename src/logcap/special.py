@@ -314,6 +314,12 @@ def solve_dense(mat, rhs) -> np.ndarray:
 
     Raises SingularMatrixError when sigma_min(M) <= 1e-13 sigma_max(M), a
     test independent of the scale of M, or when LAPACK meets a zero pivot.
+    Raises DomainError naming the entry where the right-hand side holds a
+    nan or an infinity, or M an infinity or a None (which numpy reads as
+    nan); a nan given as a float in M fails LAPACK's SVD, a
+    SingularMatrixError.  Finite input pays one reduction for this, the
+    sum of the right-hand side: an entry of M is looked at only where
+    the guard has already failed.
     """
     try:
         # views, not copies: the LAPACK wrappers copy their input anyway
@@ -327,10 +333,31 @@ def solve_dense(mat, rhs) -> np.ndarray:
         raise DomainError("right-hand side length does not match the matrix")
     if v.size == 0:
         return np.empty(0)
+    # the sum of Python floats, which overflows to inf without a warning,
+    # is finite wherever v is, unless v is near the float range's end;
+    # there the entries settle it
+    if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise DomainError(f"right-hand side entry {i} is {float(v[i])!r}, not a finite number")
     try:
         sigma = np.linalg.svd(m, compute_uv=False)
         if sigma[-1] > 1e-13 * sigma[0]:
             return np.linalg.solve(m, v)
     except np.linalg.LinAlgError as exc:
+        _require_finite_entries(m, mat)
         raise SingularMatrixError(f"LAPACK: {exc}") from exc
+    _require_finite_entries(m, mat)
     raise SingularMatrixError(f"singular values {sigma[-1]:.3e} <= 1e-13 x {sigma[0]:.3e}")
+
+
+def _require_finite_entries(m: np.ndarray, mat) -> None:
+    """Raise DomainError at the first entry of M that is infinite, or a nan read from None in ``mat``."""
+    raw = np.asarray(mat, dtype=object)
+    for i, j in np.argwhere(~np.isfinite(m)).tolist():
+        if raw[i, j] is None:
+            entry = "None"
+        elif math.isinf(m[i, j]):
+            entry = repr(float(m[i, j]))
+        else:
+            continue  # a nan given as such: LAPACK's SVD fails on it, a SingularMatrixError
+        raise DomainError(f"matrix entry ({i}, {j}) is {entry}, not a finite number")

@@ -1072,6 +1072,54 @@ def test_solynin_optimizer_raises_where_both_gaps_beside_a_split_point_are_1_ulp
         solynin_lower_max(e)
 
 
+def _sets_with_boxes_a_few_ulp_wide(seed, count):
+    """Seeded unit-hull sets in which two interior pieces, gaps or components, are 1-6 ulp wide."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        n = rng.choice([2, 3, 4, 5, 6, 8])
+        ends = random_unit_interval_union(rng, n, 0.02).endpoints()
+        # piece i runs from ends[i] to ends[i + 1]: a gap for odd i, an
+        # interior component for even i >= 2
+        for i in rng.sample(range(1, 2 * n - 2), min(2, 2 * n - 3)):
+            x = ends[i]
+            for _ in range(rng.randint(1, 6)):
+                x = math.nextafter(x, 1.0)
+            ends[i + 1] = min(x, ends[i + 1])
+        if all(lo < hi for lo, hi in zip(ends, ends[1:])):
+            sets.append(make_interval_union(list(zip(ends[::2], ends[1::2]))))
+    return sets
+
+
+def test_optimizer_points_pass_the_checks_that_the_optimizers_leave_out():
+    # both optimizers check their boxes once, before the ascent, and build
+    # their points unchecked: the checks of the public bounds stay the oracle
+    sets = _hard_sets() + _sets_with_boxes_a_few_ulp_wide(23, 120)
+    raised = set()
+    for e in sets:
+        pts = e.endpoints()[1:-1]
+        # the boxes run gap, interior component, ..., gap
+        closed = [not math.nextafter(lo, hi) < hi for lo, hi in zip(pts, pts[1:])]
+        for optimizer in (gap_division_lower_max, solynin_lower_max):
+            try:
+                val, params = optimizer(e)
+            except DomainError:
+                # only where one of its boxes holds no float at all
+                assert any(closed[::2] if optimizer is gap_division_lower_max else closed), e
+                raised.add(optimizer)
+                continue
+            if optimizer is gap_division_lower_max:
+                params.validate_for(e)
+                assert val == gap_division_lower(e, params)
+            else:
+                assert Partition(params.points) == params
+                free = params.points[1:-1]
+                assert bounds_module._solynin_points(e, GapPoints(free[0::2]), free[1::2]) == params
+                assert val == solynin_lower(e, GapPoints(free[0::2]), free[1::2])
+    # the seeded pool also holds boxes 1 ulp wide, where each optimizer raises
+    assert raised == {gap_division_lower_max, solynin_lower_max}
+
+
 def _link_geometry(rng, edge):
     """Angles lo > end > hi of one link, with lo (edge 1) or hi (edge 2) within 1e-6 of end."""
     end = rng.uniform(0.6, 2.4)

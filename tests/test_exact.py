@@ -14,6 +14,7 @@ import logcap
 from logcap import (
     ConvergenceError,
     DomainError,
+    LogcapError,
     SingularMatrixError,
     akhiezer_capacity,
     akhiezer_params,
@@ -1199,3 +1200,14 @@ def test_half_line_arguments_are_checked_before_any_evaluation(monkeypatch, case
     with pytest.raises(DomainError):
         BAD_HALF_LINE_CALLS[case](model, counted(decaying))
     assert count == [0]
+
+
+def test_moment_ladder_overflow_ends_in_a_typed_error():
+    # far from the origin each node's sqrt(q) overflows: an overflowed level
+    # is inf, which the ladder's test never accepts, and numpy's overflow
+    # warning (an error here) stays inside the ladder's errstate; such a
+    # set gets no model, since widom_polynomial does not map it onto the
+    # unit hull
+    e = make_interval_union([(1e100, 2e100), (3e100, 4e100), (5e100, 6e100)])
+    with pytest.raises(LogcapError):
+        widom_polynomial(e)

@@ -22,7 +22,7 @@ from logcap import (
     project_to_real_axis,
 )
 from logcap.errors import _brief
-from logcap.sets import TWO_PI, CircleArcSet, IntervalUnion, Partition
+from logcap.sets import TWO_PI, CircleArcSet, IntervalUnion, Partition, _arcs
 from logcap.verify import equality_gap_points, random_unit_interval_union
 
 
@@ -195,6 +195,49 @@ def test_mu_thin_interval_keeps_its_digits(a, width):
     with mpmath.workdps(40):
         want = mpmath.acos(mpmath.mpf(lo)) - mpmath.acos(mpmath.mpf(hi))
         assert abs(chebyshev_measure(e) / want - 1) <= 4e-15
+
+
+def _arcs_by_builtins(a, b):
+    """``sets._arcs`` written with ``math.`` names and the builtin max and min: its reference."""
+    s = math.acos(a) + math.acos(b)
+    half = 0.5 * (math.acos(-a) + math.acos(-b)) if a + b < 0.0 else 0.5 * s
+    return 2.0 * math.asin(min(max(b - a, 0.0) / (2.0 * math.sin(half)), 1.0)), s
+
+
+def test_arcs_matches_the_builtin_max_min_formula_bit_for_bit():
+    up = lambda x: math.nextafter(x, 2.0)
+    tiny = 5e-324
+    cases = [(x, x) for x in (-1.0, -0.5, -0.0, 0.0, 0.3, 1.0)]
+    # signed zeros: -0.0 - 0.0 is -0.0, which max(., 0.0) keeps
+    cases += [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]
+    # ends at -1 and 1, and intervals spanning nearly all of [-1, 1]
+    cases += [(-1.0, 1.0), (-1.0, up(-1.0)), (math.nextafter(1.0, 0.0), 1.0), (-1.0, 0.0),
+              (0.0, 1.0), (up(-1.0), math.nextafter(1.0, 0.0)), (-1.0, -1.0), (1.0, 1.0)]
+    # widths of 1 ulp and subnormal widths
+    cases += [(x, up(x)) for x in (-0.75, -0.5, -tiny, 0.0, 1e-300, 0.1, 0.5, 0.9999)]
+    cases += [(0.0, tiny), (-tiny, 0.0), (-tiny, tiny), (1e-310, 2e-310), (-2e-310, -1e-310)]
+    # both branches of a + b < 0, and its boundary a + b = 0
+    cases += [(-0.6, 0.5), (-0.5, 0.6), (-0.5, 0.5), (-0.9, -0.8), (0.8, 0.9)]
+    # reversed ends, whose width max(., 0.0) clamps to 0
+    cases += [(0.5, 0.2), (-0.2, -0.5), (tiny, 0.0), (1.0, -1.0)]
+    rng = random.Random(19)
+    for _ in range(2000):
+        a, b = sorted(rng.uniform(-1.0, 1.0) for _ in range(2))
+        cases += [(a, b), (b, a), (a, math.nextafter(a, b))]
+
+    def outcome(arcs, a, b):
+        try:
+            return [x.hex() for x in arcs(a, b)]
+        except ZeroDivisionError:  # [-1, -1] and [1, 1], where sin(half) is 0
+            return "ZeroDivisionError"
+
+    signs = set()
+    for a, b in cases:
+        got = outcome(_arcs, a, b)
+        assert got == outcome(_arcs_by_builtins, a, b), (a, b)
+        if got[0] in ("0x0.0p+0", "-0x0.0p+0"):
+            signs.add(got[0])
+    assert signs == {"0x0.0p+0", "-0x0.0p+0"}  # the sign of a zero width is exercised both ways
 
 
 def test_mu_domain_error():

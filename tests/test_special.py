@@ -436,3 +436,24 @@ def test_elliptic_params_invariant():
         EllipticParams(k=0.6, k_prime=0.8, q=1.0, omega=0.0)
     p = EllipticParams(k=0.6, k_prime=0.8, q=0.05, omega=1.0)
     assert p.k ** 2 + p.k_prime ** 2 == pytest.approx(1.0, abs=1e-14)
+
+
+def test_solve_dense_names_a_non_finite_entry():
+    # numpy reads None as nan: the right-hand side's came back as a nan
+    # solution, an infinity passed through, and a None in the matrix failed
+    # LAPACK's SVD as a SingularMatrixError
+    with pytest.raises(DomainError, match="right-hand side entry 0 is nan"):
+        solve_dense([[1.0]], [None])
+    with pytest.raises(DomainError, match="right-hand side entry 1 is inf"):
+        solve_dense([[2.0, 0.0], [0.0, 1.0]], [1.0, math.inf])
+    with pytest.raises(DomainError, match=r"matrix entry \(0, 1\) is None"):
+        solve_dense([[1.0, None], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(DomainError, match=r"matrix entry \(0, 0\) is None"):
+        solve_dense([[None]], [1.0])
+    with pytest.raises(DomainError, match=r"matrix entry \(1, 0\) is -inf"):
+        solve_dense([[1.0, 0.0], [-math.inf, 1.0]], [1.0, 1.0])
+    # finite entries whose sum overflows still solve
+    assert solve_dense([[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308]).tolist() == [1e308, 1e308]
+    # a singular finite matrix is still a SingularMatrixError
+    with pytest.raises(SingularMatrixError):
+        solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, math.nextafter(2.0, 3.0)])
