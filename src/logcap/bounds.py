@@ -51,7 +51,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _brief
+from .errors import DomainError, _brief, _real
 from .sets import (
     CircleArcSet,
     GapPoints,
@@ -61,6 +61,7 @@ from .sets import (
     _check_arc_family,
     _check_count,
     _check_two_interval,
+    _left_sum,
     _require_unit_hull,
     _require_unit_subset,
     _unchecked_partition,
@@ -101,7 +102,7 @@ def classical_bounds(e: IntervalUnion) -> tuple[float, float]:
 
 def schiefermayr_lower(alpha: float, beta: float) -> float:
     """Elementary lower bound for [-1,alpha] u [beta,1]; tight when alpha + beta = 0."""
-    _check_two_interval(alpha, beta)
+    alpha, beta = _check_two_interval(alpha, beta)
     num = ((1.0 - alpha * alpha) * (1.0 - beta * beta)) ** 0.25
     den = math.sqrt((1.0 - alpha) * (1.0 + beta)) + math.sqrt((1.0 + alpha) * (1.0 - beta))
     return num / den
@@ -109,13 +110,13 @@ def schiefermayr_lower(alpha: float, beta: float) -> float:
 
 def polarization_upper(alpha: float, beta: float) -> float:
     """Upper bound by symmetrizing the gap about the origin; tight when alpha + beta = 0."""
-    _check_two_interval(alpha, beta)
+    alpha, beta = _check_two_interval(alpha, beta)
     return 0.25 * math.sqrt(4.0 - (alpha - beta) ** 2)
 
 
 def gillis_upper(alpha: float, beta: float) -> float:
     """Gillis' logarithmic-interpolation upper bound for [-1,alpha] u [beta,1]."""
-    _check_two_interval(alpha, beta)
+    alpha, beta = _check_two_interval(alpha, beta)
     la = math.log((1.0 + alpha) / 8.0)
     lb = math.log((1.0 - beta) / 8.0)
     return 2.0 * math.exp(la * lb / (la + lb))
@@ -130,7 +131,7 @@ def schiefermayr_upper(alpha: float, beta: float) -> float:
     k' = sqrt(t (2 - t)) keeps its digits on a thin outer component,
     where k rounds to 1, and E/K = 1 - s comes from the AGM's partial sums.
     """
-    _check_two_interval(alpha, beta)
+    alpha, beta = _check_two_interval(alpha, beta)
     if alpha + beta < 0.0:
         alpha, beta = -beta, -alpha
     t = (1.0 + alpha) * (1.0 - beta) / ((1.0 - alpha) * (1.0 + beta))
@@ -142,9 +143,10 @@ def schiefermayr_upper(alpha: float, beta: float) -> float:
 
 def beurling_arc_capacity(l: float) -> float:
     """Capacity of a single arc of length l; the minimum over closed arc sets of that length."""
-    if not 0.0 < l <= 2.0 * math.pi:
+    lf = _real(l, "arc length")
+    if not 0.0 < lf <= 2.0 * math.pi:
         raise DomainError(f"arc length must lie in (0, 2*pi], got {_brief(l)}")
-    return math.sin(l / 4.0)
+    return math.sin(lf / 4.0)
 
 
 def haliste_arcs_capacity(l: float, n: int) -> float:
@@ -153,8 +155,7 @@ def haliste_arcs_capacity(l: float, n: int) -> float:
     This is the maximum capacity among unions of n closed arcs of total
     length l, so it serves as an upper bound for such unions.
     """
-    _check_arc_family(l, n)
-    return math.sin(l / 4.0) ** (1.0 / n)
+    return math.sin(_check_arc_family(l, n) / 4.0) ** (1.0 / n)
 
 
 # the cell term is c M^2 log sin(h mu / M); its derivatives take c h and -c h^2
@@ -197,9 +198,9 @@ def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     An empty intersection forces the bound to 0.
     """
     try:
-        angles = [float(phi) for phi in sector_angles]
-    except (OverflowError, TypeError, ValueError):
-        raise DomainError("sector angles must be numbers within the float range") from None
+        angles = [_real(phi, "sector angle") for phi in sector_angles]
+    except TypeError:
+        raise DomainError(f"sector angles must be an iterable of numbers, got {_brief(sector_angles)}") from None
     if len(angles) < 2:
         raise DomainError("need at least one sector")
     if not all(lo < hi for lo, hi in zip(angles, angles[1:])):
@@ -701,7 +702,7 @@ def projection_upper(e: IntervalUnion) -> float:
     extremal rotationally symmetric arc family of the same total length.
     """
     _require_unit_hull(e)
-    s = sum(math.acos(hi) - math.acos(lo) for lo, hi in e.gaps())
+    s = _left_sum(math.acos(hi) - math.acos(lo) for lo, hi in e.gaps())
     return 0.5 * math.cos(0.5 * s) ** (1.0 / (e.n - 1))
 
 
@@ -729,6 +730,14 @@ _CACHED_CELLS = 128
 _cached_uniform_partition = functools.lru_cache(maxsize=32)(_uniform_partition)
 
 
+def _unless_boxes_shut(optimizer, e: IntervalUnion):
+    """``optimizer(e)``, or None where it raises DomainError: one of its boxes holds no float."""
+    try:
+        return optimizer(e)
+    except DomainError:
+        return None
+
+
 def all_bounds(e: IntervalUnion) -> list[BoundReport]:
     """Every bound for a set of n intervals, in a stable order.
 
@@ -737,11 +746,12 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
     stay in normalized coordinates.  The classical pair always appears,
     the partition, gap-division and projection bounds for n >= 2, and the
     two-interval bounds for n = 2.  An optimized bound is left out where
-    one of its open boxes holds no float: the gap-division bound where a
-    gap is 1 ulp wide, and the Solynin bound also where an interior
-    component is.  At n = 2 the two chains are one function of the gap
-    point, so one ascent, gap division's, serves both: Solynin's bound is
-    ``solynin_lower`` at its point.
+    its optimizer raises DomainError, which it does where one of its open
+    boxes holds no float: the gap-division bound where a gap is 1 ulp
+    wide, and the Solynin bound also where an interior component is.  At
+    n = 2 the two chains are one function of the gap point, so one ascent,
+    gap division's, serves both: Solynin's bound is ``solynin_lower`` at
+    its point.
     """
     norm, scale = normalize_to_unit(e)
     n = norm.n
@@ -756,13 +766,12 @@ def all_bounds(e: IntervalUnion) -> list[BoundReport]:
         alpha, beta = norm.intervals[0][1], norm.intervals[1][0]
         add("schiefermayr_lower", LOWER, schiefermayr_lower(alpha, beta))
     if n >= 2:
-        gaps_open = all(math.nextafter(a, b) < b for a, b in norm.gaps())
-        gap_max = gap_division_lower_max(norm) if gaps_open else None
+        gap_max = _unless_boxes_shut(gap_division_lower_max, norm)
         if gap_max and n == 2:
             p = _unchecked_partition((-1.0, *gap_max[1].deltas, 1.0))
             add("solynin_lower", LOWER, partition_lower(norm, p), p)
-        elif gaps_open and all(math.nextafter(a, b) < b for a, b in norm.intervals[1:-1]):
-            add("solynin_lower", LOWER, *solynin_lower_max(norm))
+        elif gap_max and (solynin_max := _unless_boxes_shut(solynin_lower_max, norm)):
+            add("solynin_lower", LOWER, *solynin_max)
         upart = uniform_measure_partition(n)
         add("partition_uniform_lower", LOWER, partition_lower(norm, upart), upart)
         if gap_max:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and ``_brief`` for their messages."""
+"""Exception types shared across the package, ``_brief`` for their messages and ``_real`` for real arguments."""
 
 import math
 import numbers
@@ -52,3 +52,15 @@ def _brief(value) -> str:
         digits += m >= 10 ** digits
         sign = "negative " if value < 0 else ""
         return f"<{sign}{type(value).__name__} of {digits} digits>"
+
+
+def _real(value, name: str) -> float:
+    """``float(value)``, which keeps a float's bits: the one reading of every public real argument.
+
+    Raises DomainError, naming ``name`` and the value given, where it is no
+    number or an integer beyond the float range, which float() refuses.
+    """
+    try:
+        return float(value)
+    except (OverflowError, TypeError, ValueError):
+        raise DomainError(f"{name} must be a number within the float range, got {_brief(value)}") from None

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError, DomainError, _brief
-from .sets import IntervalUnion, _check_two_interval, normalize_to_unit
+from .errors import ConvergenceError, DomainError, _brief, _real
+from .sets import IntervalUnion, _check_two_interval, _left_sum, normalize_to_unit
 from .special import (
     _LADDER,
     EllipticParams,
@@ -72,7 +72,7 @@ def akhiezer_params(alpha: float, beta: float) -> EllipticParams:
     The smaller of k^2 and k'^2, and the arguments of Carlson's R_F, come
     from closed forms in alpha and beta, so thin components keep their digits.
     """
-    _check_two_interval(alpha, beta)
+    alpha, beta = _check_two_interval(alpha, beta)
     den = (1.0 - alpha) * (1.0 + beta)
     k2 = 2.0 * (beta - alpha) / den
     kp2 = (1.0 + alpha) * (1.0 - beta) / den
@@ -337,17 +337,14 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     back, so far points converge.  Raises ConvergenceError when that
     quadrature does not reach ``tol`` at the cap of its ladder; its
     ``partial`` is the quadrature's, without the sign log1p(span).  Raises
-    DomainError when x is nan or beyond the float range, and, before any
-    evaluation, when tol is not positive; at an x on the set's boundary,
-    which needs no quadrature, tol is not checked.
+    DomainError when x is nan or no number within the float range, and,
+    before any evaluation, when tol is not a positive number; at an x on
+    the set's boundary, which needs no quadrature, tol is not checked.
     """
     e = model.E
     n = e.n
     ep = np.asarray(e.endpoints(), dtype=float)
-    try:
-        x = float(x)
-    except (OverflowError, TypeError, ValueError):
-        raise DomainError(f"x must be a number within the float range, got {_brief(x)}") from None
+    x = _real(x, "x")
     if math.isnan(x):
         raise DomainError("x is nan")
     i = int(np.searchsorted(ep, x))  # ep[i - 1] < x <= ep[i]
@@ -403,7 +400,7 @@ def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:
         model = widom_polynomial(norm)
         quad = _robin_quad(model)
         cap = math.exp(-quad.value)
-        resid = sum(map(abs, model.gap_residuals))
+        resid = _left_sum(map(abs, model.gap_residuals))
         res = CapacityResult(cap, WIDOM, cap * (quad.est_error + 10.0 * resid) + 1e-15)
     value = scale * res.value
     return CapacityResult(value, res.method, max(scale * res.est_error, math.ulp(value)))

@@ -18,12 +18,20 @@ import sys
 from dataclasses import dataclass
 from math import acos, asin, sin
 
-from .errors import DomainError, ValidationError, _brief
+from .errors import DomainError, ValidationError, _brief, _real
 
 TWO_PI = 2.0 * math.pi
 
 # hull ends this close to +-1 are snapped exactly, so hull checks can use ==
 _SNAP_TOL = 1e-14
+
+
+def _left_sum(values):
+    """``values`` added left to right from 0, as ``sum`` added floats before Python 3.12 compensated them."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,8 @@ class IntervalUnion:
                 finite = math.isfinite(a) and math.isfinite(b)
             except OverflowError:
                 raise ValidationError("endpoint too large for a float") from None
+            except TypeError:  # not a number
+                finite = False
             if not finite:
                 raise ValidationError(f"non-finite endpoint in ({_brief(a)}, {_brief(b)})")
             if a >= b:
@@ -82,7 +92,7 @@ class IntervalUnion:
         ]
 
     def total_length(self) -> float:
-        return sum(b - a for a, b in self.intervals)
+        return _left_sum(b - a for a, b in self.intervals)
 
     def contains(self, x: float) -> bool:
         return any(a <= x <= b for a, b in self.intervals)
@@ -135,7 +145,7 @@ class CircleArcSet:
             raise ValidationError("total arc length exceeds 2*pi")
 
     def total_length(self) -> float:
-        return sum(e - s for s, e in self.arcs)
+        return _left_sum(e - s for s, e in self.arcs)
 
     def length_within(self, lo: float, hi: float) -> float:
         """Arc length of the set inside the sector [lo, hi] (angles, hi <= lo + 2*pi)."""
@@ -252,12 +262,14 @@ def _require_unit_hull(e: IntervalUnion) -> None:
         raise DomainError("bound needs at least two intervals")
 
 
-def _check_two_interval(alpha: float, beta: float) -> None:
-    if not (-1.0 < alpha < beta < 1.0):
+def _check_two_interval(alpha, beta) -> tuple[float, float]:
+    a, b = _real(alpha, "alpha"), _real(beta, "beta")
+    if not (-1.0 < a < b < 1.0):
         raise DomainError(
             "need -1 < alpha < beta < 1 for [-1,alpha] u [beta,1], "
             f"got ({_brief(alpha)}, {_brief(beta)})"
         )
+    return a, b
 
 
 def _check_count(n: int, what: str) -> None:
@@ -268,10 +280,12 @@ def _check_count(n: int, what: str) -> None:
         raise DomainError(f"too many {what} for a float")
 
 
-def _check_arc_family(l: float, n: int) -> None:
-    if not 0.0 < l < TWO_PI:
+def _check_arc_family(l, n) -> float:
+    lf = _real(l, "total arc length")
+    if not 0.0 < lf < TWO_PI:
         raise DomainError(f"total arc length must lie in (0, 2*pi), got {_brief(l)}")
     _check_count(n, "arcs")
+    return lf
 
 
 def _arcs(a: float, b: float) -> tuple[float, float]:
@@ -363,8 +377,7 @@ def canonical_set(l: float, n: int) -> IntervalUnion:
 
     These are the sets on which the partition and gap-division bounds are tight.
     """
-    _check_arc_family(l, n)
-    h = l / (2.0 * n)
+    h = _check_arc_family(l, n) / (2.0 * n)
     pairs = []
     for j in range(n):
         c = TWO_PI * j / n

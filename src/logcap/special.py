@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularMatrixError, _brief
+from .errors import ConvergenceError, DomainError, SingularMatrixError, _brief, _real
 
 _AGM_MAX_ITERS = 40
 _THETA_TERM_TOL = 1e-16
@@ -33,21 +33,12 @@ class EllipticParams:
     omega: float
 
     def __post_init__(self):
-        # an integer beyond the float range fails the check in which it
-        # first meets a float (OverflowError)
-        try:
-            moduli = abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) <= 1e-14
-        except OverflowError:
-            moduli = False
-        if not moduli:
+        k, kp = _real(self.k, "modulus"), _real(self.k_prime, "complementary modulus")
+        if not abs(k * k + kp * kp - 1.0) <= 1e-14:
             raise DomainError("moduli must satisfy k^2 + k'^2 = 1")
-        if not 0.0 <= self.q < 1.0:
+        if not 0.0 <= _real(self.q, "nome") < 1.0:
             raise DomainError(f"nome must lie in [0, 1), got {_brief(self.q)}")
-        try:
-            finite = math.isfinite(self.omega)
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not math.isfinite(_real(self.omega, "angle")):
             raise DomainError(f"angle must be finite, got {_brief(self.omega)}")
 
 
@@ -60,9 +51,10 @@ class QuadratureResult:
 
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, by AGM iteration."""
-    if not 0.0 <= k < 1.0:
+    kf = _real(k, "modulus")
+    if not 0.0 <= kf < 1.0:
         raise DomainError(f"modulus must lie in [0, 1), got {_brief(k)}")
-    return _complete_K_of_kp(math.sqrt((1.0 - k) * (1.0 + k)))
+    return _complete_K_of_kp(math.sqrt((1.0 - kf) * (1.0 + kf)))
 
 
 def _agm(kp: float, s: float = 0.0) -> tuple[float, float]:
@@ -92,11 +84,12 @@ def _complete_K_of_kp(kp: float) -> float:
 
 def complete_E(k: float) -> float:
     """Complete elliptic integral of the second kind, by AGM with partial sums."""
-    if not 0.0 <= k <= 1.0:
+    kf = _real(k, "modulus")
+    if not 0.0 <= kf <= 1.0:
         raise DomainError(f"modulus must lie in [0, 1], got {_brief(k)}")
-    if k == 1.0:
+    if kf == 1.0:
         return 1.0
-    a, s = _agm(math.sqrt((1.0 - k) * (1.0 + k)), 0.5 * k * k)
+    a, s = _agm(math.sqrt((1.0 - kf) * (1.0 + kf)), 0.5 * kf * kf)
     return math.pi / (2.0 * a) * (1.0 - s)
 
 
@@ -121,34 +114,32 @@ def incomplete_F(lam: float, k: float) -> float:
     The first argument is the *sine* of the amplitude, so
     incomplete_F(1, k) == complete_K(k).
     """
-    if not 0.0 <= lam <= 1.0:
+    sf, kf = _real(lam, "sine of amplitude"), _real(k, "modulus")
+    if not 0.0 <= sf <= 1.0:
         raise DomainError(f"sine of amplitude must lie in [0, 1], got {_brief(lam)}")
-    if not 0.0 <= k < 1.0:
+    if not 0.0 <= kf < 1.0:
         raise DomainError(f"modulus must lie in [0, 1), got {_brief(k)}")
-    if lam == 0.0:
+    if sf == 0.0:
         return 0.0
-    return lam * _carlson_rf((1.0 - lam) * (1.0 + lam), 1.0 - (k * lam) ** 2, 1.0)
+    return sf * _carlson_rf((1.0 - sf) * (1.0 + sf), 1.0 - (kf * sf) ** 2, 1.0)
 
 
 def _theta(z: float, q: float, sign: float) -> float:
     # 1 + 2 sum_m sign^m q^(m^2) cos(2 m z); the +-1 factors are exact
-    if not 0.0 <= q < 1.0:
+    zf, qf = _real(z, "argument"), _real(q, "nome")
+    if not 0.0 <= qf < 1.0:
         raise DomainError(f"nome must lie in [0, 1), got {_brief(q)}")
-    try:
-        finite = math.isfinite(z)
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not math.isfinite(zf):
         raise DomainError(f"argument must be finite, got {_brief(z)}")
     total = 1.0
-    qm = q  # q^(m^2)
-    qstep = q * q * q  # q^(2m+1)
+    qm = qf  # q^(m^2)
+    qstep = qf * qf * qf  # q^(2m+1)
     m = 1
     s = sign
     while 2.0 * qm >= _THETA_TERM_TOL:
-        total += 2.0 * s * qm * math.cos(2.0 * m * z)
+        total += 2.0 * s * qm * math.cos(2.0 * m * zf)
         qm *= qstep
-        qstep *= q * q
+        qstep *= qf * qf
         s *= sign
         m += 1
         if m > _THETA_MAX_TERMS:
@@ -259,15 +250,10 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     Raises DomainError, before any evaluation, unless tol > 0 and b and
     width are finite, width > 0.
     """
-    try:
-        # tol + 0.0 and math.isfinite raise OverflowError on an integer
-        # beyond the float range, which the ladder could not compare
-        valid = tol + 0.0 > 0.0 and math.isfinite(b) and width > 0.0 and math.isfinite(width)
-    except OverflowError:
-        valid = False
-    if not valid:
-        raise DomainError("need tol > 0, b finite and 0 < width < inf, got "
-                          f"{_brief(tol)}, {_brief(b)}, {_brief(width)}")
+    given = tol, b, width
+    tol, b, width = _real(tol, "tol"), _real(b, "b"), _real(width, "width")
+    if not (tol > 0.0 and math.isfinite(b) and width > 0.0 and math.isfinite(width)):
+        raise DomainError(f"need tol > 0, b finite and 0 < width < inf, got {', '.join(map(_brief, given))}")
     span = abs(x - b)
     w = min(span, width)
     step = w if x > b else -w
@@ -314,12 +300,10 @@ def solve_dense(mat, rhs) -> np.ndarray:
 
     Raises SingularMatrixError when sigma_min(M) <= 1e-13 sigma_max(M), a
     test independent of the scale of M, or when LAPACK meets a zero pivot.
-    Raises DomainError naming the entry where the right-hand side holds a
-    nan or an infinity, or M an infinity or a None (which numpy reads as
-    nan); a nan given as a float in M fails LAPACK's SVD, a
-    SingularMatrixError.  Finite input pays one reduction for this, the
-    sum of the right-hand side: an entry of M is looked at only where
-    the guard has already failed.
+    Raises DomainError naming the first entry of either that is a nan or
+    an infinity, a None read as nan.  Finite input pays one reduction for
+    this, the sum of the right-hand side: a non-finite entry of M fails
+    the guard, and M's entries are looked at only then.
     """
     try:
         # views, not copies: the LAPACK wrappers copy their input anyway
@@ -344,20 +328,13 @@ def solve_dense(mat, rhs) -> np.ndarray:
         if sigma[-1] > 1e-13 * sigma[0]:
             return np.linalg.solve(m, v)
     except np.linalg.LinAlgError as exc:
-        _require_finite_entries(m, mat)
+        _require_finite_entries(m)
         raise SingularMatrixError(f"LAPACK: {exc}") from exc
-    _require_finite_entries(m, mat)
+    _require_finite_entries(m)
     raise SingularMatrixError(f"singular values {sigma[-1]:.3e} <= 1e-13 x {sigma[0]:.3e}")
 
 
-def _require_finite_entries(m: np.ndarray, mat) -> None:
-    """Raise DomainError at the first entry of M that is infinite, or a nan read from None in ``mat``."""
-    raw = np.asarray(mat, dtype=object)
+def _require_finite_entries(m: np.ndarray) -> None:
+    """Raise DomainError at the first entry of M that is a nan or an infinity."""
     for i, j in np.argwhere(~np.isfinite(m)).tolist():
-        if raw[i, j] is None:
-            entry = "None"
-        elif math.isinf(m[i, j]):
-            entry = repr(float(m[i, j]))
-        else:
-            continue  # a nan given as such: LAPACK's SVD fails on it, a SingularMatrixError
-        raise DomainError(f"matrix entry ({i}, {j}) is {entry}, not a finite number")
+        raise DomainError(f"matrix entry ({i}, {j}) is {float(m[i, j])!r}, not a finite number")

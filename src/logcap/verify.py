@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .errors import DomainError, _brief
 from .exact import akhiezer_capacity, capacity, widom_capacity
-from .sets import GapPoints, IntervalUnion, canonical_set, make_interval_union
+from .sets import GapPoints, IntervalUnion, _left_sum, canonical_set, make_interval_union
 
 SANDWICH_SLACK = 1e-9
 EQUALITY_TOL = 1e-8
@@ -69,7 +69,7 @@ def random_unit_interval_union(rng: random.Random, n: int, min_seg: float = 0.05
     if segs * min_seg >= 2.0:
         raise DomainError("minimum segment length too large for [-1, 1]")
     raw = [rng.random() for _ in range(segs)]
-    total = sum(raw)
+    total = _left_sum(raw)
     rest = 2.0 - segs * min_seg
     lengths = [min_seg + rest * r / total for r in raw]
     pts = [-1.0]
@@ -175,9 +175,12 @@ def _check_count(count) -> None:
 def run_verify(seed: int = 1, count: int = 200) -> tuple[str, bool]:
     """Run all suites; returns (report text, all passed).
 
-    Raises DomainError, before any suite runs, unless ``count`` is a
-    whole number >= 0.
+    Raises DomainError, before any suite runs, unless ``seed`` is a whole
+    number and ``count`` a whole number >= 0.
     """
+    if not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be a whole number, got {_brief(seed)}")
+    seed = int(seed)  # random.Random takes an int, not a numpy integer
     _check_count(count)
     suites = [
         sandwich_suite(seed, count),

@@ -167,6 +167,13 @@ def test_direct_construction_validates():
         assert again == e and hash(again) == hash(e)
 
 
+@pytest.mark.parametrize("pair", [("a", 1.0), (None, 1.0)])
+def test_direct_construction_rejects_an_endpoint_that_is_no_number(pair):
+    # math.isfinite raised a bare TypeError
+    with pytest.raises(ValidationError, match="non-finite endpoint"):
+        IntervalUnion((pair,))
+
+
 def test_mu_full_interval():
     assert chebyshev_measure(make_interval_union([(-1, 1)])) == pytest.approx(math.pi, abs=1e-15)
 

@@ -5,6 +5,7 @@ the defining integrals/series; the scipy.integrate.quad oracles recompute
 the defining integrals independently of the AGM/Carlson implementations.
 """
 
+import functools
 import math
 import random
 
@@ -19,15 +20,20 @@ from logcap import (
     GapPoints,
     SingularMatrixError,
     akhiezer_capacity,
+    akhiezer_params,
     beurling_arc_capacity,
     canonical_set,
     capacity,
     complete_E,
     complete_K,
+    gillis_upper,
     green_value,
     haliste_arcs_capacity,
     incomplete_F,
     make_interval_union,
+    polarization_upper,
+    schiefermayr_lower,
+    schiefermayr_upper,
     sector_product_lower,
     solve_dense,
     tail_integral,
@@ -248,7 +254,43 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     "sector-product-none-angle": lambda: sector_product_lower(
         CircleArcSet(((0.0, 1.0),)), [None, 1.0]),
     "solve-string-entry": lambda: solve_dense([["a"]], [1.0]),
+    # run_verify ran its suites and then failed at seed + 2, a bare TypeError
+    "verify-none-seed": lambda: run_verify(seed=None, count=0),
+    "verify-string-seed": lambda: run_verify(seed="a", count=0),
 }
+# every real argument read by errors._real, each a call with that argument
+# left free; a string and None in it raised a bare TypeError, and each
+# gets a row of its own below
+ONE_REAL_ARGUMENT = {
+    "beurling-length": lambda v: beurling_arc_capacity(v),
+    "complete-k-modulus": lambda v: complete_K(v),
+    "complete-e-modulus": lambda v: complete_E(v),
+    "incomplete-f-sine": lambda v: incomplete_F(v, 0.5),
+    "incomplete-f-modulus": lambda v: incomplete_F(0.5, v),
+    "theta3-z": lambda v: theta3(v, 0.1),
+    "theta3-nome": lambda v: theta3(0.0, v),
+    "theta4-z": lambda v: theta4(v, 0.1),
+    "theta4-nome": lambda v: theta4(0.0, v),
+    "elliptic-params-k": lambda v: EllipticParams(v, 0.8, 0.5, 0.0),
+    "elliptic-params-k-prime": lambda v: EllipticParams(0.6, v, 0.5, 0.0),
+    "elliptic-params-nome": lambda v: EllipticParams(0.6, 0.8, v, 0.0),
+    "elliptic-params-omega": lambda v: EllipticParams(0.6, 0.8, 0.5, v),
+    "tail-integral-b": lambda v: tail_integral(lambda t: 1.0 / (t * t), v, 1e-10),
+    "tail-integral-tol": lambda v: tail_integral(lambda t: 1.0 / (t * t), 1.0, v),
+    "tail-integral-width": lambda v: tail_integral(lambda t: 1.0 / (t * t), 1.0, 1e-10, v),
+    "green-value-tol": lambda v: green_value(
+        widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), 2.0, v),
+    "canonical-set-length": lambda v: canonical_set(v, 3),
+    "haliste-length": lambda v: haliste_arcs_capacity(v, 3),
+}
+for _f in (schiefermayr_lower, polarization_upper, gillis_upper, schiefermayr_upper,
+           akhiezer_params, akhiezer_capacity):
+    _name = _f.__name__.replace("_", "-")
+    ONE_REAL_ARGUMENT[f"{_name}-alpha"] = functools.partial(lambda f, v: f(v, 0.5), _f)
+    ONE_REAL_ARGUMENT[f"{_name}-beta"] = functools.partial(lambda f, v: f(-0.5, v), _f)
+for _name, _call in ONE_REAL_ARGUMENT.items():
+    for _kind, _value in (("string", "abc"), ("none", None)):
+        NON_FINITE_OR_FRACTIONAL_ARGUMENTS[f"{_name}-{_kind}"] = functools.partial(_call, _value)
 
 
 @pytest.mark.parametrize("case", list(NON_FINITE_OR_FRACTIONAL_ARGUMENTS))
@@ -263,6 +305,14 @@ def test_numeric_strings_still_read_as_numbers():
     f = CircleArcSet(((0.0, 1.0),))
     assert sector_product_lower(f, ["0", repr(2.0 * math.pi)]) == sector_product_lower(f, [0.0, 2.0 * math.pi])
     assert solve_dense([["2"]], ["4"]).tolist() == [2.0]
+
+
+def test_numeric_strings_read_as_numbers_in_every_real_argument():
+    assert complete_K("0.5") == complete_K(0.5)
+    assert theta4("1", "0.25") == theta4(1.0, 0.25)
+    assert akhiezer_capacity("-0.5", "0.25") == akhiezer_capacity(-0.5, 0.25)
+    assert haliste_arcs_capacity("1.5", 3) == haliste_arcs_capacity(1.5, 3)
+    assert tail_integral(lambda t: 1.0 / (t * t), "1", "1e-10", "2") == tail_integral(lambda t: 1.0 / (t * t), 1.0, 1e-10)
 
 
 def test_arc_and_cell_counts_may_be_numpy_integers():
@@ -403,7 +453,8 @@ def test_solve_dense_residual_contract():
 def test_solve_dense_singular():
     with pytest.raises(SingularMatrixError):
         solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
-    with pytest.raises(SingularMatrixError, match="LAPACK: SVD did not converge"):
+    # a nan matrix entry is no singular matrix but a non-finite entry
+    with pytest.raises(DomainError, match=r"matrix entry \(0, 0\) is nan"):
         solve_dense(np.full((2, 2), math.nan), [1.0, 1.0])
 
 
@@ -446,9 +497,9 @@ def test_solve_dense_names_a_non_finite_entry():
         solve_dense([[1.0]], [None])
     with pytest.raises(DomainError, match="right-hand side entry 1 is inf"):
         solve_dense([[2.0, 0.0], [0.0, 1.0]], [1.0, math.inf])
-    with pytest.raises(DomainError, match=r"matrix entry \(0, 1\) is None"):
+    with pytest.raises(DomainError, match=r"matrix entry \(0, 1\) is nan"):
         solve_dense([[1.0, None], [0.0, 1.0]], [1.0, 1.0])
-    with pytest.raises(DomainError, match=r"matrix entry \(0, 0\) is None"):
+    with pytest.raises(DomainError, match=r"matrix entry \(0, 0\) is nan"):
         solve_dense([[None]], [1.0])
     with pytest.raises(DomainError, match=r"matrix entry \(1, 0\) is -inf"):
         solve_dense([[1.0, 0.0], [-math.inf, 1.0]], [1.0, 1.0])
