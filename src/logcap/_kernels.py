@@ -51,13 +51,12 @@ def _layout(size: int, gap: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.
     return layout
 
 
-def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int,
-                    stop: int | None = None) -> np.ndarray:
+def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int, stop: int) -> np.ndarray:
     """Chebyshev-Lobatto sums of the gap moment integrals, at m and m/2 intervals.
 
-    For each gap g in [gap, stop) (``stop`` defaults to gap + 1), the gap
-    (lo, hi) between components g and g + 1 of the interval union with
-    flat ``endpoints`` [a_1, b_1, ..., a_n, b_n], returns sums of
+    For each gap g in [gap, stop), the gap (lo, hi) between components g
+    and g + 1 of the interval union with flat ``endpoints``
+    [a_1, b_1, ..., a_n, b_n], returns sums of
 
         S_j = integral over (lo, hi) of t^j / sqrt(q(t)) dt,   j = 0..jmax,
 
@@ -75,7 +74,7 @@ def gap_moment_sums(endpoints: np.ndarray, gap: int, m: int, jmax: int,
     contiguous row of the table with the rule's weights.
     """
     endpoints = np.asarray(endpoints, dtype=float)
-    lo_i, hi_i, others_i = _layout(endpoints.size, gap, gap + 1 if stop is None else stop)
+    lo_i, hi_i, others_i = _layout(endpoints.size, gap, stop)
     lo, hi = endpoints[lo_i], endpoints[hi_i]
     t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _lobatto_nodes(m)
     others = endpoints[others_i]

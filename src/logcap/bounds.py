@@ -617,8 +617,8 @@ def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
             f"got {len(interior)}"
         )
     for g, (a, b) in zip(interior, e.intervals[1:-1]):
-        if not a < g < b:
-            raise DomainError(f"interior point {g} outside component ({a}, {b})")
+        if not a < _real(g, "interior point") < b:
+            raise DomainError(f"interior point {_brief(g)} outside component ({a}, {b})")
     # -1, d_1, g_1, d_2, ..., g_{n-2}, d_{n-1}, 1
     return Partition((-1.0, *(t for pair in zip(d.deltas, [*interior, 1.0]) for t in pair)))
 

@@ -33,10 +33,7 @@ def parse_inline_set(text: str) -> IntervalUnion:
         parts = chunk.split(":")
         if len(parts) != 2:
             raise ParseError(f"expected 'a:b', got {chunk!r}")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"not a number in {chunk!r}") from exc
+        pairs.append(parts)
     try:
         return make_interval_union(pairs)
     except ValidationError as exc:

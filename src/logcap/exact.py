@@ -184,7 +184,9 @@ def widom_polynomial(e: IntervalUnion) -> WidomModel:
 
     For a single interval the polynomial is the constant 1 and the system
     is vacuous.  Raises ConvergenceError when a gap's moments do not
-    converge within the Lobatto ladder's cap.
+    converge within the Lobatto ladder's cap.  Works in e's own coordinates,
+    without ``capacity``'s map onto [-1, 1]: far from the origin the system
+    is singular (SingularMatrixError), so build on ``normalize_to_unit(e)``.
     """
     n = e.n
     if n == 1:
@@ -315,7 +317,8 @@ def robin_constant(model: WidomModel) -> float:
 
     Evaluates the tail integral of p/sqrt(q) - 1/(1 + t - b_n) over
     (b_n, infinity) to 1e-10; the shifted comparison term makes the value
-    exact for sets whose hull is not [-1, 1] as well.
+    exact for sets whose hull is not [-1, 1] as well.  For a set far from
+    the origin, take the model of its normalized image and subtract log(scale).
     """
     return _robin_quad(model).value
 
@@ -339,7 +342,8 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     ``partial`` is the quadrature's, without the sign log1p(span).  Raises
     DomainError when x is nan or no number within the float range, and,
     before any evaluation, when tol is not a positive number; at an x on
-    the set's boundary, which needs no quadrature, tol is not checked.
+    the set's boundary, which needs no quadrature, tol is not checked.  The
+    model and x are in the set's own coordinates (see widom_polynomial).
     """
     e = model.E
     n = e.n

@@ -38,36 +38,24 @@ def _left_sum(values):
 class IntervalUnion:
     """Ordered union of disjoint closed intervals [a_1,b_1], ..., [a_n,b_n].
 
-    Invariants: at least one interval, all endpoints finite, and
+    Invariants: at least one interval, all endpoints finite floats, and
     a_1 < b_1 < a_2 < ... < a_n < b_n.  Use :func:`make_interval_union` to
     build one from unordered or touching input pairs.  The constructor
-    checks them; ``make_interval_union`` and ``normalize_to_unit`` build
-    their result through ``_unchecked_union`` instead, without that second
-    walk over the endpoints, because each has already established them:
-    the first by its per-pair checks and merge, the second by its check
-    that the mapped endpoints strictly increase.
+    reads them as floats and checks them; ``make_interval_union`` and
+    ``normalize_to_unit`` build their result through ``_unchecked_union``
+    instead, without that second walk over the endpoints, because each has
+    already established them: the first by its reading and merge, the
+    second by its check that the mapped endpoints strictly increase.
     """
 
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.intervals:
-            raise ValidationError("interval union needs at least one interval")
-        prev = None
-        for a, b in self.intervals:
-            try:
-                finite = math.isfinite(a) and math.isfinite(b)
-            except OverflowError:
-                raise ValidationError("endpoint too large for a float") from None
-            except TypeError:  # not a number
-                finite = False
-            if not finite:
-                raise ValidationError(f"non-finite endpoint in ({_brief(a)}, {_brief(b)})")
-            if a >= b:
-                raise ValidationError(f"reversed or empty interval ({a}, {b})")
-            if prev is not None and a <= prev:
+        intervals = _pairs(self.intervals, "interval")
+        for (_, b), (a, _) in zip(intervals, intervals[1:]):
+            if a <= b:
                 raise ValidationError("intervals must be sorted and disjoint")
-            prev = b
+        object.__setattr__(self, "intervals", tuple(intervals))
 
     @property
     def n(self) -> int:
@@ -86,10 +74,7 @@ class IntervalUnion:
 
     def gaps(self) -> list[tuple[float, float]]:
         """Open gaps (b_i, a_{i+1}) between consecutive intervals."""
-        return [
-            (self.intervals[i][1], self.intervals[i + 1][0])
-            for i in range(self.n - 1)
-        ]
+        return [(b, a) for (_, b), (a, _) in zip(self.intervals, self.intervals[1:])]
 
     def total_length(self) -> float:
         return _left_sum(b - a for a, b in self.intervals)
@@ -125,30 +110,24 @@ class CircleArcSet:
     """Closed subset of the unit circle as disjoint arcs in [0, 2*pi].
 
     Arcs are sorted by start angle with non-overlapping interiors; an arc
-    crossing angle 0 is stored split at 0.  Total length lies in (0, 2*pi].
+    crossing angle 0 is stored split at 0, so the total length lies in (0, 2*pi].
     """
 
     arcs: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.arcs:
-            raise ValidationError("arc set must be nonempty")
-        prev = None
-        for s, e in self.arcs:
-            if not (0.0 <= s < e <= TWO_PI):
-                raise ValidationError(
-                    f"arc ({_brief(s)}, {_brief(e)}) outside [0, 2*pi] or reversed")
-            if prev is not None and s < prev:
-                raise ValidationError("arcs must be sorted with disjoint interiors")
-            prev = e
-        if self.total_length() > TWO_PI + 1e-12:
-            raise ValidationError("total arc length exceeds 2*pi")
+        arcs = _pairs(self.arcs, "arc")
+        ends = [0.0, *(x for arc in arcs for x in arc), TWO_PI]
+        if ends != sorted(ends):
+            raise ValidationError("arcs must lie in [0, 2*pi], sorted with disjoint interiors")
+        object.__setattr__(self, "arcs", tuple(arcs))
 
     def total_length(self) -> float:
         return _left_sum(e - s for s, e in self.arcs)
 
     def length_within(self, lo: float, hi: float) -> float:
         """Arc length of the set inside the sector [lo, hi] (angles, hi <= lo + 2*pi)."""
+        lo, hi = _real(lo, "sector start"), _real(hi, "sector end")
         total = 0.0
         for shift in (-TWO_PI, 0.0, TWO_PI):  # each arc and its copies a turn away
             for s, e in self.arcs:
@@ -160,22 +139,27 @@ class CircleArcSet:
 class Partition:
     """Division points -1 = t_0 < t_1 < ... < t_s = 1 of the base interval.
 
-    The constructor checks them.  The bound optimizers build theirs
-    through ``_unchecked_partition`` instead: each point comes strictly
-    inside an open box of the set, once the optimizer has checked that
-    every box holds a float.
+    The constructor reads them as floats and checks them.  The bound
+    optimizers build theirs through ``_unchecked_partition`` instead: each
+    point comes strictly inside an open box of the set, once the optimizer
+    has checked that every box holds a float.
     """
 
     points: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.points) < 2:
+        try:
+            points = tuple(map(float, self.points))
+        except (OverflowError, TypeError, ValueError):
+            raise ValidationError(f"partition points must read as floats, got {_brief(self.points)}") from None
+        if len(points) < 2:
             raise ValidationError("partition needs at least two points")
-        if self.points[0] != -1.0 or self.points[-1] != 1.0:
+        if points[0] != -1.0 or points[-1] != 1.0:
             raise ValidationError("partition must start at -1 and end at 1")
-        for lo, hi in zip(self.points, self.points[1:]):
+        for lo, hi in zip(points, points[1:]):
             if not lo < hi:
                 raise ValidationError("partition points must strictly increase")
+        object.__setattr__(self, "points", points)
 
     def cells(self) -> list[tuple[float, float]]:
         return list(zip(self.points, self.points[1:]))
@@ -190,9 +174,12 @@ def _unchecked_partition(points: tuple[float, ...]) -> Partition:
 
 @dataclass(frozen=True)
 class GapPoints:
-    """One chosen point per gap of an interval union (delta_1 ... delta_{n-1})."""
+    """One chosen point per gap of an interval union (delta_1 ... delta_{n-1}), each read by ``errors._real``."""
 
     deltas: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "deltas", tuple(_real(d, "gap point") for d in self.deltas))
 
     def validate_for(self, e: IntervalUnion) -> None:
         if len(self.deltas) != e.n - 1:
@@ -202,7 +189,51 @@ class GapPoints:
             )
         for d, (lo, hi) in zip(self.deltas, e.gaps()):
             if not lo < d < hi:
-                raise DomainError(f"gap point {_brief(d)} outside open gap ({lo}, {hi})")
+                raise DomainError(f"gap point {d} outside open gap ({lo}, {hi})")
+
+
+def _pairs(pairs, what: str) -> list[tuple[float, float]]:
+    """``pairs`` as a list of (a, b) floats, each end read once by ``float()``: the one pair reader.
+
+    Raises ValidationError, naming ``what``, unless ``pairs`` is a non-empty
+    iterable of two-entry pairs of ends finite as floats, with a < b.
+    """
+    try:
+        pairs = list(pairs)
+    except TypeError as exc:
+        raise ValidationError(f"expected a sequence of (a, b) pairs, got {_brief(pairs)}") from exc
+    if not pairs:
+        raise ValidationError(f"need at least one {what}")
+    out = []
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"not an (a, b) pair: {_brief(pair)}") from exc
+        try:
+            a, b = float(a), float(b)
+            finite = math.isfinite(a) and math.isfinite(b)
+        except OverflowError:
+            raise ValidationError("endpoint too large for a float") from None
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValidationError(f"not a number or a non-finite endpoint in ({_brief(a)}, {_brief(b)})")
+        if a >= b:
+            raise ValidationError(f"reversed or empty {what} ({a}, {b})")
+        out.append((a, b))
+    return out
+
+
+def _merge(pairs, slack: float) -> list[list[float]]:
+    """``pairs`` sorted, each merged into the one before it where it starts at most ``slack`` past its end."""
+    merged = []
+    for a, b in sorted(pairs):
+        if merged and a <= merged[-1][1] + slack:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return merged
 
 
 def make_interval_union(pairs) -> IntervalUnion:
@@ -212,35 +243,9 @@ def make_interval_union(pairs) -> IntervalUnion:
     hull end a_1 within 1e-14 of -1, or b_n within 1e-14 of 1, is snapped
     there exactly unless that would empty its interval; no other endpoint
     moves.  Raises ValidationError unless ``pairs`` is an iterable of
-    two-entry pairs of numbers, each finite as a float.
+    two-entry pairs whose ends ``float()`` reads as finite numbers.
     """
-    try:
-        pairs = list(pairs)
-    except TypeError as exc:
-        raise ValidationError(f"expected a sequence of (a, b) pairs, got {_brief(pairs)}") from exc
-    if not pairs:
-        raise ValidationError("need at least one interval")
-    cleaned = []
-    for pair in pairs:
-        try:
-            a, b = pair
-            a, b = float(a), float(b)
-        except OverflowError:
-            raise ValidationError("endpoint too large for a float") from None
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"not an interval pair: {_brief(pair)}") from exc
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValidationError(f"non-finite endpoint in ({a}, {b})")
-        if a >= b:
-            raise ValidationError(f"reversed or empty interval ({a}, {b})")
-        cleaned.append((a, b))
-    cleaned.sort()
-    merged = [list(cleaned[0])]
-    for a, b in cleaned[1:]:
-        if a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
+    merged = _merge(_pairs(pairs, "interval"), 0.0)
     first, last = merged[0], merged[-1]
     if abs(first[0] + 1.0) < _SNAP_TOL and first[1] > -1.0:
         first[0] = -1.0
@@ -327,17 +332,15 @@ def normalize_to_unit(e: IntervalUnion) -> tuple[IntervalUnion, float]:
     """Affine image of e with hull exactly [-1, 1], plus the half-width scale.
 
     Capacity transforms as cap(e) = scale * cap(normalized).  A set with
-    hull [-1, 1] and float endpoints, as ``make_interval_union`` builds
-    it, is returned as is, with scale 1.0: the map below is then the
-    identity bit for bit (k = 0, centre 0, half-width 1), so ``capacity``
+    hull [-1, 1] is returned as is, with scale 1.0: every union holds
+    float endpoints, however it was built, so the map below is then the
+    identity bit for bit (k = 0, centre 0, half-width 1), and ``capacity``
     and ``all_bounds`` skip its endpoint list, its 2n scaled divisions
-    and the rebuilt union.  Other endpoint types (an ``IntervalUnion``
-    built directly from Decimals, say) still go through the map, which
-    returns floats.  Raises ValidationError when a component or gap is
-    narrower than the rounding at the hull's scale, so that its mapped
+    and the rebuilt union.  Raises ValidationError when a component or gap
+    is narrower than the rounding at the hull's scale, so that its mapped
     ends coincide or cross.
     """
-    if e.is_unit_hull() and all(type(a) is float and type(b) is float for a, b in e.intervals):
+    if e.is_unit_hull():
         return e, 1.0
     ends = e.endpoints()
     # scaled by 2**k, the hull's larger end lies in [1, 2): the half-width and
@@ -397,15 +400,7 @@ def circle_preimage(e: IntervalUnion) -> CircleArcSet:
         arcs.append((t0, t1))  # upper half
         arcs.append((TWO_PI - t1, TWO_PI - t0))  # mirrored arc, lower half
     # merge arcs sharing endpoints; a join across angle 0 stays split at 0
-    arcs = [(s, e) for s, e in arcs if e > s]
-    arcs.sort()
-    merged = [list(arcs[0])]
-    for s, e in arcs[1:]:
-        if s <= merged[-1][1] + 1e-15:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    return CircleArcSet(tuple((s, e) for s, e in merged))
+    return CircleArcSet(_merge([(s, e) for s, e in arcs if e > s], 1e-15))
 
 
 def project_to_real_axis(f: CircleArcSet) -> IntervalUnion:

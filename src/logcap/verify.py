@@ -23,9 +23,10 @@ from .bounds import (
     solynin_lower,
     uniform_measure_partition,
 )
-from .errors import DomainError, _brief
+from .errors import DomainError, _brief, _real
 from .exact import akhiezer_capacity, capacity, widom_capacity
 from .sets import GapPoints, IntervalUnion, _left_sum, canonical_set, make_interval_union
+from .sets import _check_count as _check_size
 
 SANDWICH_SLACK = 1e-9
 EQUALITY_TOL = 1e-8
@@ -65,6 +66,8 @@ class SuiteResult:
 
 def random_unit_interval_union(rng: random.Random, n: int, min_seg: float = 0.05) -> IntervalUnion:
     """Random union of n intervals with hull [-1, 1]; every piece >= min_seg long."""
+    _check_size(n, "intervals")
+    min_seg = _real(min_seg, "minimum segment length")
     segs = 2 * n - 1
     if segs * min_seg >= 2.0:
         raise DomainError("minimum segment length too large for [-1, 1]")
@@ -85,6 +88,7 @@ def equality_gap_points(n: int) -> GapPoints:
     For the projection of 2(n-1) symmetric arcs these are
     -cos(pi (2k - 1) / (2n - 2)), k = 1..n-1.
     """
+    _check_size(n, "intervals")
     if n < 2:
         raise DomainError("need at least two intervals")
     return GapPoints(

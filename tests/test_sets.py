@@ -174,6 +174,47 @@ def test_direct_construction_rejects_an_endpoint_that_is_no_number(pair):
         IntervalUnion((pair,))
 
 
+# a string or None entry raised a bare TypeError where it was first
+# compared, the one-entry pair a bare ValueError, and a union or partition
+# given no sequence a bare TypeError
+UNREADABLE_ENTRIES = {
+    "union-one-entry-pair": lambda: IntervalUnion(((1.0,),)),
+    "union-not-iterable": lambda: IntervalUnion(5),
+    "partition-not-iterable": lambda: Partition(5),
+}
+for _kind, _value in (("string", "abc"), ("none", None), ("huge", 10**400)):
+    UNREADABLE_ENTRIES[f"partition-point-{_kind}"] = lambda v=_value: Partition((-1.0, v, 1.0))
+    UNREADABLE_ENTRIES[f"arc-start-{_kind}"] = lambda v=_value: CircleArcSet(((v, 1.0),))
+    UNREADABLE_ENTRIES[f"arc-end-{_kind}"] = lambda v=_value: CircleArcSet(((0.0, v),))
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_ENTRIES))
+def test_value_types_reject_unreadable_entries(case):
+    with pytest.raises(ValidationError):
+        UNREADABLE_ENTRIES[case]()
+
+
+@pytest.mark.parametrize("number", [int, str, Decimal, np.float64])
+def test_value_types_hold_the_floats_they_read(number):
+    # a union, partition and arc set store float() of each entry, a numeric
+    # string included, and compare and hash equal to one built from floats
+    if number is int:
+        pairs, points, arcs = ((-1, 1),), (-1, 0, 1), ((0, 1), (3, 6))
+    else:
+        pairs = tuple((number(a), number(b)) for a, b in (("-1", "-0.5"), ("0.25", "1")))
+        points = tuple(map(number, ("-1", "0.1", "1")))
+        arcs = tuple((number(s), number(t)) for s, t in (("0", "1.5"), ("3", "6.25")))
+    floats = lambda seq: tuple(map(float, seq))
+    e, p, f = IntervalUnion(pairs), Partition(points), CircleArcSet(arcs)
+    assert all(type(x) is float for x in [*e.endpoints(), *p.points, *(x for arc in f.arcs for x in arc)])
+    for got, want in ((e, IntervalUnion(tuple(map(floats, pairs)))), (p, Partition(floats(points))),
+                      (f, CircleArcSet(tuple(map(floats, arcs))))):
+        assert got == want and hash(got) == hash(want)
+    # such a union with hull [-1, 1] is its own normalization
+    out, scale = normalize_to_unit(e)
+    assert out is e and scale == 1.0
+
+
 def test_mu_full_interval():
     assert chebyshev_measure(make_interval_union([(-1, 1)])) == pytest.approx(math.pi, abs=1e-15)
 
@@ -332,8 +373,8 @@ def test_normalize_returns_a_unit_hull_set_as_is():
 
 
 def test_normalize_maps_other_endpoint_types_to_floats():
-    # only a union of floats is returned as is; a directly built one with
-    # other number types keeps its old route and comes back as floats
+    # a union built directly from other number types holds floats, so it
+    # comes back as floats
     for e in (IntervalUnion(((Decimal(-1), Decimal(0)), (Decimal("0.5"), Decimal(1)))),
               IntervalUnion(((Fraction(-1), Fraction(0)), (Fraction(1, 2), Fraction(1)))),
               IntervalUnion(((np.float64(-1), np.float64(0)), (np.float64(0.5), np.float64(1)))),

@@ -26,6 +26,7 @@ from logcap import (
     capacity,
     complete_E,
     complete_K,
+    gap_division_lower,
     gillis_upper,
     green_value,
     haliste_arcs_capacity,
@@ -36,6 +37,7 @@ from logcap import (
     schiefermayr_upper,
     sector_product_lower,
     solve_dense,
+    solynin_lower,
     tail_integral,
     theta3,
     theta4,
@@ -44,7 +46,7 @@ from logcap import (
 from logcap import exact as exact_module
 from logcap import widom_polynomial
 from logcap.special import EllipticParams, _fejer_rule, _half_line, _half_line_level
-from logcap.verify import random_unit_interval_union, run_verify
+from logcap.verify import equality_gap_points, random_unit_interval_union, run_verify
 
 
 def k_integral_oracle(k, phi=math.pi / 2):
@@ -257,10 +259,15 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     # run_verify ran its suites and then failed at seed + 2, a bare TypeError
     "verify-none-seed": lambda: run_verify(seed=None, count=0),
     "verify-string-seed": lambda: run_verify(seed="a", count=0),
+    # the seeded generators raised a bare TypeError; each checks its
+    # arguments before its first draw
+    "random-union-string-count": lambda: random_unit_interval_union(random.Random(1), "a"),
+    "random-union-fractional-count": lambda: random_unit_interval_union(random.Random(1), 2.5),
+    "equality-gap-points-string-count": lambda: equality_gap_points("a"),
 }
 # every real argument read by errors._real, each a call with that argument
-# left free; a string and None in it raised a bare TypeError, and each
-# gets a row of its own below
+# left free; a string and None in it raised a bare TypeError, and each, with
+# an integer beyond the float range, gets a row of its own below
 ONE_REAL_ARGUMENT = {
     "beurling-length": lambda v: beurling_arc_capacity(v),
     "complete-k-modulus": lambda v: complete_K(v),
@@ -282,6 +289,14 @@ ONE_REAL_ARGUMENT = {
         widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), 2.0, v),
     "canonical-set-length": lambda v: canonical_set(v, 3),
     "haliste-length": lambda v: haliste_arcs_capacity(v, 3),
+    "gap-division-gap-point": lambda v: gap_division_lower(
+        make_interval_union([(-1.0, -0.5), (0.5, 1.0)]), GapPoints((v,))),
+    "solynin-gap-point": lambda v: solynin_lower(
+        make_interval_union([(-1.0, -0.5), (0.5, 1.0)]), GapPoints((v,))),
+    "solynin-interior-point": lambda v: solynin_lower(
+        make_interval_union([(-1.0, -0.5), (-0.2, 0.2), (0.5, 1.0)]), GapPoints((-0.3, 0.3)), (v,)),
+    "length-within-start": lambda v: CircleArcSet(((0.0, 1.0),)).length_within(v, 1.0),
+    "length-within-end": lambda v: CircleArcSet(((0.0, 1.0),)).length_within(0.0, v),
 }
 for _f in (schiefermayr_lower, polarization_upper, gillis_upper, schiefermayr_upper,
            akhiezer_params, akhiezer_capacity):
@@ -289,7 +304,7 @@ for _f in (schiefermayr_lower, polarization_upper, gillis_upper, schiefermayr_up
     ONE_REAL_ARGUMENT[f"{_name}-alpha"] = functools.partial(lambda f, v: f(v, 0.5), _f)
     ONE_REAL_ARGUMENT[f"{_name}-beta"] = functools.partial(lambda f, v: f(-0.5, v), _f)
 for _name, _call in ONE_REAL_ARGUMENT.items():
-    for _kind, _value in (("string", "abc"), ("none", None)):
+    for _kind, _value in (("string", "abc"), ("none", None), ("huge", 10**400)):
         NON_FINITE_OR_FRACTIONAL_ARGUMENTS[f"{_name}-{_kind}"] = functools.partial(_call, _value)
 
 
