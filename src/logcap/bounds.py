@@ -51,7 +51,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _brief, _real
+from .errors import DomainError, _brief, _real, _reals
 from .sets import (
     CircleArcSet,
     GapPoints,
@@ -197,10 +197,7 @@ def sector_product_lower(f: CircleArcSet, sector_angles) -> float:
     the partition cell term with M = beta_k * pi / 2 and mu = mes / 2.
     An empty intersection forces the bound to 0.
     """
-    try:
-        angles = [_real(phi, "sector angle") for phi in sector_angles]
-    except TypeError:
-        raise DomainError(f"sector angles must be an iterable of numbers, got {_brief(sector_angles)}") from None
+    angles = _reals(sector_angles, "sector angle")
     if len(angles) < 2:
         raise DomainError("need at least one sector")
     if not all(lo < hi for lo, hi in zip(angles, angles[1:])):
@@ -610,15 +607,15 @@ def gap_division_lower_max(e: IntervalUnion) -> tuple[float, GapPoints]:
 
 def _solynin_points(e: IntervalUnion, d: GapPoints, interior) -> Partition:
     d.validate_for(e)
-    interior = list(interior)
+    interior = _reals(interior, "interior point")
     if len(interior) != max(0, e.n - 2):
         raise DomainError(
             f"expected {max(0, e.n - 2)} interior points for {e.n} intervals, "
             f"got {len(interior)}"
         )
     for g, (a, b) in zip(interior, e.intervals[1:-1]):
-        if not a < _real(g, "interior point") < b:
-            raise DomainError(f"interior point {_brief(g)} outside component ({a}, {b})")
+        if not a < g < b:
+            raise DomainError(f"interior point {g} outside component ({a}, {b})")
     # -1, d_1, g_1, d_2, ..., g_{n-2}, d_{n-1}, 1
     return Partition((-1.0, *(t for pair in zip(d.deltas, [*interior, 1.0]) for t in pair)))
 

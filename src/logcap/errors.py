@@ -1,4 +1,7 @@
-"""Exception types shared across the package, ``_brief`` for their messages and ``_real`` for real arguments."""
+"""Exception types shared across the package.
+
+``_brief`` builds their messages; ``_real`` and ``_reals`` read real arguments.
+"""
 
 import math
 import numbers
@@ -64,3 +67,16 @@ def _real(value, name: str) -> float:
         return float(value)
     except (OverflowError, TypeError, ValueError):
         raise DomainError(f"{name} must be a number within the float range, got {_brief(value)}") from None
+
+
+def _reals(values, name: str) -> tuple[float, ...]:
+    """Each entry of the iterable ``values`` read by ``_real``.
+
+    Raises DomainError, naming ``name``, where ``values`` is no iterable,
+    as where an entry is no number.
+    """
+    try:
+        values = iter(values)
+    except TypeError:
+        raise DomainError(f"{name}s must be an iterable of numbers, got {_brief(values)}") from None
+    return tuple(_real(v, name) for v in values)

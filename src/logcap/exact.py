@@ -301,7 +301,11 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     def f(t):
         powers, term = _offset_series(base, sign, t.tobytes(), size)
         y = np.vecdot(powers[:, :n], d)
-        root = np.multiply.reduce(np.sqrt(np.abs(others - t)), axis=0)
+        # abs and sqrt in place: one (2n - 1, nodes) array per level, not three
+        x = others - t
+        np.abs(x, out=x)
+        np.sqrt(x, out=x)
+        root = np.multiply.reduce(x, axis=0)
         return np.where(root < np.inf, y / root, np.nan) - term
 
     return f

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from math import acos, asin, sin
 
-from .errors import DomainError, ValidationError, _brief, _real
+from .errors import DomainError, ValidationError, _brief, _real, _reals
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,12 +174,12 @@ def _unchecked_partition(points: tuple[float, ...]) -> Partition:
 
 @dataclass(frozen=True)
 class GapPoints:
-    """One chosen point per gap of an interval union (delta_1 ... delta_{n-1}), each read by ``errors._real``."""
+    """One chosen point per gap of an interval union (delta_1 ... delta_{n-1}), read by ``errors._reals``."""
 
     deltas: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(_real(d, "gap point") for d in self.deltas))
+        object.__setattr__(self, "deltas", _reals(self.deltas, "gap point"))
 
     def validate_for(self, e: IntervalUnion) -> None:
         if len(self.deltas) != e.n - 1:

@@ -532,6 +532,12 @@ def test_gap_moment_sums_match_power_loop_bit_for_bit():
                     assert gap_moment_sums(ep, gap, m, n - 1, gap + 1)[:, 0].tobytes() == want[gap].tobytes()
             layout = kernels_module._layout(2 * n, 0, n - 1)
             assert not any(a.flags.writeable for a in layout)
+    # the largest arrays: the ladder's cap at n = 20, on and off the unit hull
+    unit = np.asarray(random_unit_interval_union(rng, 20).endpoints(), dtype=float)
+    for ep in (unit, 3.0 * unit + 0.7):
+        got = gap_moment_sums(ep, 0, _LADDER[-1], 19, 19)
+        for gap in range(19):
+            assert got[:, gap].tobytes() == loop_gap_moment_sums(ep, gap, _LADDER[-1], 19).tobytes()
     # range rows equal single-gap rows at every level of the ladder
     ep = np.asarray(random_unit_interval_union(rng, 11).endpoints(), dtype=float)
     for m in _LADDER:

@@ -264,6 +264,12 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     "random-union-string-count": lambda: random_unit_interval_union(random.Random(1), "a"),
     "random-union-fractional-count": lambda: random_unit_interval_union(random.Random(1), 2.5),
     "equality-gap-points-string-count": lambda: equality_gap_points("a"),
+    # a gap point list or an interior point list that is no iterable raised
+    # a bare TypeError
+    "gap-points-int": lambda: GapPoints(5),
+    "gap-points-none": lambda: GapPoints(None),
+    "solynin-interior-int": lambda: solynin_lower(
+        make_interval_union([(-1.0, -0.5), (-0.2, 0.2), (0.5, 1.0)]), GapPoints((-0.3, 0.3)), 5),
 }
 # every real argument read by errors._real, each a call with that argument
 # left free; a string and None in it raised a bare TypeError, and each, with
