@@ -491,6 +491,39 @@ def test_solve_dense_guard_is_a_singular_value_ratio():
         solve_dense(np.eye(3), [1.0, 1.0])
 
 
+def test_solve_dense_matches_np_linalg_bit_for_bit():
+    # solve_dense calls the LAPACK gufuncs behind np.linalg.svd and
+    # np.linalg.solve without their wrappers: it returns np.linalg.solve's
+    # bits, and its guard decides on np.linalg.svd's singular values
+    rng = np.random.default_rng(45)
+    for n in range(1, 41):
+        m, v = rng.standard_normal((n, n)), rng.standard_normal(n)
+        assert solve_dense(m, v).tobytes() == np.linalg.solve(m, v).tobytes()
+    # the Widom route's layout: the leading columns of a wider array whose
+    # row axis is contiguous
+    for n in (3, 8, 20):
+        wide = rng.standard_normal((n, n - 1)).T
+        m, v = wide[:, : n - 1], wide[:, n - 1]
+        assert not m.flags.c_contiguous
+        assert solve_dense(m, v).tobytes() == np.linalg.solve(m, v).tobytes()
+    # a singular-value ratio a few ulp either side of 1e-13
+    decisions = set()
+    for k in range(-3, 4):
+        t = 1e-13
+        for _ in range(abs(k)):
+            t = math.nextafter(t, k * math.inf)
+        m = np.diag([1.0, t])
+        sigma = np.linalg.svd(m, compute_uv=False)
+        solves = bool(sigma[-1] > 1e-13 * sigma[0])
+        decisions.add(solves)
+        if solves:
+            assert solve_dense(m, [1.0, 1.0]).tobytes() == np.linalg.solve(m, [1.0, 1.0]).tobytes()
+        else:
+            with pytest.raises(SingularMatrixError, match="singular values"):
+                solve_dense(m, [1.0, 1.0])
+    assert decisions == {True, False}
+
+
 def test_gap_residuals_match_the_per_gap_loop():
     rng = random.Random(6)
     for n in (3, 8, 20):
@@ -526,6 +559,13 @@ def test_solve_dense_names_a_non_finite_entry():
         solve_dense([[1.0, 0.0], [-math.inf, 1.0]], [1.0, 1.0])
     # finite entries whose sum overflows still solve
     assert solve_dense([[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308]).tolist() == [1e308, 1e308]
+    # a solution beyond the float range came back as an inf or a nan
+    with pytest.raises(DomainError, match="solution entry 0 is inf: the solution is beyond the float range"):
+        solve_dense([[1e-320]], [1.0])
+    with pytest.raises(DomainError, match="solution entry 0 is inf"):
+        solve_dense([[1e-300, 0.0], [0.0, 1e-300]], [1e10, 1.0])
+    with pytest.raises(DomainError, match="solution entry 0 is nan"):
+        solve_dense([[0.5, 0.0], [0.0, 0.5]], [1e308, -1e308])
     # a singular finite matrix is still a SingularMatrixError
     with pytest.raises(SingularMatrixError):
         solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, math.nextafter(2.0, 3.0)])
