@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import _kernels
-from .errors import ConvergenceError, DomainError, _brief, _real
+from .errors import ConvergenceError, DomainError, SingularMatrixError, _brief, _real
 from .sets import IntervalUnion, _check_two_interval, _left_sum, normalize_to_unit
 from .special import (
     _LADDER,
@@ -26,9 +27,8 @@ from .special import (
     _carlson_rf,
     _complete_K_of_kp,
     _half_line,
-    complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these three names here
+    complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these three names here, as it hooks solve_dense
     incomplete_F,  # noqa: F401
-    solve_dense,
     tail_integral,
     theta3,  # noqa: F401
     theta4,
@@ -39,6 +39,11 @@ WIDOM = "widom"
 CLOSED_FORM = "closed_form"
 
 _MOMENT_TOL = 1e-12
+
+# the LAPACK gufuncs that np.linalg.svd(m, compute_uv=False) and
+# np.linalg.solve(m, v) call for a float matrix and a 1-D right-hand side
+_lapack_svd = _umath_linalg.svd
+_lapack_solve1 = _umath_linalg.solve1
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,6 +182,33 @@ def _moment_vectors(e: IntervalUnion) -> tuple[np.ndarray, int]:
         f"gap moments on gap {gap} ({lo}, {hi}) did not converge "
         f"with {m + 1} Lobatto nodes ({m} intervals)"
     )
+
+
+# a module global that widom_polynomial calls by name: perfbench/tracing.py hooks it here
+def solve_dense(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve the moment system m x = v with LAPACK's partially pivoted LU (gesv).
+
+    m and v are finite: ``_moment_vectors`` accepts no row holding a nan
+    or an infinity.  Raises SingularMatrixError when sigma_min(m) <= 1e-13
+    sigma_max(m), a test independent of the scale of m, or when LAPACK
+    meets a zero pivot.  The guard and the solve call the gufuncs that
+    ``np.linalg.svd(m, compute_uv=False)`` and ``np.linalg.solve(m, v)``
+    run, with the same operands, so they return those calls' bits without
+    their wrappers' cost.
+    """
+    # each gufunc flags a LAPACK failure as an invalid value and nothing
+    # else: it clears the flags that LAPACK's own arithmetic raised
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            sigma = _lapack_svd(m, signature="d->d")
+        except FloatingPointError as exc:
+            raise SingularMatrixError("LAPACK: SVD did not converge") from exc
+        if not sigma[-1] > 1e-13 * sigma[0]:
+            raise SingularMatrixError(f"singular values {sigma[-1]:.3e} <= 1e-13 x {sigma[0]:.3e}")
+        try:
+            return _lapack_solve1(m, v, signature="dd->d")
+        except FloatingPointError as exc:
+            raise SingularMatrixError("LAPACK: Singular matrix") from exc
 
 
 def widom_polynomial(e: IntervalUnion) -> WidomModel:

@@ -1,11 +1,10 @@
-"""Numerical kernels: elliptic integrals, Jacobi theta series, quadrature, linear solve.
+"""Numerical kernels: elliptic integrals, Jacobi theta series, quadrature.
 
 Everything is plain float64.  The complete integrals use the
 arithmetic-geometric mean, the incomplete integral of the first kind a
 Carlson symmetric form, and the integrals with an inverse-square-root
 endpoint singularity (the Robin tail, the Green edges) a nested ladder of
-Fejer rules; dense systems go to LAPACK behind a singular-value guard
-(sigma_min > 1e-13 sigma_max, else SingularMatrixError).
+Fejer rules.
 """
 
 from __future__ import annotations
@@ -15,18 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .errors import ConvergenceError, DomainError, SingularMatrixError, _brief, _real
+from .errors import ConvergenceError, DomainError, _brief, _real
 
 _AGM_MAX_ITERS = 40
 _THETA_TERM_TOL = 1e-16
 _THETA_MAX_TERMS = 20000
-
-# the LAPACK gufuncs that np.linalg.svd(m, compute_uv=False) and
-# np.linalg.solve(m, v) call for a float matrix and a 1-D right-hand side
-_lapack_svd = _umath_linalg.svd
-_lapack_solve1 = _umath_linalg.solve1
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,71 +292,3 @@ def tail_integral(f, b: float, tol: float, width: float = 2.0) -> QuadratureResu
     are finite, width > 0.
     """
     return _half_line(f, b, math.inf, tol, width, "tail integral")
-
-
-def solve_dense(mat, rhs) -> np.ndarray:
-    """Solve M x = rhs with LAPACK's partially pivoted LU (gesv).
-
-    Raises SingularMatrixError when sigma_min(M) <= 1e-13 sigma_max(M), a
-    test independent of the scale of M, or when LAPACK meets a zero pivot.
-    Raises DomainError naming the first entry of M or rhs that is a nan or
-    an infinity, a None read as nan, and the first non-finite entry of a
-    solution beyond the float range.  A finite vector pays one sum for
-    this; a non-finite entry of M fails the guard, and M's entries are
-    looked at only then.
-
-    The guard and the solve call the gufuncs that ``np.linalg.svd(M,
-    compute_uv=False)`` and ``np.linalg.solve(M, rhs)`` run, with the same
-    operands, so they return those calls' bits without their wrappers' cost.
-    """
-    try:
-        # views, not copies: the gufuncs copy their input anyway
-        m = np.asarray(mat, dtype=float)
-        v = np.asarray(rhs, dtype=float).ravel()
-    except (OverflowError, TypeError, ValueError):
-        raise DomainError("matrix and right-hand side entries must be numbers within the float range") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {m.shape}")
-    if v.size != m.shape[0]:
-        raise DomainError("right-hand side length does not match the matrix")
-    if v.size == 0:
-        return np.empty(0)
-    i = _first_non_finite(v)
-    if i is not None:
-        raise DomainError(f"right-hand side entry {i} is {float(v[i])!r}, not a finite number")
-    # each gufunc flags a LAPACK failure as an invalid value and nothing
-    # else: it clears the flags that LAPACK's own arithmetic raised
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        try:
-            sigma = _lapack_svd(m, signature="d->d")
-        except FloatingPointError as exc:
-            _require_finite_entries(m)
-            raise SingularMatrixError("LAPACK: SVD did not converge") from exc
-        if not sigma[-1] > 1e-13 * sigma[0]:
-            _require_finite_entries(m)
-            raise SingularMatrixError(f"singular values {sigma[-1]:.3e} <= 1e-13 x {sigma[0]:.3e}")
-        try:
-            x = _lapack_solve1(m, v, signature="dd->d")
-        except FloatingPointError as exc:
-            _require_finite_entries(m)
-            raise SingularMatrixError("LAPACK: Singular matrix") from exc
-    i = _first_non_finite(x)
-    if i is not None:
-        raise DomainError(f"solution entry {i} is {float(x[i])!r}: the solution is beyond the float range")
-    return x
-
-
-def _first_non_finite(v: np.ndarray) -> int | None:
-    """The index of v's first nan or infinity, or None where v is finite."""
-    # the sum of Python floats, which overflows to inf without a warning,
-    # is finite wherever v is, unless v is near the float range's end;
-    # there the entries settle it
-    if math.isfinite(sum(v.tolist())) or np.isfinite(v).all():
-        return None
-    return int(np.flatnonzero(~np.isfinite(v))[0])
-
-
-def _require_finite_entries(m: np.ndarray) -> None:
-    """Raise DomainError at the first entry of M that is a nan or an infinity."""
-    for i, j in np.argwhere(~np.isfinite(m)).tolist():
-        raise DomainError(f"matrix entry ({i}, {j}) is {float(m[i, j])!r}, not a finite number")

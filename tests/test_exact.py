@@ -1,5 +1,6 @@
 """Exact capacity tests: theta-quotient route, Schwarz-Christoffel route, Green values."""
 
+import collections
 import importlib
 import math
 import pkgutil
@@ -16,6 +17,7 @@ from logcap import (
     DomainError,
     LogcapError,
     SingularMatrixError,
+    ValidationError,
     akhiezer_capacity,
     akhiezer_params,
     all_bounds,
@@ -1236,3 +1238,136 @@ def test_moment_ladder_overflow_ends_in_a_typed_error():
     e = make_interval_union([(1e100, 2e100), (3e100, 4e100), (5e100, 6e100)])
     with pytest.raises(LogcapError):
         widom_polynomial(e)
+
+
+# the moment solve: exact.solve_dense takes the finite float arrays
+# widom_polynomial passes it, and checks nothing else of them
+def test_solve_dense_identity_and_diagonal():
+    solve_dense = exact_module.solve_dense
+    assert np.allclose(solve_dense(np.eye(3), np.array([1.0, 2.0, 3.0])), [1, 2, 3])
+    assert np.allclose(solve_dense(np.diag([2.0, 4.0]), np.array([2.0, 8.0])), [1, 2])
+
+
+def test_solve_dense_random_round_trip():
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        s = int(rng.integers(1, 9))
+        m = rng.standard_normal((s, s))
+        x0 = rng.standard_normal(s)
+        x = exact_module.solve_dense(m, m @ x0)
+        assert np.abs(x - x0).max() < 1e-10
+
+
+def test_solve_dense_residual_contract():
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((8, 8))
+    rhs = rng.standard_normal(8)
+    x = exact_module.solve_dense(m, rhs)
+    resid = np.abs(m @ x - rhs).max()
+    assert resid <= 1e-10 * max(1.0, np.abs(rhs).max())
+
+
+def test_solve_dense_singular():
+    with pytest.raises(SingularMatrixError):
+        exact_module.solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 2.0]))
+
+
+def test_solve_dense_guard_message_names_both_singular_values():
+    with pytest.raises(SingularMatrixError) as info:
+        exact_module.solve_dense(np.diag([2.0, 1e-14]), np.array([1.0, 1.0]))
+    assert str(info.value) == "singular values 1.000e-14 <= 1e-13 x 2.000e+00"
+
+
+def test_solve_dense_is_private_to_the_widom_route():
+    # the solve is no public name of logcap, and special.py binds no LAPACK
+    assert "solve_dense" not in logcap.__all__
+    assert not hasattr(logcap, "solve_dense")
+    assert not hasattr(special_module, "solve_dense")
+    assert not hasattr(special_module, "_umath_linalg")
+    assert callable(exact_module.solve_dense)
+
+
+def test_solve_dense_guard_is_a_singular_value_ratio():
+    for m in (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), np.diag([1.0, 1e-14])):
+        with pytest.raises(SingularMatrixError):
+            exact_module.solve_dense(m, np.array([1.0, 1.0]))
+    # well conditioned at any scale
+    x = exact_module.solve_dense(1e-20 * np.eye(3), np.array([1e-20, 2e-20, 3e-20]))
+    assert np.allclose(x, [1, 2, 3])
+
+
+def test_solve_dense_matches_np_linalg_bit_for_bit():
+    # solve_dense calls the LAPACK gufuncs behind np.linalg.svd and
+    # np.linalg.solve without their wrappers: it returns np.linalg.solve's
+    # bits, and its guard decides on np.linalg.svd's singular values
+    solve_dense = exact_module.solve_dense
+    rng = np.random.default_rng(45)
+    for n in range(1, 41):
+        m, v = rng.standard_normal((n, n)), rng.standard_normal(n)
+        assert solve_dense(m, v).tobytes() == np.linalg.solve(m, v).tobytes()
+    # the Widom route's layout: the leading columns of a wider array whose
+    # row axis is contiguous
+    for n in (3, 8, 20):
+        wide = rng.standard_normal((n, n - 1)).T
+        m, v = wide[:, : n - 1], wide[:, n - 1]
+        assert not m.flags.c_contiguous
+        assert solve_dense(m, v).tobytes() == np.linalg.solve(m, v).tobytes()
+    # a singular-value ratio a few ulp either side of 1e-13
+    decisions = set()
+    ones = np.array([1.0, 1.0])
+    for k in range(-3, 4):
+        t = 1e-13
+        for _ in range(abs(k)):
+            t = math.nextafter(t, k * math.inf)
+        m = np.diag([1.0, t])
+        sigma = np.linalg.svd(m, compute_uv=False)
+        solves = bool(sigma[-1] > 1e-13 * sigma[0])
+        decisions.add(solves)
+        if solves:
+            assert solve_dense(m, ones).tobytes() == np.linalg.solve(m, ones).tobytes()
+        else:
+            with pytest.raises(SingularMatrixError, match="singular values"):
+                solve_dense(m, ones)
+    assert decisions == {True, False}
+
+
+def test_the_widom_route_hands_the_solve_only_finite_systems(monkeypatch):
+    # solve_dense checks no entry for a nan or an infinity: the ladder
+    # accepts no row holding one, and no solution leaves the float range
+    # before the guard rejects its matrix.  Sets with n = 2..8 placed with
+    # centre and scale from 1e-300 to 1e300 either give finite coefficients
+    # and residuals or raise one of three typed errors
+    inner = exact_module.solve_dense
+    solved = []
+
+    def probe(m, v):
+        assert np.isfinite(m).all() and np.isfinite(v).all()
+        solved.append(v.size)
+        x = inner(m, v)
+        assert np.isfinite(x).all()
+        return x
+
+    monkeypatch.setattr(exact_module, "solve_dense", probe)
+    rng = random.Random(46)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        unit = random_unit_interval_union(rng, n)
+        centre = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+        scale = 10.0 ** rng.uniform(-300, 300)
+        try:
+            e = make_interval_union([(centre + scale * a, centre + scale * b) for a, b in unit.intervals])
+        except ValidationError:
+            outcomes["unbuilt"] += 1
+            continue
+        try:
+            model = widom_polynomial(e)
+        except (SingularMatrixError, ConvergenceError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert all(map(math.isfinite, model.coeffs + model.gap_residuals)), e
+        outcomes["finite"] += 1
+    # widom_polynomial calls the module global, so the probe saw every
+    # solve, and every SingularMatrixError came from one
+    assert len(solved) == outcomes["SingularMatrixError"] + outcomes["finite"]
+    assert set(outcomes) == {"unbuilt", "SingularMatrixError", "ConvergenceError", "finite"}, outcomes

@@ -1,4 +1,4 @@
-"""Elliptic integrals, theta series, quadrature and linear-solve tests.
+"""Elliptic integrals, theta series and quadrature tests.
 
 Frozen reference values were produced with 40-digit mpmath evaluations of
 the defining integrals/series; the scipy.integrate.quad oracles recompute
@@ -18,7 +18,6 @@ from logcap import (
     ConvergenceError,
     DomainError,
     GapPoints,
-    SingularMatrixError,
     akhiezer_capacity,
     akhiezer_params,
     beurling_arc_capacity,
@@ -36,7 +35,6 @@ from logcap import (
     schiefermayr_lower,
     schiefermayr_upper,
     sector_product_lower,
-    solve_dense,
     solynin_lower,
     tail_integral,
     theta3,
@@ -244,9 +242,8 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
     "elliptic-params-unprintable-k": lambda: EllipticParams(10**5000, 0.5, 0.5, 0.0),
     "elliptic-params-unprintable-omega": lambda: EllipticParams(1.0, 0.0, 0.5, 10**5000),
     "elliptic-params-unprintable-nome": lambda: EllipticParams(1.0, 0.0, 10**5000, 0.0),
-    "solve-unprintable-entry": lambda: solve_dense([[10**5000]], [1.0]),
     # a string that is no number raised a bare ValueError, and None a bare
-    # TypeError; solve_dense reads None as nan
+    # TypeError
     "green-value-string-x": lambda: green_value(
         widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), "abc"),
     "green-value-none-x": lambda: green_value(
@@ -255,7 +252,6 @@ NON_FINITE_OR_FRACTIONAL_ARGUMENTS = {
         CircleArcSet(((0.0, 1.0),)), ["abc", 1.0]),
     "sector-product-none-angle": lambda: sector_product_lower(
         CircleArcSet(((0.0, 1.0),)), [None, 1.0]),
-    "solve-string-entry": lambda: solve_dense([["a"]], [1.0]),
     # run_verify ran its suites and then failed at seed + 2, a bare TypeError
     "verify-none-seed": lambda: run_verify(seed=None, count=0),
     "verify-string-seed": lambda: run_verify(seed="a", count=0),
@@ -325,7 +321,6 @@ def test_numeric_strings_still_read_as_numbers():
     assert green_value(model, "2.0") == green_value(model, 2.0)
     f = CircleArcSet(((0.0, 1.0),))
     assert sector_product_lower(f, ["0", repr(2.0 * math.pi)]) == sector_product_lower(f, [0.0, 2.0 * math.pi])
-    assert solve_dense([["2"]], ["4"]).tolist() == [2.0]
 
 
 def test_numeric_strings_read_as_numbers_in_every_real_argument():
@@ -446,84 +441,6 @@ def test_tail_integral_reports_what_it_evaluates():
     assert type(r.value) is float and type(r.est_error) is float and type(r.nodes_used) is int
 
 
-def test_solve_dense_identity_and_diagonal():
-    assert np.allclose(solve_dense(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
-    assert np.allclose(solve_dense([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0]), [1, 2])
-    assert solve_dense(np.empty((0, 0)), []).shape == (0,)
-
-
-def test_solve_dense_random_round_trip():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        s = int(rng.integers(1, 9))
-        m = rng.standard_normal((s, s))
-        x0 = rng.standard_normal(s)
-        x = solve_dense(m, m @ x0)
-        assert np.abs(x - x0).max() < 1e-10
-
-
-def test_solve_dense_residual_contract():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((8, 8))
-    rhs = rng.standard_normal(8)
-    x = solve_dense(m, rhs)
-    resid = np.abs(m @ x - rhs).max()
-    assert resid <= 1e-10 * max(1.0, np.abs(rhs).max())
-
-
-def test_solve_dense_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
-    # a nan matrix entry is no singular matrix but a non-finite entry
-    with pytest.raises(DomainError, match=r"matrix entry \(0, 0\) is nan"):
-        solve_dense(np.full((2, 2), math.nan), [1.0, 1.0])
-
-
-def test_solve_dense_guard_is_a_singular_value_ratio():
-    for m in ([[1.0, 1.0], [1.0, 1.0 + 1e-14]], np.diag([1.0, 1e-14])):
-        with pytest.raises(SingularMatrixError):
-            solve_dense(m, [1.0, 1.0])
-    # well conditioned at any scale
-    assert np.allclose(solve_dense(1e-20 * np.eye(3), [1e-20, 2e-20, 3e-20]), [1, 2, 3])
-    with pytest.raises(DomainError):
-        solve_dense(np.ones((2, 3)), [1.0, 1.0])
-    with pytest.raises(DomainError):
-        solve_dense(np.eye(3), [1.0, 1.0])
-
-
-def test_solve_dense_matches_np_linalg_bit_for_bit():
-    # solve_dense calls the LAPACK gufuncs behind np.linalg.svd and
-    # np.linalg.solve without their wrappers: it returns np.linalg.solve's
-    # bits, and its guard decides on np.linalg.svd's singular values
-    rng = np.random.default_rng(45)
-    for n in range(1, 41):
-        m, v = rng.standard_normal((n, n)), rng.standard_normal(n)
-        assert solve_dense(m, v).tobytes() == np.linalg.solve(m, v).tobytes()
-    # the Widom route's layout: the leading columns of a wider array whose
-    # row axis is contiguous
-    for n in (3, 8, 20):
-        wide = rng.standard_normal((n, n - 1)).T
-        m, v = wide[:, : n - 1], wide[:, n - 1]
-        assert not m.flags.c_contiguous
-        assert solve_dense(m, v).tobytes() == np.linalg.solve(m, v).tobytes()
-    # a singular-value ratio a few ulp either side of 1e-13
-    decisions = set()
-    for k in range(-3, 4):
-        t = 1e-13
-        for _ in range(abs(k)):
-            t = math.nextafter(t, k * math.inf)
-        m = np.diag([1.0, t])
-        sigma = np.linalg.svd(m, compute_uv=False)
-        solves = bool(sigma[-1] > 1e-13 * sigma[0])
-        decisions.add(solves)
-        if solves:
-            assert solve_dense(m, [1.0, 1.0]).tobytes() == np.linalg.solve(m, [1.0, 1.0]).tobytes()
-        else:
-            with pytest.raises(SingularMatrixError, match="singular values"):
-                solve_dense(m, [1.0, 1.0])
-    assert decisions == {True, False}
-
-
 def test_gap_residuals_match_the_per_gap_loop():
     rng = random.Random(6)
     for n in (3, 8, 20):
@@ -541,31 +458,3 @@ def test_elliptic_params_invariant():
         EllipticParams(k=0.6, k_prime=0.8, q=1.0, omega=0.0)
     p = EllipticParams(k=0.6, k_prime=0.8, q=0.05, omega=1.0)
     assert p.k ** 2 + p.k_prime ** 2 == pytest.approx(1.0, abs=1e-14)
-
-
-def test_solve_dense_names_a_non_finite_entry():
-    # numpy reads None as nan: the right-hand side's came back as a nan
-    # solution, an infinity passed through, and a None in the matrix failed
-    # LAPACK's SVD as a SingularMatrixError
-    with pytest.raises(DomainError, match="right-hand side entry 0 is nan"):
-        solve_dense([[1.0]], [None])
-    with pytest.raises(DomainError, match="right-hand side entry 1 is inf"):
-        solve_dense([[2.0, 0.0], [0.0, 1.0]], [1.0, math.inf])
-    with pytest.raises(DomainError, match=r"matrix entry \(0, 1\) is nan"):
-        solve_dense([[1.0, None], [0.0, 1.0]], [1.0, 1.0])
-    with pytest.raises(DomainError, match=r"matrix entry \(0, 0\) is nan"):
-        solve_dense([[None]], [1.0])
-    with pytest.raises(DomainError, match=r"matrix entry \(1, 0\) is -inf"):
-        solve_dense([[1.0, 0.0], [-math.inf, 1.0]], [1.0, 1.0])
-    # finite entries whose sum overflows still solve
-    assert solve_dense([[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308]).tolist() == [1e308, 1e308]
-    # a solution beyond the float range came back as an inf or a nan
-    with pytest.raises(DomainError, match="solution entry 0 is inf: the solution is beyond the float range"):
-        solve_dense([[1e-320]], [1.0])
-    with pytest.raises(DomainError, match="solution entry 0 is inf"):
-        solve_dense([[1e-300, 0.0], [0.0, 1e-300]], [1e10, 1.0])
-    with pytest.raises(DomainError, match="solution entry 0 is nan"):
-        solve_dense([[0.5, 0.0], [0.0, 0.5]], [1e308, -1e308])
-    # a singular finite matrix is still a SingularMatrixError
-    with pytest.raises(SingularMatrixError):
-        solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, math.nextafter(2.0, 3.0)])

@@ -36,8 +36,9 @@ def _pool():
 POOL = _pool()
 
 # error over est_error was 2.5, 3.8 and 1.1 on these three (errors
-# 1.3e-14, 1.7e-14 and 4.8e-15 absolute); the maximum-principle
-# certificate of ROADMAP item 3 is meant to bracket them
+# 1.3e-14, 1.7e-14 and 4.8e-15 absolute); the gap-local offsets of
+# ROADMAP item 16 are meant to bring them back, and the maximum-principle
+# certificate of item 17 to bracket them
 EST_ERROR_MISSES = {
     "thin-interior-n4": ((-1.0, -0.9459984986328897), (-0.8961397946081879, -0.7716667851289537),
                          (-0.12774257098039854, -0.12771748125889368), (0.6379536974477524, 1.0)),
@@ -56,7 +57,7 @@ def reference(intervals, dps=30):
 @pytest.mark.parametrize("name", [
     *POOL,
     *(pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="error above est_error beside a thin interior component (ROADMAP item 3)"))
+        strict=True, reason="error above est_error beside a thin interior component (ROADMAP items 16 and 17)"))
       for name in EST_ERROR_MISSES),
 ])
 def test_widom_route_is_within_est_error_of_the_mpmath_reference(name):

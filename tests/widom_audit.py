@@ -20,10 +20,11 @@ from logcap import ConvergenceError, SingularMatrixError, make_interval_union, w
 from test_widom_reference import EST_ERROR_MISSES
 from widom_mp import widom_capacity_mp
 
-# error above est_error beside a thin component, until the
-# maximum-principle certificate of ROADMAP item 3 brackets them; the four
-# from the seeded pool (error / est_error 2.4, 1.3, 2.1 and 1.06) each
-# have an outer component 2.4e-5..3.0e-4 wide
+# error above est_error beside a thin component, until the gap-local
+# offsets of ROADMAP item 16 bring them back or the maximum-principle
+# certificate of item 17 brackets them; the four from the seeded pool
+# (error / est_error 2.4, 1.3, 2.1 and 1.06) each have an outer component
+# 2.4e-5..3.0e-4 wide
 PINNED = {*EST_ERROR_MISSES, "n3-3", "n3-5", "n4-2", "n6-6"}
 # the monomial moment matrix of n11-6, clustered parts of equal scale, is
 # singular to 1e-13, until the gap-centre basis of ROADMAP item 5
