@@ -27,9 +27,8 @@ from .special import (
     _carlson_rf,
     _complete_K_of_kp,
     _half_line,
-    complete_K,  # noqa: F401  unused; perfbench/tracing.py hooks these three names here, as it hooks solve_dense
-    incomplete_F,  # noqa: F401
-    tail_integral,
+    complete_K,  # noqa: F401  these three are imported only for perfbench/tracing.py to hook,
+    incomplete_F,  # noqa: F401  as solve_dense and tail_integral are module globals below for it to hook
     theta3,  # noqa: F401
     theta4,
 )
@@ -343,9 +342,11 @@ def _green_integrand(model: WidomModel, skip: int, sign: float):
     return f
 
 
-def _robin_quad(model: WidomModel) -> QuadratureResult:
+# a module global that capacity and robin_constant call by name: perfbench/tracing.py hooks it here
+def tail_integral(model: WidomModel) -> QuadratureResult:
+    """The Robin tail of ``robin_constant``: ``_half_line`` on its integrand's regular part at b_n."""
     a1, bn = model.E.hull
-    return tail_integral(_green_integrand(model, 2 * model.E.n - 1, 1.0), bn, 1e-10, width=bn - a1)
+    return _half_line(_green_integrand(model, 2 * model.E.n - 1, 1.0), bn, math.inf, bn - a1, "tail integral")
 
 
 def robin_constant(model: WidomModel) -> float:
@@ -356,7 +357,7 @@ def robin_constant(model: WidomModel) -> float:
     exact for sets whose hull is not [-1, 1] as well.  For a set far from
     the origin, take the model of its normalized image and subtract log(scale).
     """
-    return _robin_quad(model).value
+    return tail_integral(model).value
 
 
 def widom_capacity(e: IntervalUnion) -> CapacityResult:
@@ -364,22 +365,21 @@ def widom_capacity(e: IntervalUnion) -> CapacityResult:
     return capacity(e, WIDOM)
 
 
-def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
+def green_value(model: WidomModel, x: float) -> float:
     """Green function of the complement (pole at infinity) at a real point x.
 
-    x must lie outside the open intervals of the set; on the set's boundary
-    the value reflects the achieved gap residuals and is ~0.  The value is
-    integrated from the nearer endpoint of x's gap (the left one on a tie),
-    or the nearer hull end, on top of the signed gap residuals left of that
-    endpoint.  Outside the hull, where p/sqrt|q| ~ sign/|t|, the integrand
-    is p/sqrt|q| - sign/(1 + |t - base|) and sign log1p(span) is added
-    back, so far points converge.  Raises ConvergenceError when that
-    quadrature does not reach ``tol`` at the cap of its ladder; its
-    ``partial`` is the quadrature's, without the sign log1p(span).  Raises
-    DomainError when x is nan or no number within the float range, and,
-    before any evaluation, when tol is not a positive number; at an x on
-    the set's boundary, which needs no quadrature, tol is not checked.  The
-    model and x are in the set's own coordinates (see widom_polynomial).
+    x must lie outside the open intervals of the set; on the set's boundary,
+    which needs no quadrature, the value reflects the achieved gap residuals
+    and is ~0.  It is integrated from the nearer endpoint of x's gap (the left
+    one on a tie), or the nearer hull end, on top of the signed gap residuals
+    left of that endpoint.  Outside the hull, where p/sqrt|q| ~ sign/|t|, the
+    integrand is p/sqrt|q| - sign/(1 + |t - base|) and sign log1p(span) is
+    added back, so far points converge.  That quadrature runs to 1e-10; where
+    it does not converge at its ladder's cap, ConvergenceError is raised with
+    its ``partial``, without the sign log1p(span).  DomainError is raised when
+    x is nan or no number within the float range and, off the boundary and
+    before any evaluation, where the hull's width overflows to inf.  Model and
+    x are in the set's own coordinates (see widom_polynomial).
     """
     e = model.E
     n = e.n
@@ -406,7 +406,7 @@ def green_value(model: WidomModel, x: float, tol: float = 1e-10) -> float:
     # the sign of p/sqrt|q| outside the hull is the branch of its end; 0 inside it
     sign = 0.0 if ep[0] < x < ep[-1] else float(branch)
     integrand = _green_integrand(model, k, sign)
-    quad = _half_line(integrand, ep[k], x, tol, ep[-1] - ep[0], "Green function quadrature")
+    quad = _half_line(integrand, ep[k], x, e.hull[1] - e.hull[0], "Green function quadrature")
     return abs(float(before + branch * (quad.value + sign * math.log1p(span))))
 
 
@@ -438,7 +438,7 @@ def capacity(e: IntervalUnion, method: str = "auto") -> CapacityResult:
         res = akhiezer_capacity(norm.intervals[0][1], norm.intervals[1][0])
     else:
         model = widom_polynomial(norm)
-        quad = _robin_quad(model)
+        quad = tail_integral(model)
         cap = math.exp(-quad.value)
         resid = _left_sum(map(abs, model.gap_residuals))
         res = CapacityResult(cap, WIDOM, cap * (quad.est_error + 10.0 * resid) + 1e-15)

@@ -160,12 +160,14 @@ def theta4(z: float, q: float) -> float:
 # Chebyshev-Lobatto nodes, each level accepted when it agrees with its
 # nested m/2 rule.  The gap moments climb all of it with the Lobatto rule
 # itself.  The Robin tail and the Green edges climb it with Fejer's rule on
-# its interior nodes from the 128 rung (_FEJER_FIRST) on.  Of the Robin
-# tails of 400 random sets with n = 3..20, none passes its test at m = 32,
-# and 166 pass at m = 64 with differences of up to 9e-11, which would become
-# their est_error; all 400 pass at 128, with est_error below 1e-14.
+# its interior nodes from the 128 rung (_FEJER_FIRST) on, each to the one
+# tolerance _HALF_LINE_TOL.  Of the Robin tails of 400 random sets with
+# n = 3..20, none passes its test at m = 32, and 166 pass at m = 64 with
+# differences of up to 9e-11, which would become their est_error; all 400
+# pass at 128, with est_error below 1e-14.
 _LADDER = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 _FEJER_FIRST = 128
+_HALF_LINE_TOL = 1e-10
 
 
 @functools.lru_cache(maxsize=16)
@@ -226,7 +228,7 @@ def _half_line_level(b: float, step: float, w: float, top: float, m: int) -> tup
     return t, jac
 
 
-def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> QuadratureResult:
+def _half_line(f, b: float, x: float, width: float, what: str) -> QuadratureResult:
     """Integral of f(t) / sqrt|t - b| from b towards x (x may be +-inf), for f regular at b.
 
     The map t = b +- w tan^2(theta), w = min(|x - b|, width), runs theta
@@ -239,20 +241,19 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
     once, on the level's new nodes t, which come read-only with the
     Jacobian factors from ``_half_line_level``, keyed by the map and the
     level, so f must not write to them.  A level is accepted when its
-    value I_m is finite and |I_m - I_{m/2}| <= max(tol, floor), where the
-    rounding floor is 1e-14 top/2 sum w_k |g_k|, g_k the value of f times
-    the Jacobian at node k; a level holding an inf or nan value, as from a
-    node that rounds onto a singular endpoint, is never accepted.
-    ``est_error`` is the larger of the two, ``nodes_used`` the evaluations
-    made (m - 1).  Raises ConvergenceError, naming ``what``, when the cap
-    is reached; its ``partial`` sums the finite values of the last level.
-    Raises DomainError, before any evaluation, unless tol > 0 and b and
-    width are finite, width > 0.
+    value I_m is finite and |I_m - I_{m/2}| <= max(1e-10, floor)
+    (``_HALF_LINE_TOL``), where the rounding floor is 1e-14 top/2 sum w_k
+    |g_k|, g_k the value of f times the Jacobian at node k; a level
+    holding an inf or nan value, as from a node that rounds onto a
+    singular endpoint, is never accepted.  ``est_error`` is the larger of
+    the two, ``nodes_used`` the evaluations made (m - 1).  Raises
+    ConvergenceError, naming ``what``, when the cap is reached; its
+    ``partial`` sums the finite values of the last level.  b is a finite
+    endpoint and the width, that of the set's hull, is positive; where it
+    overflows to inf, DomainError is raised before any evaluation.
     """
-    given = tol, b, width
-    tol, b, width = _real(tol, "tol"), _real(b, "b"), _real(width, "width")
-    if not (tol > 0.0 and math.isfinite(b) and width > 0.0 and math.isfinite(width)):
-        raise DomainError(f"need tol > 0, b finite and 0 < width < inf, got {', '.join(map(_brief, given))}")
+    if not math.isfinite(width):
+        raise DomainError(f"{what}: the hull is wider than the float range")
     span = abs(x - b)
     w = min(span, width)
     step = w if x > b else -w
@@ -273,22 +274,8 @@ def _half_line(f, b: float, x: float, tol: float, width: float, what: str) -> Qu
             fine = half * np.dot(weights, vals)
             delta = abs(fine - half * np.dot(_fejer_rule(m // 2)[1], vals[1::2]))
             floor = 1e-14 * half * np.dot(weights, np.abs(vals))
-            if math.isfinite(fine) and delta <= max(tol, floor):
+            if math.isfinite(fine) and delta <= max(_HALF_LINE_TOL, floor):
                 return QuadratureResult(float(fine), float(max(delta, floor)), vals.size)
     ok = np.isfinite(vals)
     partial = QuadratureResult(float(half * np.dot(weights[ok], vals[ok])), math.inf, vals.size)
     raise ConvergenceError(f"{what} did not converge with {vals.size} nodes", partial=partial)
-
-
-def tail_integral(f, b: float, tol: float, width: float = 2.0) -> QuadratureResult:
-    """Integral of f(t) / sqrt(t - b) over (b, infinity), for f regular at b.
-
-    The integrand must be O(1/t^2) at infinity.  The integral goes to
-    ``_half_line``, over theta in (0, pi/2) with t = b + width tan^2(theta),
-    and climbs its Fejer ladder.  f is called once per level, on the
-    level's new nodes as a shared read-only array, and must return an
-    array of their values.  Raises ConvergenceError at the ladder's cap,
-    and DomainError, before any evaluation, unless tol > 0 and b and width
-    are finite, width > 0.
-    """
-    return _half_line(f, b, math.inf, tol, width, "tail integral")

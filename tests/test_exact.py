@@ -395,10 +395,10 @@ def test_green_value_budget_exhaustion_raises_convergence_error(monkeypatch):
     # this edge integral takes the ladder's second level; capped at the first
     # level, it runs out
     model = widom_polynomial(canonical_set(0.3, 4))
-    want = green_value(model, -4.0, tol=1e-13)
+    want = green_value(model, -4.0)
     monkeypatch.setattr(special_module, "_LADDER", (128,))
     with pytest.raises(ConvergenceError, match="Green function quadrature") as exc_info:
-        green_value(model, -4.0, tol=1e-13)
+        green_value(model, -4.0)
     partial = exc_info.value.partial
     assert partial.nodes_used == 127
     assert math.isfinite(partial.value)
@@ -1006,6 +1006,57 @@ def test_widom_capacity_calls_the_tail_integrand_once_when_the_first_level_is_ac
     assert len(within) > len(calls) / 2
 
 
+def test_every_widom_value_makes_one_tail_call_through_the_hooked_name(monkeypatch):
+    # perfbench/tracing.py hooks exact.tail_integral and counts the nodes_used
+    # of its result, or of its ConvergenceError's partial
+    tail, calls = exact_module.tail_integral, []
+
+    def recorded(model):
+        try:
+            res = tail(model)
+        except ConvergenceError as exc:
+            calls.append(exc.partial.nodes_used)
+            raise
+        calls.append(res.nodes_used)
+        return res
+
+    monkeypatch.setattr(exact_module, "tail_integral", recorded)
+    rng = random.Random(59)
+    for n in range(2, 7):
+        e = random_unit_interval_union(rng, n)
+        for value in (widom_capacity if n == 2 else capacity, lambda s: robin_constant(widom_polynomial(s))):
+            calls.clear()
+            value(e)
+            assert len(calls) == 1 and calls[0] >= 127, n
+    # this tail takes the ladder's second level; capped at the first, it runs out
+    e = canonical_set(0.3, 4)
+    calls.clear()
+    capacity(e)
+    assert calls == [255]
+    monkeypatch.setattr(special_module, "_LADDER", (128,))
+    calls.clear()
+    with pytest.raises(ConvergenceError, match="tail integral did not converge with 127 nodes"):
+        capacity(e)
+    assert calls == [127]
+
+
+# (alpha, beta) of [-1, alpha] u [beta, 1]: wide, thin and lopsided gaps
+TWO_INTERVAL_GAPS = [(-0.5, 0.5), (-0.9, -0.8), (0.1, 0.3), (-0.99, 0.99),
+                     (-0.2, 0.9), (0.7, 0.75), (-0.999, -0.001), (-1e-6, 1e-6)]
+
+
+@pytest.mark.parametrize("alpha, beta", TWO_INTERVAL_GAPS)
+def test_robin_tail_matches_the_theta_formula_on_two_intervals(alpha, beta):
+    # the Widom route's tail against the 40-digit theta quotient: R = -log cap
+    model = widom_polynomial(make_interval_union([(-1.0, alpha), (beta, 1.0)]))
+    r = exact_module.tail_integral(model)
+    want = -math.log(akhiezer_oracle(alpha, beta))
+    resid = sum(map(abs, model.gap_residuals))
+    assert abs(r.value - want) <= r.est_error + 10.0 * resid + 1e-15
+    assert r.est_error <= special_module._HALF_LINE_TOL
+    assert robin_constant(model) == r.value
+
+
 TAIL_CACHES = (special_module._half_line_level, exact_module._offset_series)
 
 
@@ -1042,13 +1093,13 @@ def uncached_green_integrand(model, skip, sign):
     return f
 
 
-def uncached_robin_quad(model, monkeypatch):
+def uncached_robin_tail(model, monkeypatch):
     """The Robin tail with its levels and its comparison term formed afresh."""
     a1, bn = model.E.hull
     f = uncached_green_integrand(model, 2 * model.E.n - 1, 1.0)
     with monkeypatch.context() as patched:
         patched.setattr(special_module, "_half_line_level", uncached_half_line_level)
-        return special_module._half_line(f, bn, math.inf, 1e-10, bn - a1, "reference")
+        return special_module._half_line(f, bn, math.inf, bn - a1, "reference")
 
 
 def recorded_ladder(monkeypatch):
@@ -1056,13 +1107,13 @@ def recorded_ladder(monkeypatch):
     levels = []
     half_line = special_module._half_line
 
-    def recorded(f, b, x, tol, width, what):
+    def recorded(f, b, x, width, what):
         def kept(t):
             vals = f(t)
             levels.append(vals.tobytes())
             return vals
 
-        return half_line(kept, b, x, tol, width, what)
+        return half_line(kept, b, x, width, what)
 
     monkeypatch.setattr(special_module, "_half_line", recorded)
     monkeypatch.setattr(exact_module, "_half_line", recorded)
@@ -1114,17 +1165,17 @@ def test_cached_robin_tail_matches_the_uncached_arithmetic_bit_for_bit(monkeypat
     for n in range(3, 21):
         for _ in range(2):
             model = widom_polynomial(random_unit_interval_union(rng, n))
-            want = fingerprint(levels, uncached_robin_quad(model, monkeypatch))
-            assert fingerprint(levels, exact_module._robin_quad(model)) == want, n
+            want = fingerprint(levels, uncached_robin_tail(model, monkeypatch))
+            assert fingerprint(levels, exact_module.tail_integral(model)) == want, n
     # off the unit hull, b_n != 1 and the width is not 2: a map of its own
     for n in (3, 7, 12):
         e = random_unit_interval_union(rng, n)
         for scale, shift in ((3.0, 0.7), (0.2, -0.4), (2.0, -3.0)):
             model = widom_polynomial(make_interval_union([(scale * a + shift, scale * b + shift)
                                                           for a, b in e.intervals]))
-            want = uncached_robin_quad(model, monkeypatch)
+            want = uncached_robin_tail(model, monkeypatch)
             want_levels = fingerprint(levels, want)
-            assert fingerprint(levels, exact_module._robin_quad(model)) == want_levels
+            assert fingerprint(levels, exact_module.tail_integral(model)) == want_levels
             assert np.array([robin_constant(model)]).tobytes() == np.array([want.value]).tobytes()
             levels.clear()
 
@@ -1155,7 +1206,7 @@ def test_cached_green_values_match_the_uncached_arithmetic_bit_for_bit(monkeypat
 def test_tail_caches_are_read_only_and_bounded():
     model = widom_polynomial(random_unit_interval_union(random.Random(53), 4))
     clear_tail_caches()
-    assert exact_module._robin_quad(model).nodes_used == 127
+    assert exact_module.tail_integral(model).nodes_used == 127
     t, jac = special_module._half_line_level(1.0, 2.0, 2.0, math.pi / 2, 128)
     powers, term = exact_module._offset_series(1.0, 1.0, t.tobytes(), exact_module._SERIES)
     for a in (t, jac, powers, term, exact_module._shift_matrix(1.0, 4)):
@@ -1183,49 +1234,65 @@ def test_every_cache_in_the_package_is_bounded():
     assert all(size is not None for size in found.values()), found
 
 
-def decaying(t):
-    return 1.0 / (1.0 + t * t)
+# hand-built models, since widom_polynomial maps no set onto such a hull:
+# each hull, [-1e308, 1e308], is wider than the float range
+WIDE_PAIR = [(-1e308, -5e307), (5e307, 1e308)]
+WIDE_TRIPLE = [(-1e308, -1e307), (-1e306, 1e306), (1e307, 1e308)]
 
 
-# each runs to the ladder's cap, or returns, without the check
+def wide_model(intervals):
+    e = make_interval_union(intervals)
+    return exact_module.WidomModel(e, (0.0,) * (e.n - 1), (0.0,) * (e.n - 1), 0)
+
+
+# without the check, each runs its integrand to the ladder's cap; the Green
+# values start from each of the pair's four endpoints in turn
 BAD_HALF_LINE_CALLS = {
-    "tail-tol-nan": lambda model, h: exact_module.tail_integral(h, 1.0, math.nan),
-    "tail-tol-0": lambda model, h: exact_module.tail_integral(h, 1.0, 0.0),
-    "tail-b-nan": lambda model, h: exact_module.tail_integral(h, math.nan, 1e-10),
-    "tail-b-inf": lambda model, h: exact_module.tail_integral(h, math.inf, 1e-10),
-    "tail-b-minus-inf": lambda model, h: exact_module.tail_integral(h, -math.inf, 1e-10),
-    "tail-width-nan": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=math.nan),
-    "tail-width-inf": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=math.inf),
-    "tail-width-minus-inf": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=-math.inf),
-    "tail-width-0": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, width=0.0),
-    # integers beyond the float range raised OverflowError, the tol one
-    # only after the first level's evaluations
-    "tail-unprintable-b": lambda model, h: exact_module.tail_integral(h, 10**5000, 1e-10),
-    "tail-unprintable-tol": lambda model, h: exact_module.tail_integral(h, 1.0, 10**5000),
-    "tail-unprintable-width": lambda model, h: exact_module.tail_integral(h, 1.0, 1e-10, 10**5000),
-    "green-tol-nan": lambda model, h: green_value(model, 3.0, tol=math.nan),
-    "green-tol-0": lambda model, h: green_value(model, 3.0, tol=0.0),
-    "green-tol-minus-1": lambda model, h: green_value(model, 3.0, tol=-1.0),
-    "green-gap-tol-0": lambda model, h: green_value(model, -0.3, tol=0.0),
+    "robin-hull-wider-than-floats": (WIDE_PAIR, robin_constant),
+    "green-hull-wider-than-floats": (WIDE_PAIR, lambda model: green_value(model, 3.0)),
+    "green-left-of-a-hull-wider-than-floats": (WIDE_PAIR, lambda model: green_value(model, -1.5e308)),
+    "green-right-of-a-hull-wider-than-floats": (WIDE_PAIR, lambda model: green_value(model, 1.5e308)),
+    "green-gap-left-end-of-a-hull-wider-than-floats": (WIDE_PAIR, lambda model: green_value(model, -4e307)),
+    "robin-three-intervals-wider-than-floats": (WIDE_TRIPLE, robin_constant),
+    "green-three-intervals-wider-than-floats": (WIDE_TRIPLE, lambda model: green_value(model, 5e306)),
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_HALF_LINE_CALLS))
-def test_half_line_arguments_are_checked_before_any_evaluation(monkeypatch, case):
-    model = widom_polynomial(make_interval_union([(-1.0, -0.5), (-0.2, 0.1), (0.5, 1.0)]))
+def counted_green_integrands(monkeypatch):
+    """Count the evaluations of every Green-function integrand built from here on."""
     count = [0]
+    make_integrand = exact_module._green_integrand
 
-    def counted(f):
+    def counted(*args):
+        f = make_integrand(*args)
+
         def g(t):
             count[0] += 1
             return f(t)
 
         return g
 
-    make_integrand = exact_module._green_integrand
-    monkeypatch.setattr(exact_module, "_green_integrand", lambda *args: counted(make_integrand(*args)))
-    with pytest.raises(DomainError):
-        BAD_HALF_LINE_CALLS[case](model, counted(decaying))
+    monkeypatch.setattr(exact_module, "_green_integrand", counted)
+    return count
+
+
+@pytest.mark.parametrize("case", list(BAD_HALF_LINE_CALLS))
+def test_half_line_arguments_are_checked_before_any_evaluation(monkeypatch, case):
+    intervals, call = BAD_HALF_LINE_CALLS[case]
+    model = wide_model(intervals)
+    count = counted_green_integrands(monkeypatch)
+    with pytest.raises(DomainError, match="wider than the float range"):
+        call(model)
+    assert count == [0]
+
+
+def test_green_value_on_the_boundary_of_a_hull_wider_than_floats_needs_no_quadrature(monkeypatch):
+    # on the boundary G is the signed sum of the gap residuals, here 0
+    count = counted_green_integrands(monkeypatch)
+    for intervals in (WIDE_PAIR, WIDE_TRIPLE):
+        model = wide_model(intervals)
+        for x in model.E.endpoints():
+            assert green_value(model, x) == 0.0, x
     assert count == [0]
 
 

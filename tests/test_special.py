@@ -36,12 +36,12 @@ from logcap import (
     schiefermayr_upper,
     sector_product_lower,
     solynin_lower,
-    tail_integral,
     theta3,
     theta4,
     uniform_measure_partition,
 )
 from logcap import exact as exact_module
+from logcap import special as special_module
 from logcap import widom_polynomial
 from logcap.special import EllipticParams, _fejer_rule, _half_line, _half_line_level
 from logcap.verify import equality_gap_points, random_unit_interval_union, run_verify
@@ -284,11 +284,6 @@ ONE_REAL_ARGUMENT = {
     "elliptic-params-k-prime": lambda v: EllipticParams(0.6, v, 0.5, 0.0),
     "elliptic-params-nome": lambda v: EllipticParams(0.6, 0.8, v, 0.0),
     "elliptic-params-omega": lambda v: EllipticParams(0.6, 0.8, 0.5, v),
-    "tail-integral-b": lambda v: tail_integral(lambda t: 1.0 / (t * t), v, 1e-10),
-    "tail-integral-tol": lambda v: tail_integral(lambda t: 1.0 / (t * t), 1.0, v),
-    "tail-integral-width": lambda v: tail_integral(lambda t: 1.0 / (t * t), 1.0, 1e-10, v),
-    "green-value-tol": lambda v: green_value(
-        widom_polynomial(make_interval_union([(-1.0, -0.5), (0.5, 1.0)])), 2.0, v),
     "canonical-set-length": lambda v: canonical_set(v, 3),
     "haliste-length": lambda v: haliste_arcs_capacity(v, 3),
     "gap-division-gap-point": lambda v: gap_division_lower(
@@ -328,7 +323,6 @@ def test_numeric_strings_read_as_numbers_in_every_real_argument():
     assert theta4("1", "0.25") == theta4(1.0, 0.25)
     assert akhiezer_capacity("-0.5", "0.25") == akhiezer_capacity(-0.5, 0.25)
     assert haliste_arcs_capacity("1.5", 3) == haliste_arcs_capacity(1.5, 3)
-    assert tail_integral(lambda t: 1.0 / (t * t), "1", "1e-10", "2") == tail_integral(lambda t: 1.0 / (t * t), 1.0, 1e-10)
 
 
 def test_arc_and_cell_counts_may_be_numpy_integers():
@@ -337,30 +331,68 @@ def test_arc_and_cell_counts_may_be_numpy_integers():
     assert haliste_arcs_capacity(1.0, np.int64(3)) == haliste_arcs_capacity(1.0, 3)
 
 
+def half_line_tail(f, b, width=2.0):
+    """The half-line ladder over (b, infinity), as the Robin tail climbs it, for a closed-form f."""
+    return _half_line(f, b, math.inf, width, "tail integral")
+
+
 def test_tail_integral_inverse_square():
-    r = tail_integral(lambda t: np.sqrt(t - 1.0) / t ** 2, 1.0, 1e-10)
+    r = half_line_tail(lambda t: np.sqrt(t - 1.0) / t ** 2, 1.0)
     assert abs(r.value - 1.0) <= max(r.est_error, 1e-13)
     assert r.est_error >= abs(r.value - 1.0)
 
 
 def test_tail_integral_with_endpoint_singularity():
-    r = tail_integral(lambda t: 1.0 / (t * t), 1.0, 1e-10)
+    r = half_line_tail(lambda t: 1.0 / (t * t), 1.0)
     assert r.value == pytest.approx(math.pi / 2, abs=1e-11)
     assert r.est_error >= abs(r.value - math.pi / 2)
 
 
 def test_tail_integral_cubic():
-    r = tail_integral(lambda t: np.sqrt(t - 2.0) / t ** 3, 2.0, 1e-10)
+    r = half_line_tail(lambda t: np.sqrt(t - 2.0) / t ** 3, 2.0)
     assert r.value == pytest.approx(0.125, abs=1e-13)
     assert r.est_error >= abs(r.value - 0.125)
 
 
 def test_tail_integral_negative_start():
     # hull far left of zero: the shifted far-substitution must still apply
-    r = tail_integral(lambda t: np.sqrt(t + 5.0) / (1.0 + t * t), -5.0, 1e-10, width=1.0)
+    r = half_line_tail(lambda t: np.sqrt(t + 5.0) / (1.0 + t * t), -5.0, width=1.0)
     want = math.pi / 2 + math.atan(5.0)
     assert r.value == pytest.approx(want, abs=1e-10)
     assert r.est_error >= abs(r.value - want)
+
+
+# the three shapes the Widom route hands the ladder: towards +inf (the Robin
+# tail, a Green value right of the hull), towards -inf (left of it) and
+# towards a finite x on either side (a Green value in a gap), each as
+# (f, b, x, width, the integral of f(t) / sqrt|t - b| from b to x)
+HALF_LINE_CLOSED_FORMS = {
+    "right-to-inf-reciprocal": (lambda t: 1.0 / (1.0 + t), 0.0, math.inf, 1.0, math.pi),
+    "right-to-inf-shifted-reciprocal": (lambda t: 1.0 / (t + 1.0), 3.0, math.inf, 2.0, math.pi / 2),
+    "right-to-inf-exponential": (lambda t: np.exp(-t), 0.0, math.inf, 1.0, math.sqrt(math.pi)),
+    "right-to-inf-damped-cosine": (lambda t: np.exp(-t) * np.cos(t), 0.0, math.inf, 1.0,
+                                   math.sqrt(math.pi) * 2.0 ** -0.25 * math.cos(math.pi / 8)),
+    "right-to-inf-wide-map": (lambda t: 1.0 / (1.0 + t), 0.0, math.inf, 64.0, math.pi),
+    "right-to-inf-narrow-map": (lambda t: 1.0 / (1.0 + t), 0.0, math.inf, 0.25, math.pi),
+    "left-to-inf-reciprocal": (lambda t: 1.0 / (-1.0 - t), -2.0, -math.inf, 1.0, math.pi),
+    "left-to-inf-exponential": (lambda t: np.exp(t - 1.5), 1.5, -math.inf, 2.0, math.sqrt(math.pi)),
+    "right-finite-constant": (lambda t: np.ones_like(t), 0.0, 2.0, 5.0, 2.0 * math.sqrt(2.0)),
+    "right-finite-beyond-the-width": (lambda t: np.ones_like(t), 0.0, 10.0, 1.0, 2.0 * math.sqrt(10.0)),
+    "right-finite-linear": (lambda t: t - 0.5, 0.5, 1.5, 2.0, 2.0 / 3.0),
+    "right-finite-exponential": (lambda t: np.exp(-t), 0.0, 1.0, 2.0, math.sqrt(math.pi) * math.erf(1.0)),
+    "left-finite-constant": (lambda t: np.ones_like(t), 1.0, -3.0, 10.0, 4.0),
+    "left-finite-exponential": (lambda t: np.exp(t), 0.0, -1.0, 2.0, math.sqrt(math.pi) * math.erf(1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(HALF_LINE_CLOSED_FORMS))
+def test_half_line_matches_closed_forms_in_every_direction(case):
+    f, b, x, width, want = HALF_LINE_CLOSED_FORMS[case]
+    r = _half_line(f, b, x, width, "test integral")
+    assert abs(r.value - want) <= r.est_error, case
+    # each converges well within the ladder's one tolerance
+    assert r.est_error <= special_module._HALF_LINE_TOL, case
+    assert r.nodes_used in (127, 255), case
 
 
 def test_tail_integral_budget_error_carries_partial():
@@ -369,7 +401,7 @@ def test_tail_integral_budget_error_carries_partial():
 
     # the ladder's cap, m = 4096, is its only budget
     with pytest.raises(ConvergenceError, match="did not converge with 4095 nodes") as exc_info:
-        tail_integral(nasty, 0.0, 1e-13)
+        half_line_tail(nasty, 0.0)
     partial = exc_info.value.partial
     assert partial is not None
     assert partial.nodes_used == 4095
@@ -422,7 +454,7 @@ def test_half_line_never_accepts_a_non_finite_level():
 
     for f, want in ((spike, 1.0), (kink, 0.29)):
         with pytest.raises(ConvergenceError, match="test integral did not converge") as exc_info:
-            _half_line(f, 0.0, 1.0, 1e-10, 1.0, "test integral")
+            _half_line(f, 0.0, 1.0, 1.0, "test integral")
         partial = exc_info.value.partial
         assert partial.nodes_used == 4095
         assert partial.value == pytest.approx(want, abs=1e-5)
@@ -435,7 +467,7 @@ def test_tail_integral_reports_what_it_evaluates():
         seen.append(t.size)
         return np.cos(5.0 * t) * np.exp(-t)
 
-    r = tail_integral(h, 1.0, 1e-10)
+    r = half_line_tail(h, 1.0)
     assert seen == [127] + [2 ** k for k in range(7, 7 + len(seen) - 1)]
     assert r.nodes_used == sum(seen)
     assert type(r.value) is float and type(r.est_error) is float and type(r.nodes_used) is int
